@@ -1,16 +1,18 @@
 """Measuring quantum operations in Kraus form and their class predicates.
 
-An operation is a family of sub-operations, each a list of Kraus matrices
-mapping the common input space to that sub-operation's own output space,
-jointly trace preserving.  Applying the operation yields one classical
-branch per sub-operation.  Class membership (local, one-local, separable,
-p.p.t.) is tracked two ways: constructors tag provenance, and predicates
-verify explicitly given structure (completeness sums, Choi positivity,
-separable witnesses).
+An operation is a family of sub-operations, each a Kraus family mapping the
+common input space to that sub-operation's own output space, jointly trace
+preserving.  Applying the operation yields one classical branch per
+sub-operation.  Class membership (local, one-local, separable, p.p.t.) is
+tracked two ways: constructors tag provenance, and predicates verify
+explicitly given structure (completeness sums, Choi positivity, separable
+witnesses).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -21,8 +23,6 @@ from .linalg import (
     DensityOperator,
     Label,
     as_square_matrix,
-    partial_transpose,
-    tensor,
     total_dim,
 )
 
@@ -44,47 +44,68 @@ def _join_provenance(*tags: str | None) -> str | None:
 
 @dataclass(frozen=True, eq=False)
 class SubOperation:
-    """One classical branch: Kraus matrices sharing an output space."""
+    """One classical branch: a Kraus family sharing an output space.
 
-    kraus: tuple[np.ndarray, ...]
+    The family is kept in Kronecker-factored form: `factors` is a tuple of
+    stacked arrays of shape (n_f, out_f, in_f), and the branch's Kraus
+    matrices are all products F_1[j_1] (x) ... (x) F_m[j_m], enumerated with
+    j_1 as the major index (the package's A-major order).  Any other
+    sequence of equally shaped matrices is the one-factor (dense) case.
+    """
+
+    factors: tuple[np.ndarray, ...]
     out_label: Label
 
     def __post_init__(self) -> None:
-        if not self.kraus:
-            raise ValueError("sub-operation requires at least one Kraus matrix")
-        mats = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        rows, cols = mats[0].shape
+        parts = self.factors
+        if not (isinstance(parts, tuple) and parts and all(np.ndim(f) == 3 for f in parts)):
+            parts = (parts,)
+        parts = tuple(np.asarray(f, dtype=complex) for f in parts)
+        if any(f.ndim != 3 or f.shape[0] == 0 for f in parts):
+            raise ValueError("sub-operation requires at least one Kraus matrix per factor")
+        rows = math.prod(f.shape[1] for f in parts)
         d_out = total_dim(self.out_label)
         if rows != d_out:
             raise ValueError(f"Kraus rows {rows} do not match output dimension {d_out}")
-        for k in mats:
-            if k.shape != (rows, cols):
-                raise ValueError("Kraus matrices must share one shape")
-        for k in mats:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", mats)
+        for f in parts:
+            f.setflags(write=False)
+        object.__setattr__(self, "factors", parts)
+
+    @property
+    def kraus(self) -> np.ndarray:
+        """The dense Kraus family, shape (n, out, in), A-major across factors."""
+        return functools.reduce(np.kron, self.factors)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return math.prod(f.shape[2] for f in self.factors)
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return math.prod(f.shape[1] for f in self.factors)
 
     def completeness_term(self) -> np.ndarray:
-        """Sum of K^dagger K over this branch's Kraus matrices."""
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for k in self.kraus:
-            out += k.conj().T @ k
-        return out
+        """Sum of K^dagger K over the branch: the Kronecker product of the
+        factors' sums."""
+        flat = (f.reshape(-1, f.shape[2]) for f in self.factors)
+        return functools.reduce(np.kron, (g.conj().T @ g for g in flat))
 
     def apply_raw(self, m: np.ndarray) -> np.ndarray:
-        """Unnormalized branch output sum_j K_j m K_j^dagger."""
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ m @ k.conj().T
-        return out
+        """Unnormalized branch output sum_j K_j m K_j^dagger, one factor at a time."""
+        dims = [f.shape[2] for f in self.factors]
+        t = np.asarray(m, dtype=complex).reshape(dims + dims)
+        axes = list(range(2 * len(dims)))
+        n, row, col = len(axes), len(axes) + 1, len(axes) + 2
+        for p, f in enumerate(self.factors):
+            count, d_out, d_in = f.shape
+            rest = t.size // (d_in * d_in)
+            # sum over the Kraus index first (the factor's superoperator) when cheaper
+            by_superop = d_out * d_in * (count + rest) < count * rest * (d_in + d_out)
+            out = axes.copy()
+            out[p], out[len(dims) + p] = row, col
+            t = np.einsum(f, [n, row, p], t, axes, f.conj(), [n, col, len(dims) + p], out,
+                          optimize=["einsum_path", (0, 2) if by_superop else (0, 1), (0, 1)])
+        return t.reshape(self.dim_out, self.dim_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,10 +136,7 @@ class QuantumOperation:
         return len(self.subops) > 1
 
     def completeness_sum(self) -> np.ndarray:
-        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for sub in self.subops:
-            out += sub.completeness_term()
-        return out
+        return sum(sub.completeness_term() for sub in self.subops)
 
 
 BranchOutcomes = list[tuple[float, DensityOperator | None]]
@@ -176,10 +194,23 @@ def compose(
                 f"{total_dim(follow.in_label)}, branch outputs {sub.dim_out}"
             )
         tags.append(follow.provenance)
-        for fsub in follow.subops:
-            kraus = tuple(t @ s for t in fsub.kraus for s in sub.kraus)
-            subs.append(SubOperation(kraus, fsub.out_label))
+        subs.extend(_then(fsub, sub) for fsub in follow.subops)
     return QuantumOperation(tuple(subs), first.in_label, provenance=_join_provenance(*tags))
+
+
+def _then(second: SubOperation, first: SubOperation) -> SubOperation:
+    """The Kraus family {T S} of `first` followed by `second`, T major.
+
+    Composed factor by factor when the factor shapes chain; otherwise both
+    families are fused into one factor first.
+    """
+    outer, inner = second.factors, first.factors
+    if [t.shape[2] for t in outer] != [s.shape[1] for s in inner]:
+        outer, inner = (second.kraus,), (first.kraus,)
+    factors = tuple(
+        (t[:, None] @ s[None]).reshape(-1, t.shape[1], s.shape[2]) for t, s in zip(outer, inner)
+    )
+    return SubOperation(factors, second.out_label)
 
 
 def tensor_operations(s: QuantumOperation, t: QuantumOperation) -> QuantumOperation:
@@ -189,11 +220,11 @@ def tensor_operations(s: QuantumOperation, t: QuantumOperation) -> QuantumOperat
     interleaves the factors' parties, so any bipartite structure of the joint
     space must be reattached explicitly by the caller.
     """
-    subs = []
-    for ssub in s.subops:
-        for tsub in t.subops:
-            kraus = tuple(tensor(a, b) for a in ssub.kraus for b in tsub.kraus)
-            subs.append(SubOperation(kraus, ssub.dim_out * tsub.dim_out))
+    subs = [
+        SubOperation(ssub.factors + tsub.factors, ssub.dim_out * tsub.dim_out)
+        for ssub in s.subops
+        for tsub in t.subops
+    ]
     in_label = s.dim_in * t.dim_in
     return QuantumOperation(
         tuple(subs), in_label, provenance=_join_provenance(s.provenance, t.provenance)
@@ -211,10 +242,8 @@ def forget(op: QuantumOperation, merge: Iterable[int]) -> QuantumOperation:
     out_labels = {op.subops[i].out_label for i in merge}
     if len(out_labels) > 1:
         raise ValueError(f"merged branches must share one output label, got {out_labels}")
-    merged_kraus: list[np.ndarray] = []
-    for i in merge:
-        merged_kraus.extend(op.subops[i].kraus)
-    merged = SubOperation(tuple(merged_kraus), op.subops[merge[0]].out_label)
+    kraus = np.concatenate([op.subops[i].kraus for i in merge])
+    merged = SubOperation(kraus, op.subops[merge[0]].out_label)
     subs = [merged]
     subs.extend(sub for i, sub in enumerate(op.subops) if i not in merge)
     return QuantumOperation(tuple(subs), op.in_label, provenance=op.provenance)
@@ -266,7 +295,8 @@ class LinearAction:
     @classmethod
     def from_kraus(cls, sub: SubOperation, in_label: Label | None = None) -> "LinearAction":
         # row-major vec: K X K^dagger -> (K (x) conj(K)) vec(X)
-        mat = sum(np.kron(k, k.conj()) for k in sub.kraus)
+        k = sub.kraus
+        mat = np.einsum("nxa,nyb->xyab", k, k.conj()).reshape(sub.dim_out**2, sub.dim_in**2)
         return cls(mat, in_label if in_label is not None else sub.dim_in, sub.out_label)
 
     @classmethod
@@ -286,30 +316,24 @@ class LinearAction:
 def choi_matrix(action: LinearAction | SubOperation) -> np.ndarray:
     """Unnormalized Choi matrix (1 (x) S) applied to sum_ab |aa><bb|."""
     if isinstance(action, SubOperation):
-        # column a of each Kraus matrix stacked as |a> (x) K|a>
-        vecs = [k.T.reshape(-1) for k in action.kraus]
-        d_in, d_out = action.dim_in, action.dim_out
-        choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-        for v in vecs:
-            choi += np.outer(v, v.conj())
-        return choi
+        # row n of v is the vector sum_a |a> (x) K_n|a>
+        k = action.kraus
+        v = k.transpose(0, 2, 1).reshape(len(k), -1)
+        return v.T @ v.conj()
     d_in, d_out = action.dim_in, action.dim_out
-    choi = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-    unit = np.zeros((d_in, d_in), dtype=complex)
-    for a in range(d_in):
-        for b in range(d_in):
-            unit[a, b] = 1.0
-            block = action(unit)
-            unit[a, b] = 0.0
-            choi[a * d_out : (a + 1) * d_out, b * d_out : (b + 1) * d_out] = block
-    return choi
+    # S(|a><b|)[x, y] is entry ((x, y), (a, b)) of the action matrix
+    blocks = action.matrix.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1)
+    return blocks.reshape(d_in * d_out, d_in * d_out)
+
+
+def _least_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of m."""
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
 def is_completely_positive(action: LinearAction | SubOperation, tol: float = TAU_CP) -> bool:
     """Complete positivity via positive semidefiniteness of the Choi matrix."""
-    choi = choi_matrix(action)
-    choi = (choi + choi.conj().T) / 2
-    return bool(np.linalg.eigvalsh(choi)[0] >= -tol)
+    return _least_eigenvalue(choi_matrix(action)) >= -tol
 
 
 def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
@@ -318,29 +342,33 @@ def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
     return label
 
 
+def _ppt_choi(sub: SubOperation, lab_in: BipartiteLabel) -> np.ndarray:
+    """Choi matrix of the branch, partially transposed on B_in (x) B_out."""
+    lab_out = _require_bipartite(sub.out_label, "ppt conjugation")
+    dims = (lab_in.dim_a, lab_in.dim_b, lab_out.dim_a, lab_out.dim_b)
+    d = lab_in.total * lab_out.total
+    return choi_matrix(sub).reshape(dims + dims).transpose(0, 5, 2, 7, 4, 1, 6, 3).reshape(d, d)
+
+
 def ppt_conjugate(sub: SubOperation, in_label: Label) -> LinearAction:
     """The action rho -> (S(rho^PT))^PT, partial transpose on the B factors.
 
+    Its Choi matrix is that of S partially transposed on B_in (x) B_out.
     Generally not completely positive, so the result is a linear action
     table rather than a Kraus family.
     """
     lab_in = _require_bipartite(in_label, "ppt conjugation")
-    lab_out = _require_bipartite(sub.out_label, "ppt conjugation")
-
-    def conjugated(m: np.ndarray) -> np.ndarray:
-        inner = sub.apply_raw(partial_transpose(m, lab_in, side="B"))
-        return partial_transpose(inner, lab_out, side="B")
-
-    return LinearAction.from_function(conjugated, lab_in, lab_out)
+    d_in, d_out = lab_in.total, sub.dim_out
+    blocks = _ppt_choi(sub, lab_in).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
+    return LinearAction(blocks.reshape(d_out * d_out, d_in * d_in), lab_in, sub.out_label)
 
 
 def is_ppt_operation(op: QuantumOperation, tol: float = TAU_CP) -> bool:
     """True iff every sub-operation stays completely positive under
-    conjugation by the partial transpose."""
+    conjugation by the partial transpose: its Choi matrix, partially
+    transposed on B_in (x) B_out, is positive semidefinite."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
-    return all(
-        is_completely_positive(ppt_conjugate(sub, lab_in), tol) for sub in op.subops
-    )
+    return all(_least_eigenvalue(_ppt_choi(sub, lab_in)) >= -tol for sub in op.subops)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +391,15 @@ def verify_separable_form(
     for sub, pairs in zip(op.subops, witness):
         if not pairs:
             raise ValueError("witness entry must contain at least one (A, B) pair")
-        prods = []
-        for a, b in pairs:
-            prod = tensor(a, b)
-            if prod.shape != sub.kraus[0].shape:
-                raise ValueError(
-                    f"witness product shape {prod.shape} does not match Kraus shape "
-                    f"{sub.kraus[0].shape}"
-                )
-            prods.append(prod)
-        induced = SubOperation(tuple(prods), sub.out_label)
+        a, b = (np.stack(side) for side in zip(*pairs))
+        (n, oa, ia), (_, ob, ib) = a.shape, b.shape
+        prods = np.einsum("nij,nkl->nikjl", a, b).reshape(n, oa * ob, ia * ib)
+        if prods.shape[1:] != (sub.dim_out, sub.dim_in):
+            raise ValueError(
+                f"witness product shape {prods.shape[1:]} does not match Kraus shape "
+                f"{(sub.dim_out, sub.dim_in)}"
+            )
+        induced = SubOperation(prods, sub.out_label)
         if np.max(np.abs(choi_matrix(sub) - choi_matrix(induced))) > tol:
             return False
     return True
@@ -384,8 +411,7 @@ def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperati
     if op_a.is_measuring or op_b.is_measuring:
         raise ValueError("local operations are built from non-measuring parts")
     sub_a, sub_b = op_a.subops[0], op_b.subops[0]
-    kraus = tuple(tensor(a, b) for a in sub_a.kraus for b in sub_b.kraus)
-    sub = SubOperation(kraus, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
+    sub = SubOperation(sub_a.factors + sub_b.factors, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
     in_label = BipartiteLabel(op_a.dim_in, op_b.dim_in)
     return QuantumOperation((sub,), in_label, provenance="local")
 
@@ -393,11 +419,11 @@ def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperati
 def make_one_local(op_a: QuantumOperation, dim_b: int) -> QuantumOperation:
     """An arbitrary (possibly measuring) operation on party A tensored with
     identity on B, tagged one-local: the outcome travels from A to B."""
-    eye_b = np.eye(dim_b, dtype=complex)
-    subs = []
-    for sub_a in op_a.subops:
-        kraus = tuple(tensor(k, eye_b) for k in sub_a.kraus)
-        subs.append(SubOperation(kraus, BipartiteLabel(sub_a.dim_out, dim_b)))
+    eye_b = np.eye(dim_b, dtype=complex)[None]
+    subs = tuple(
+        SubOperation(sub_a.factors + (eye_b,), BipartiteLabel(sub_a.dim_out, dim_b))
+        for sub_a in op_a.subops
+    )
     in_label = BipartiteLabel(op_a.dim_in, dim_b)
     return QuantumOperation(tuple(subs), in_label, provenance="one-local")
 
@@ -409,17 +435,16 @@ def natural_product_witness(op: QuantumOperation) -> SeparableWitness:
     witness = []
     for sub in op.subops:
         lab_out = _require_bipartite(sub.out_label, "product witness")
-        pairs = []
-        for k in sub.kraus:
-            t = k.reshape(lab_out.dim_a, lab_out.dim_b, lab_in.dim_a, lab_in.dim_b)
-            t = t.transpose(0, 2, 1, 3).reshape(
-                lab_out.dim_a * lab_in.dim_a, lab_out.dim_b * lab_in.dim_b
-            )
-            u, s, vh = np.linalg.svd(t)
-            if s.size > 1 and s[1] > 1e-9:
-                raise ValueError("Kraus matrix is not a product operator")
-            a = np.sqrt(s[0]) * u[:, 0].reshape(lab_out.dim_a, lab_in.dim_a)
-            b = np.sqrt(s[0]) * vh[0, :].reshape(lab_out.dim_b, lab_in.dim_b)
-            pairs.append((a, b))
-        witness.append(pairs)
+        k = sub.kraus
+        t = k.reshape(len(k), lab_out.dim_a, lab_out.dim_b, lab_in.dim_a, lab_in.dim_b)
+        t = t.transpose(0, 1, 3, 2, 4).reshape(
+            len(k), lab_out.dim_a * lab_in.dim_a, lab_out.dim_b * lab_in.dim_b
+        )
+        u, s, vh = np.linalg.svd(t)
+        if s.shape[1] > 1 and np.any(s[:, 1] > 1e-9):
+            raise ValueError("Kraus matrix is not a product operator")
+        root = np.sqrt(s[:, :1])
+        a = (root * u[:, :, 0]).reshape(len(k), lab_out.dim_a, lab_in.dim_a)
+        b = (root * vh[:, 0, :]).reshape(len(k), lab_out.dim_b, lab_in.dim_b)
+        witness.append(list(zip(a, b)))
     return witness

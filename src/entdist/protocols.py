@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteLabel, DensityOperator, tensor
-from .operations import (
-    QuantumOperation,
-    SubOperation,
-    apply_operation,
-    compose,
-    forget_all,
-)
+from .linalg import BipartiteLabel, DensityOperator
+from .operations import QuantumOperation, SubOperation, apply_operation, compose
 from .states import fidelity, isotropic
 
 __all__ = [
@@ -36,22 +30,20 @@ __all__ = [
 ]
 
 
-def _success_kraus(k: int, kp: int) -> np.ndarray:
-    """Isometric truncation onto the span of the first kp basis elements."""
-    s = np.zeros((kp, k), dtype=complex)
-    s[:, :kp] = np.eye(kp)
-    return s
+# Haar samples per batch of the Monte Carlo twirl.
+TWIRL_CHUNK = 512
 
 
-def _failure_kraus(k: int, kp: int) -> list[np.ndarray]:
-    """Detect the complement subspace and replace with its uniform mixture."""
-    ops = []
-    for m in range(kp, k):
-        for j in range(kp):
-            e = np.zeros((kp, k), dtype=complex)
-            e[j, m] = 1.0 / np.sqrt(kp)
-            ops.append(e)
-    return ops
+def _party_kraus(k: int, kp: int) -> tuple[np.ndarray, np.ndarray]:
+    """One party's success and failure Kraus families, stacked (n, kp, k).
+
+    Success is the isometric truncation onto the first kp basis elements.
+    Failure detects a complement element m and replaces it with the uniform
+    mixture on the kp-subspace: Kraus matrices |j><m| / sqrt(kp), m major.
+    """
+    succ = np.eye(kp, k, dtype=complex)[None]
+    fail = np.einsum("jr,mc->mjrc", np.eye(kp), np.eye(k)[kp:]).reshape(-1, kp, k)
+    return succ, fail / np.sqrt(kp)
 
 
 def subspace_measurement_op(k: int, kp: int, merged: bool = True) -> QuantumOperation:
@@ -61,21 +53,19 @@ def subspace_measurement_op(k: int, kp: int, merged: bool = True) -> QuantumOper
     its portion with the maximally mixed state on the kp-subspace, which is
     the ensemble average of drawing a random element of that subspace.  The
     four success/failure branches share the kp x kp output space and are
-    merged by default; pass merged=False to keep them separate.
+    merged by default, into the product of the parties' merged families;
+    pass merged=False to keep them separate.
     """
     if not 1 <= kp <= k:
         raise ValueError(f"target dimension must satisfy 1 <= {kp} <= {k}")
-    succ = [_success_kraus(k, kp)]
-    fail = _failure_kraus(k, kp)
-    out = BipartiteLabel(kp, kp)
-    subs = []
-    for side_a in (succ, fail):
-        for side_b in (succ, fail):
-            kraus = tuple(tensor(a, b) for a in side_a for b in side_b)
-            if kraus:
-                subs.append(SubOperation(kraus, out))
-    op = QuantumOperation(tuple(subs), BipartiteLabel(k, k), provenance="local")
-    return forget_all(op) if merged else op
+    succ, fail = _party_kraus(k, kp)
+    out, label = BipartiteLabel(kp, kp), BipartiteLabel(k, k)
+    if merged:
+        party = np.concatenate([succ, fail])
+        return QuantumOperation((SubOperation((party, party), out),), label, provenance="local")
+    sides = [side for side in (succ, fail) if len(side)]
+    subs = tuple(SubOperation((a, b), out) for a in sides for b in sides)
+    return QuantumOperation(subs, label, provenance="local")
 
 
 def subspace_measurement_fidelity(k: int, kp: int, f: float) -> float:
@@ -96,15 +86,9 @@ def factor_tracing_op(k: int, kp: int) -> QuantumOperation:
     if not 1 <= kp <= k or k % kp != 0:
         raise ValueError(f"{kp} must divide {k}")
     ratio = k // kp
-    # local Kraus: identity on the kept factor, basis bra on the traced one
-    locals_ = []
-    for m in range(ratio):
-        e = np.zeros((kp, k), dtype=complex)
-        for i in range(kp):
-            e[i, i * ratio + m] = 1.0
-        locals_.append(e)
-    kraus = tuple(tensor(a, b) for a in locals_ for b in locals_)
-    sub = SubOperation(kraus, BipartiteLabel(kp, kp))
+    # local Kraus m: identity on the kept factor, basis bra <m| on the traced one
+    local = np.einsum("il,mr->milr", np.eye(kp), np.eye(ratio)).reshape(ratio, kp, k)
+    sub = SubOperation((local, local), BipartiteLabel(kp, kp))
     return QuantumOperation((sub,), BipartiteLabel(k, k), provenance="local")
 
 
@@ -133,7 +117,6 @@ def monte_carlo_twirl(
     rho: DensityOperator,
     samples: int,
     rng: np.random.Generator,
-    chunk: int = 512,
 ) -> np.ndarray:
     """Empirical mean of (U (x) conj(U)) rho (U (x) conj(U))^dagger over Haar U.
 
@@ -147,7 +130,7 @@ def monte_carlo_twirl(
     acc = np.zeros((d * d, d * d), dtype=complex)
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(TWIRL_CHUNK, samples - done)
         z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
         q, r = np.linalg.qr(z)
         phases = np.einsum("nii->ni", r).copy()
@@ -188,20 +171,15 @@ def reduction_plan(k: int, kp: int) -> ReductionPlan:
     return ReductionPlan(k, kp)
 
 
-def _composite_reduction_op(k: int, kp: int) -> QuantumOperation:
-    plan = ReductionPlan(k, kp)
-    stage1 = subspace_measurement_op(k, plan.stage1_target, merged=True)
-    stage2 = factor_tracing_op(plan.stage1_target, kp)
-    return compose(stage1, {0: stage2})
-
-
 def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
     """Local reduction of a k x k state to kp x kp: subspace measurement down
     to kp * floor(k / kp), then factor tracing the rest of the way."""
     label = rho.bipartite
     if label.dim_a != label.dim_b:
         raise ValueError("reduction requires equal factor dimensions")
-    op = _composite_reduction_op(label.dim_a, kp)
+    plan = ReductionPlan(label.dim_a, kp)
+    stage1 = subspace_measurement_op(plan.k, plan.stage1_target)
+    op = compose(stage1, {0: factor_tracing_op(plan.stage1_target, kp)})
     ((p, state),) = apply_operation(op, rho)
     assert state is not None and abs(p - 1.0) < 1e-9
     return state

@@ -171,30 +171,20 @@ def _random_operation(
 ) -> QuantumOperation:
     """Random trace-preserving measuring operation via a sliced isometry."""
     kraus_counts = [rng.integers(1, 3) for _ in out_dims]
-    rows = sum(d * c for d, c in zip(out_dims, kraus_counts))
-    rows = max(rows, d_in)
+    ends = np.cumsum([0] + [d * c for d, c in zip(out_dims, kraus_counts)])
+    rows = max(ends[-1], d_in)
     g = rng.standard_normal((rows, d_in)) + 1j * rng.standard_normal((rows, d_in))
     q, _ = np.linalg.qr(g)
-    subs = []
-    offset = 0
-    for d, c in zip(out_dims, kraus_counts):
-        kraus = []
-        for _ in range(c):
-            kraus.append(q[offset : offset + d, :])
-            offset += d
-        subs.append(SubOperation(tuple(kraus), d))
-    # any leftover isometry rows join the last branch to keep completeness
-    d_last = out_dims[-1]
-    extra = []
-    while offset < rows:
-        take = min(d_last, rows - offset)
-        pad = np.zeros((d_last, d_in), dtype=complex)
-        pad[:take, :] = q[offset : offset + take, :]
-        extra.append(pad)
-        offset += take
-    if extra:
-        last = subs[-1]
-        subs[-1] = SubOperation(last.kraus + tuple(extra), last.out_label)
+    subs = [
+        SubOperation(q[a:b].reshape(-1, d, d_in), d)
+        for a, b, d in zip(ends, ends[1:], out_dims)
+    ]
+    # any leftover isometry rows join the last branch, zero-padded, to keep completeness
+    d_last, extra = out_dims[-1], q[ends[-1] :]
+    if len(extra):
+        extra = np.concatenate([extra, np.zeros((-len(extra) % d_last, d_in))])
+        extra = extra.reshape(-1, d_last, d_in)
+        subs[-1] = SubOperation(np.concatenate([subs[-1].kraus, extra]), d_last)
     return QuantumOperation(tuple(subs), d_in)
 
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from entdist.linalg import BipartiteLabel, DensityOperator, random_density, tensor
+from entdist.linalg import (
+    BipartiteLabel,
+    DensityOperator,
+    partial_transpose,
+    random_density,
+    tensor,
+)
 from entdist.operations import (
+    TAU_CP,
     LinearAction,
     QuantumOperation,
     SubOperation,
@@ -330,3 +337,122 @@ def test_class_tag_ordering_fixtures():
         assert is_trace_preserving(op)
         assert is_ppt_operation(op)
         assert verify_separable_form(op, natural_product_witness(op))
+
+
+# ---------------------------------------------------------------------------
+# The p.p.t. predicate on the partially transposed Choi matrix, against the
+# conjugation rho -> (S(rho^PT))^PT rebuilt one matrix unit at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_ppt_min_eigenvalue(sub: SubOperation, in_label: BipartiteLabel) -> float:
+    def conjugated(m: np.ndarray) -> np.ndarray:
+        return partial_transpose(sub.apply_raw(partial_transpose(m, in_label)), sub.out_label)
+
+    choi = choi_matrix(LinearAction.from_function(conjugated, in_label, sub.out_label))
+    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+
+
+def random_two_branch_operation(rng: np.random.Generator, k: int) -> QuantumOperation:
+    """Two branches on K x K, each two Kraus matrices cut from a random isometry."""
+    d = k * k
+    g = rng.standard_normal((4 * d, d)) + 1j * rng.standard_normal((4 * d, d))
+    q = np.linalg.qr(g)[0].reshape(4, d, d)
+    label = BipartiteLabel(k, k)
+    return QuantumOperation((SubOperation(q[:2], label), SubOperation(q[2:], label)), label)
+
+
+def ppt_cross_check_cases() -> list[QuantumOperation]:
+    rng = np.random.default_rng(2024)
+    cases = [random_two_branch_operation(rng, k) for k in (2, 3) for _ in range(3)]
+    for kp in range(1, 5):
+        cases += [subspace_measurement_op(4, kp), subspace_measurement_op(4, kp, merged=False)]
+    cases += [factor_tracing_op(4, kp) for kp in (1, 2, 4)]
+    cases.append(entangled_pair_creation())
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(ppt_cross_check_cases())))
+def test_ppt_choi_matches_matrix_unit_conjugation(case):
+    op = ppt_cross_check_cases()[case]
+    want = [reference_ppt_min_eigenvalue(sub, op.in_label) for sub in op.subops]
+    got = []
+    for sub in op.subops:
+        choi = choi_matrix(ppt_conjugate(sub, op.in_label))
+        got.append(float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]))
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    assert is_ppt_operation(op) == all(w >= -TAU_CP for w in want)
+
+
+def test_ppt_cross_check_covers_both_verdicts():
+    verdicts = {is_ppt_operation(op) for op in ppt_cross_check_cases()}
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-factored branches behave exactly like their fused (dense) form.
+# ---------------------------------------------------------------------------
+
+
+def fused(op: QuantumOperation) -> QuantumOperation:
+    subs = tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops)
+    return QuantumOperation(subs, op.in_label, provenance=op.provenance)
+
+
+def random_channel(rng: np.random.Generator, d_in: int, d_out: int, branches: int, n: int):
+    """A measuring single-party operation: `branches` branches of n Kraus
+    matrices each, cut from a random isometry."""
+    rows = branches * n * d_out
+    g = rng.standard_normal((rows, d_in)) + 1j * rng.standard_normal((rows, d_in))
+    q = np.linalg.qr(g)[0].reshape(branches, n, d_out, d_in)
+    return QuantumOperation(tuple(SubOperation(k, d_out) for k in q), d_in)
+
+
+def factored_cases() -> list[QuantumOperation]:
+    rng = np.random.default_rng(515)
+    meas_a = random_channel(rng, 3, 2, branches=2, n=2)
+    chan_a = random_channel(rng, 2, 3, branches=1, n=3)
+    chan_b = random_channel(rng, 3, 2, branches=1, n=2)
+    local = make_local(chan_a, chan_b)
+    dense_follow = random_channel(rng, 6, 2, branches=2, n=2)
+    return [
+        local,
+        make_one_local(meas_a, dim_b=2),
+        tensor_operations(meas_a, chan_b),
+        tensor_operations(local, meas_a),
+        forget(tensor_operations(meas_a, chan_b), [0, 1]),
+        compose(local, {0: dense_follow}),
+        compose(subspace_measurement_op(5, 4, merged=False), lambda i: factor_tracing_op(4, 2)),
+        subspace_measurement_op(5, 3),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(factored_cases())))
+def test_factored_operation_matches_fused_form(case):
+    op = factored_cases()[case]
+    dense = fused(op)
+    assert all(len(sub.factors) == 1 for sub in dense.subops)
+    assert np.allclose(op.completeness_sum(), dense.completeness_sum(), rtol=0, atol=1e-12)
+    for sub, ref in zip(op.subops, dense.subops):
+        assert np.allclose(choi_matrix(sub), choi_matrix(ref), rtol=0, atol=1e-12)
+    rng = np.random.default_rng(case)
+    for _ in range(3):
+        rho = random_density(op.in_label, rng)
+        got, want = apply_operation(op, rho), apply_operation(dense, rho)
+        assert len(got) == len(want)
+        for (pg, sg), (pw, sw) in zip(got, want):
+            assert pg == pytest.approx(pw, abs=1e-12)
+            assert (sg is None) == (sw is None)
+            if sw is not None:
+                assert np.allclose(sg.matrix, sw.matrix, rtol=0, atol=1e-12)
+
+
+def test_factored_kraus_order_is_a_major():
+    rng = np.random.default_rng(6)
+    chan_a = random_channel(rng, 2, 3, branches=1, n=3)
+    chan_b = random_channel(rng, 3, 2, branches=1, n=2)
+    (sub,) = make_local(chan_a, chan_b).subops
+    assert len(sub.factors) == 2
+    ka, kb = chan_a.subops[0].kraus, chan_b.subops[0].kraus
+    want = np.stack([tensor(a, b) for a in ka for b in kb])
+    assert np.allclose(sub.kraus, want, rtol=0, atol=1e-15)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,18 @@ def test_reduce_dimension_bound_grid():
                 closed = reduce_dimension_fidelity(k, kp, f)
                 assert sim == pytest.approx(closed, abs=1e-9)
                 assert sim >= plan.guaranteed_fidelity_factor * f - 1e-9
+
+
+@pytest.mark.parametrize("f", [0.3, 0.9])
+def test_reduce_dimension_k16_matches_closed_form_in_bounded_memory(f):
+    tracemalloc.start()
+    try:
+        out = reduce_dimension(isotropic(16, f), 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fidelity(out) == pytest.approx(reduce_dimension_fidelity(16, 7, f), abs=1e-9)
+    assert peak < 32 * 2**20
 
 
 def test_reduce_dimension_degenerate_zero_fidelity():

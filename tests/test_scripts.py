@@ -1,0 +1,35 @@
+"""Smoke tests: the experiment scripts run and write their CSV headers."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+
+
+def test_reduction_tradeoff_script():
+    proc = run_script("reduction_tradeoff.py", "--K", "6")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "Kprime,subspace,tracing,composite,composite_bound"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
+
+
+def test_bounds_landscape_script():
+    proc = run_script("bounds_landscape.py", "--K", "2", "4", "--steps", "11")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "K,F,ef_lower,ef_upper,ppt_bound,hashing_raw,hashing_clamped"
+    assert len(lines) == 1 + 2 * 11
