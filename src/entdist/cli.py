@@ -13,19 +13,16 @@ Exit codes: 0 success, 1 verification failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds as bnd
 from . import distillation as dst
-from . import protocols as pro
 from . import verify as ver
-from .linalg import BipartiteLabel, random_density
 from .operations import (
-    apply_operation,
     is_ppt_operation,
     is_trace_preserving,
     is_completely_positive,
@@ -40,18 +37,10 @@ from .serialize import (
     format_number,
     load_json,
 )
-from .states import fidelity, isotropic
 
 INPUT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    emit: str = "csv"
-    precision: int = 12
-    seed: int = 0
-    out: str | None = None
+# Largest F grid accepted (a step of 1e-5 across [0, 1]), so memory stays bounded.
+MAX_F_GRID_POINTS = 100_001
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,9 +65,12 @@ def parse_f_grid(spec: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise SchemaError(f"F grid {spec!r} is not start:stop:step") from exc
-    if step <= 0 or stop < start:
-        raise SchemaError(f"F grid {spec!r} must have positive step and stop >= start")
-    count = int(round((stop - start) / step)) + 1
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise SchemaError(f"F grid {spec!r} must be finite with positive step and stop >= start")
+    # min() keeps the count finite when the quotient overflows (a tiny step)
+    count = int(round(min((stop - start) / step, MAX_F_GRID_POINTS))) + 1
+    if count > MAX_F_GRID_POINTS:
+        raise SchemaError(f"F grid {spec!r} has more than {MAX_F_GRID_POINTS} points")
     return [round(start + i * step, 12) for i in range(count)]
 
 
@@ -112,52 +104,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _simulate_rows(args: argparse.Namespace) -> list[dict]:
-    grid = parse_f_grid(args.F_grid)
-    k, kp = args.K, args.Kprime
     rng = np.random.default_rng(args.seed)
-    records = []
-    for f in grid:
-        if args.protocol == "1":
-            closed = pro.subspace_measurement_fidelity(k, kp, f)
-            ((_, state),) = apply_operation(pro.subspace_measurement_op(k, kp), isotropic(k, f))
-            sim = fidelity(state)
-            bound = (kp / k) * f
-        elif args.protocol == "2":
-            closed = pro.factor_tracing_fidelity(k, kp, f)
-            ((_, state),) = apply_operation(pro.factor_tracing_op(k, kp), isotropic(k, f))
-            sim = fidelity(state)
-            bound = f
-        elif args.protocol == "reduce":
-            closed = pro.reduce_dimension_fidelity(k, kp, f)
-            sim = fidelity(pro.reduce_dimension(isotropic(k, f), kp))
-            bound = pro.reduction_plan(k, kp).guaranteed_fidelity_factor * f
-        else:  # twirl
-            rho = random_density(BipartiteLabel(k, k), rng)
-            target = isotropic(k, fidelity(rho))
-            closed = fidelity(rho)
-            tw = pro.exact_twirl(rho)
-            sim = fidelity(tw)
-            if args.mc_samples > 0:
-                mc = pro.monte_carlo_twirl(rho, args.mc_samples, rng)
-                bound = float(np.max(np.abs(mc - target.matrix)))
-            else:
-                bound = None
-        if args.protocol == "twirl":
-            ok = abs(sim - closed) <= 1e-12 and (bound is None or bound <= 1e-2)
-        else:
-            ok = abs(sim - closed) <= 1e-9 and sim >= bound - 1e-12
-        records.append(
-            {
-                "K": k,
-                "Kprime": kp,
-                "F_in": f,
-                "F_closed_form": closed,
-                "F_simulated": sim,
-                "bound": bound,
-                "pass": ok,
-            }
-        )
-    return records
+    return [
+        ver.simulate_point(args.protocol, args.K, args.Kprime, f, rng, args.mc_samples)
+        for f in parse_f_grid(args.F_grid)
+    ]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -86,6 +86,8 @@ def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
                 or not all(isinstance(c, (int, float, Fraction)) for c in z)
             ):
                 raise SchemaError(f"{where}[{i}][{j}]: complex entries are [re, im] pairs")
+            if any(isinstance(c, bool) for c in z):
+                raise SchemaError(f"{where}[{i}][{j}]: entry is a boolean, not a number")
             entries.append(complex(float(z[0]), float(z[1])))
         rows.append(entries)
     return np.array(rows, dtype=complex)

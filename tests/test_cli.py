@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from entdist.cli import main, parse_f_grid
+from entdist.cli import MAX_F_GRID_POINTS, main, parse_f_grid
 from entdist.operations import identity_operation
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
@@ -68,6 +68,10 @@ def test_matrix_decode_diagnostics_name_the_field():
         decode_matrix([[[1, 0], 5]])
     with pytest.raises(SchemaError, match=r"matrix\[1\]"):
         decode_matrix([[[1, 0]], [[1, 0], [0, 0]]])
+    with pytest.raises(SchemaError, match=r"matrix\[0\]\[0\]: entry is a boolean"):
+        decode_matrix([[[True, False]]])
+    with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is a boolean"):
+        decode_matrix([[[1, 0], [0.5, False]]])
 
 
 def test_operation_roundtrip():
@@ -128,6 +132,13 @@ def test_parse_f_grid():
         parse_f_grid("0:1")
     with pytest.raises(SchemaError):
         parse_f_grid("1:0:0.1")
+    assert len(parse_f_grid(f"0:{MAX_F_GRID_POINTS - 1}:1")) == MAX_F_GRID_POINTS
+    for spec in (f"0:{MAX_F_GRID_POINTS}:1", "0:1:1e-12", "0:1e308:1e-300"):
+        with pytest.raises(SchemaError, match="more than"):
+            parse_f_grid(spec)
+    for spec in ("0:inf:0.1", "0:1:nan", "-inf:1:0.1"):
+        with pytest.raises(SchemaError, match="finite"):
+            parse_f_grid(spec)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -249,23 +260,54 @@ def test_verify_suite_filter_and_determinism(capsys):
     assert "[PASS] lemma3-identity" in out1
 
 
-def test_verify_failure_names_grid_point():
+def test_verify_failure_names_grid_point(monkeypatch):
+    import entdist.protocols as pro
     from entdist.verify import run_suites
 
-    results = run_suites(seed=7, suites=["protocol1-closed-form"], protocol1_bias=1e-3)
+    closed_form = pro.subspace_measurement_fidelity
+    monkeypatch.setattr(
+        pro, "subspace_measurement_fidelity", lambda k, kp, f: closed_form(k, kp, f) + 1e-3
+    )
+    results = run_suites(seed=7, suites=["protocol1-closed-form"])
     assert not results[0].passed
-    assert any("K=" in f and "F=" in f for f in results[0].failures)
+    assert "K=2 Kprime=1 F=0.0" in results[0].failures
 
 
 def test_verify_cli_exits_one_on_failure(capsys, monkeypatch):
     import entdist.cli as cli
     from entdist.verify import SuiteResult
 
-    broken = SuiteResult("protocol1-closed-form", checks=3, failures=["K=2 Kprime=1 F=0.0"])
+    points = [f"K=3 Kprime=2 F={i}" for i in range(8)]
+    broken = SuiteResult("protocol1-closed-form", checks=10, failures=points)
     monkeypatch.setattr(cli.ver, "run_suites", lambda seed, suites: [broken])
     code, out, _ = run_cli(capsys, "verify", "--seed", "7")
     assert code == 1
-    assert "K=2 Kprime=1 F=0.0" in out
+    assert out.splitlines() == [
+        "[FAIL] protocol1-closed-form: 2/10 checks",
+        *(f"    failed: {p}" for p in points[:5]),
+        "    ... and 3 more",
+        "TOTAL: 1 suites, 0 passed, 1 failed, 8 failing checks",
+    ]
+
+
+def test_verify_json_report(capsys, monkeypatch):
+    import entdist.cli as cli
+    from entdist.verify import SuiteResult
+
+    code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--suite", "lemma3-identity",
+                           "--emit", "json")
+    assert code == 0
+    (doc,) = json.loads(out)
+    assert doc == {"suite": "lemma3-identity", "checks": doc["checks"], "failed": 0, "failures": []}
+    assert doc["checks"] > 0
+
+    points = [f"K=2 Kprime=1 F={i}" for i in range(25)]
+    broken = SuiteResult("protocol1-closed-form", checks=30, failures=points)
+    monkeypatch.setattr(cli.ver, "run_suites", lambda seed, suites: [broken])
+    code, out, _ = run_cli(capsys, "verify", "--emit", "json")
+    assert code == 1
+    (doc,) = json.loads(out)
+    assert (doc["checks"], doc["failed"], doc["failures"]) == (30, 25, points[:20])
 
 
 def test_missing_file_is_input_error(capsys):
