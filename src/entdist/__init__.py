@@ -7,10 +7,12 @@ between the distillable-entanglement rate definitions.
 """
 
 from .bounds import (
+    EFSearch,
     FormationBounds,
     HashingRate,
     binary_entropy,
     ef_numeric_estimate,
+    ef_numeric_search,
     formation_bounds_isotropic,
     hashing_rate,
     ppt_bound_isotropic,

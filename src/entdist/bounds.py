@@ -22,6 +22,8 @@ __all__ = [
     "ppt_bound_isotropic",
     "HashingRate",
     "hashing_rate",
+    "EFSearch",
+    "ef_numeric_search",
     "ef_numeric_estimate",
 ]
 
@@ -115,9 +117,30 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # columns of A G with A = E sqrt(Lam).  The average entanglement is minimized
 # by projected gradient descent on that manifold, with multiple seeded
 # restarts; the result is an upper estimate of E_f, never asserted exact.
+# One objective evaluation treats all M members at once: one batched product
+# forms their reduced matrices, members of trace below 1e-15 are masked out,
+# one stacked eigh diagonalizes the rest, and one batched product builds the
+# gradient columns.  The value is summed in member order, so it is the same
+# float as a member-by-member loop gives.
 # ---------------------------------------------------------------------------
 
 _EIG_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class EFSearch:
+    """Outcome of the numerical EF search and how its best restart stopped.
+
+    stop is "gradient" (projected-gradient norm below 1e-14), "no-descent"
+    (the line search fell below step 1e-14) or "budget" (iterations used up).
+    """
+
+    value: float
+    restarts: int
+    best_restart: int
+    iterations: int
+    grad_norm: float
+    stop: str
 
 
 def _ensemble_objective_grad(
@@ -125,21 +148,20 @@ def _ensemble_objective_grad(
 ) -> tuple[float, np.ndarray]:
     """Average output entanglement and its Euclidean Wirtinger gradient."""
     cols = a @ g  # d x M, unnormalized member states
-    m_count = g.shape[1]
+    mats = cols.T.reshape(-1, da, db)
+    red = mats @ mats.conj().swapaxes(-1, -2)
+    p = red.trace(axis1=-2, axis2=-1).real
+    live = p >= 1e-15
+    mats, p = mats[live], p[live]
+    lam, vec = np.linalg.eigh(red[live] / p[:, None, None])
+    lam = np.maximum(lam, _EIG_FLOOR)
     value = 0.0
+    for term in (-p * np.sum(lam * np.log2(lam), axis=-1)).tolist():
+        value += term  # member order, as a sequential sum
+    # d/d conj(M) of [p S(red/p)] is (-log2(red/p)) M
+    w = (vec * -np.log2(lam)[:, None, :]) @ vec.conj().swapaxes(-1, -2)
     grad_c = np.zeros_like(cols)
-    for t in range(m_count):
-        mat = cols[:, t].reshape(da, db)
-        red = mat @ mat.conj().T
-        p = float(red.trace().real)
-        if p < 1e-15:
-            continue
-        lam, vec = np.linalg.eigh(red / p)
-        lam = np.maximum(lam, _EIG_FLOOR)
-        value += -p * float(np.sum(lam * np.log2(lam)))
-        # d/d conj(M) of [p S(red/p)] is (-log2(red/p)) M
-        w = (vec * (-np.log2(lam))) @ vec.conj().T
-        grad_c[:, t] = (w @ mat).reshape(-1)
+    grad_c[:, live] = (w @ mats).reshape(len(p), -1).T
     return value, a.conj().T @ grad_c
 
 
@@ -150,39 +172,43 @@ def _polar_coisometry(g: np.ndarray) -> np.ndarray:
 
 def _minimize_from(
     g0: np.ndarray, a: np.ndarray, da: int, db: int, iterations: int
-) -> float:
+) -> tuple[float, int, float, str]:
+    """Descend from g0; return the value, the iterations used, the final
+    projected-gradient norm and the stop reason."""
     g = _polar_coisometry(g0)
     value, grad = _ensemble_objective_grad(g, a, da, db)
     step = 1.0
-    for _ in range(iterations):
+    it = 0
+    while True:
         # project onto the tangent space of G G^dag = I
         sym = g @ grad.conj().T
         xi = grad - 0.5 * (sym + sym.conj().T) @ g
         norm = float(np.linalg.norm(xi))
         if norm < 1e-14:
-            break
+            return value, it, norm, "gradient"
+        if it == iterations:
+            return value, it, norm, "budget"
         step = min(step * 2.0, 1.0)
-        improved = False
         while step > 1e-14:
             cand = _polar_coisometry(g - step * xi)
             cand_value, cand_grad = _ensemble_objective_grad(cand, a, da, db)
             if cand_value < value - 1e-15:
                 g, value, grad = cand, cand_value, cand_grad
-                improved = True
                 break
             step *= 0.5
-        if not improved:
-            break
-    return value
+        else:
+            return value, it, norm, "no-descent"
+        it += 1
 
 
-def ef_numeric_estimate(
+def ef_numeric_search(
     rho: DensityOperator,
     budget: int = 8000,
     seed: int = 0,
     ensemble_size: int | None = None,
-) -> float:
-    """Upper estimate of the entanglement of formation, in bits.
+) -> EFSearch:
+    """Upper estimate of the entanglement of formation, in bits, with how
+    the search went.
 
     Minimizes the ensemble-average entropy of entanglement over pure-state
     ensembles of size up to dim^2 + 1 realizing rho.  budget is the total
@@ -204,8 +230,20 @@ def ef_numeric_estimate(
     iterations = 400
     restarts = max(1, budget // iterations)
     rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(restarts):
+    best = None
+    for r in range(restarts):
         g0 = rng.standard_normal((rank, m_count)) + 1j * rng.standard_normal((rank, m_count))
-        best = min(best, _minimize_from(g0, a, da, db, iterations))
+        value, used, norm, stop = _minimize_from(g0, a, da, db, iterations)
+        if best is None or value < best.value:
+            best = EFSearch(value, restarts, r, used, norm, stop)
     return best
+
+
+def ef_numeric_estimate(
+    rho: DensityOperator,
+    budget: int = 8000,
+    seed: int = 0,
+    ensemble_size: int | None = None,
+) -> float:
+    """The value of `ef_numeric_search`: an upper estimate of E_f in bits."""
+    return ef_numeric_search(rho, budget, seed, ensemble_size).value

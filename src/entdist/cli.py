@@ -119,7 +119,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit(_csv(rows, header, args.precision), args.out)
     else:
         _emit(dump_report(records, args.precision), args.out)
-    return 0
+    return 0 if all(r["pass"] for r in records) else 1
 
 
 def cmd_classify(args: argparse.Namespace) -> int:

@@ -196,9 +196,12 @@ def _suite_lemma1(rng: np.random.Generator) -> SuiteResult:
     ef_seed = int(rng.integers(2**32))
     for f in (0.5, 0.7, 0.9, 1.0):
         fb = bnd.formation_bounds_isotropic(2, f)
-        est = bnd.ef_numeric_estimate(isotropic(2, f), seed=ef_seed)
+        ef = bnd.ef_numeric_search(isotropic(2, f), seed=ef_seed)
         res.check(
-            fb.lower - 1e-6 <= est <= fb.upper + 1e-4, f"ef-estimate K=2 F={f} est={est:.6f}"
+            fb.lower - 1e-6 <= ef.value <= fb.upper + 1e-4,
+            f"ef-estimate K=2 F={f} est={ef.value:.6f} restarts={ef.restarts} "
+            f"best={ef.best_restart} iterations={ef.iterations} "
+            f"grad_norm={ef.grad_norm:.3g} stop={ef.stop}",
         )
     return res
 

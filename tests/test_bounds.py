@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdist.bounds import (
+    _ensemble_objective_grad,
+    _polar_coisometry,
     binary_entropy,
     ef_numeric_estimate,
+    ef_numeric_search,
     formation_bounds_isotropic,
     hashing_rate,
     ppt_bound_isotropic,
@@ -183,3 +186,97 @@ def test_ef_estimate_deterministic_given_seed():
 def test_ef_estimate_rejects_large_dimension():
     with pytest.raises(ValueError):
         ef_numeric_estimate(isotropic(5, 0.9))
+
+
+def test_ef_search_reports_how_it_stopped():
+    # at budget 400, seed 0 the three stop reasons each occur once
+    stops = {}
+    for f in (0.5, 0.7, 1.0):
+        ef = ef_numeric_search(isotropic(2, f), budget=400, seed=0)
+        assert ef.value == ef_numeric_estimate(isotropic(2, f), budget=400, seed=0)
+        assert (ef.restarts, ef.best_restart) == (1, 0)
+        assert 0 <= ef.iterations <= 400 and ef.grad_norm >= 0
+        stops[f] = ef.stop
+    assert stops == {0.5: "budget", 0.7: "no-descent", 1.0: "gradient"}
+    ef = ef_numeric_search(isotropic(2, 0.5), budget=400, seed=0)
+    assert ef.iterations == 400 and ef.grad_norm >= 1e-14
+    best = [ef_numeric_search(isotropic(2, f), budget=1200, seed=3) for f in (0.5, 0.9)]
+    assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 0), (3, 2)]
+
+
+def _objective_grad_per_member(g, a, da, db):
+    """The EF objective and gradient computed one ensemble member at a time."""
+    cols = a @ g
+    value = 0.0
+    grad_c = np.zeros_like(cols)
+    for t in range(g.shape[1]):
+        mat = cols[:, t].reshape(da, db)
+        red = mat @ mat.conj().T
+        p = float(red.trace().real)
+        if p < 1e-15:
+            continue
+        lam, vec = np.linalg.eigh(red / p)
+        lam = np.maximum(lam, 1e-300)
+        value += -p * float(np.sum(lam * np.log2(lam)))
+        w = (vec * (-np.log2(lam))) @ vec.conj().T
+        grad_c[:, t] = (w @ mat).reshape(-1)
+    return value, a.conj().T @ grad_c
+
+
+def _random_ensemble(rng, da, db):
+    """(A, G) for a random full-rank state on da x db and a random
+    co-isometry G with d^2 + 1 columns."""
+    d = da * db
+    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = x @ x.conj().T
+    lam, vecs = np.linalg.eigh(m / m.trace().real)
+    g = rng.standard_normal((d, d * d + 1)) + 1j * rng.standard_normal((d, d * d + 1))
+    return vecs * np.sqrt(lam), _polar_coisometry(g)
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 2), (4, 4)])
+def test_ef_objective_matches_per_member_loop(da, db):
+    rng = np.random.default_rng(da * 10 + db)
+    a, g = _random_ensemble(rng, da, db)
+    g[:, 3] = 0  # a member of trace 0 is skipped
+    value, grad = _ensemble_objective_grad(g, a, da, db)
+    ref_value, ref_grad = _objective_grad_per_member(g, a, da, db)
+    assert abs(value - ref_value) <= 1e-13
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-13
+    assert not grad[:, 3].any()
+
+
+def test_ef_objective_gradient_matches_finite_difference():
+    # the Wirtinger gradient D = df/d conj(G) gives df = 2 Re <D, dG>
+    rng = np.random.default_rng(5)
+    a, g = _random_ensemble(rng, 2, 3)
+    direction = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    direction /= np.linalg.norm(direction)
+    _, grad = _ensemble_objective_grad(g, a, 2, 3)
+    h = 1e-5
+    plus, _ = _ensemble_objective_grad(g + h * direction, a, 2, 3)
+    minus, _ = _ensemble_objective_grad(g - h * direction, a, 2, 3)
+    assert (plus - minus) / (2 * h) == pytest.approx(
+        2 * np.vdot(grad, direction).real, rel=1e-7, abs=1e-9
+    )
+
+
+def _wootters_formation(rho: np.ndarray) -> float:
+    """Exact two-qubit entanglement of formation from the concurrence."""
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    flipped = yy @ rho.conj() @ yy
+    roots = np.sort(np.sqrt(np.abs(np.linalg.eigvals(rho @ flipped))))[::-1]
+    c = max(0.0, roots[0] - roots[1] - roots[2] - roots[3])
+    return binary_entropy((1 + math.sqrt(max(0.0, 1 - c * c))) / 2)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_ef_estimate_never_below_exact_two_qubit_value(state_seed, rank, seed):
+    rng = np.random.default_rng(state_seed)
+    x = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = x @ x.conj().T
+    m /= m.trace().real
+    rho = DensityOperator((m + m.conj().T) / 2, BipartiteLabel(2, 2))
+    exact = _wootters_formation(rho.matrix)
+    assert ef_numeric_estimate(rho, budget=400, seed=seed) >= exact - 1e-6

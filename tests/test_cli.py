@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,49 @@ def test_verify_failure_names_grid_point(monkeypatch):
     results = run_suites(seed=7, suites=["protocol1-closed-form"])
     assert not results[0].passed
     assert "K=2 Kprime=1 F=0.0" in results[0].failures
+
+
+def test_verify_ef_failure_says_how_the_search_stopped(monkeypatch):
+    import dataclasses
+
+    import entdist.bounds as bnd
+    from entdist.verify import run_suites
+
+    search = bnd.ef_numeric_search
+
+    def shifted(rho, seed):
+        ef = search(rho, budget=400, seed=seed)
+        return dataclasses.replace(ef, value=ef.value + 0.5)
+
+    monkeypatch.setattr(bnd, "ef_numeric_search", shifted)
+    (result,) = run_suites(seed=7, suites=["lemma1-chain"])
+    assert [f.split(" est=")[0] for f in result.failures] == [
+        f"ef-estimate K=2 F={f}" for f in (0.5, 0.7, 0.9, 1.0)
+    ]
+    pattern = (
+        r"ef-estimate K=2 F=\S+ est=\d\.\d{6} restarts=1 best=0 iterations=\d+ "
+        r"grad_norm=\S+ stop=(gradient|no-descent|budget)"
+    )
+    assert all(re.fullmatch(pattern, f) for f in result.failures)
+    # F = 0.5 is the separability point, where the descent uses its whole budget
+    assert " iterations=400 " in result.failures[0]
+    assert result.failures[0].endswith(" stop=budget")
+
+
+def test_simulate_exits_one_on_failing_rows(capsys, monkeypatch):
+    import entdist.protocols as pro
+
+    closed_form = pro.subspace_measurement_fidelity
+    monkeypatch.setattr(
+        pro, "subspace_measurement_fidelity", lambda k, kp, f: closed_form(k, kp, f) + 1e-3
+    )
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--K", "4", "--Kprime", "2", "--protocol", "1", "--F-grid", "0:1:0.5",
+    )
+    assert code == 1
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3 and all(r.endswith(",false") for r in rows)
 
 
 def test_verify_cli_exits_one_on_failure(capsys, monkeypatch):
