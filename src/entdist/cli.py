@@ -123,8 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    doc = load_json(args.input)
-    op, witness = decode_operation(doc)
+    op, witness = decode_operation(load_json(args.input, exact=False))
     report = {
         "tp": is_trace_preserving(op),
         "cp": all(is_completely_positive(sub) for sub in op.subops),

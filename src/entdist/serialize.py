@@ -9,6 +9,7 @@ round trip.
 
 from __future__ import annotations
 
+import cmath
 import json
 from fractions import Fraction
 from numbers import Rational
@@ -70,14 +71,11 @@ def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty list of rows")
     rows = []
-    width = None
     for i, row in enumerate(data):
         if not isinstance(row, list) or not row:
             raise SchemaError(f"{where}[{i}]: expected a non-empty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SchemaError(f"{where}[{i}]: row length {len(row)} != {width}")
+        if len(row) != len(data[0]):  # row 0 passed the check above
+            raise SchemaError(f"{where}[{i}]: row length {len(row)} != {len(data[0])}")
         entries = []
         for j, z in enumerate(row):
             if (
@@ -89,6 +87,8 @@ def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
             if any(isinstance(c, bool) for c in z):
                 raise SchemaError(f"{where}[{i}][{j}]: entry is a boolean, not a number")
             entries.append(complex(float(z[0]), float(z[1])))
+            if not cmath.isfinite(entries[-1]):
+                raise SchemaError(f"{where}[{i}][{j}]: entry is not a finite number")
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -237,7 +237,7 @@ def encode_trace(trace: ProtocolTrace) -> dict:
     }
 
 
-def load_json(path: str) -> Any:
-    """Load a JSON document with decimal literals parsed as exact fractions."""
+def load_json(path: str, exact: bool = True) -> Any:
+    """Load a JSON document; decimal literals parse as exact fractions if exact, else floats."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return json.load(fh, parse_float=Fraction if exact else float)

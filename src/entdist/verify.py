@@ -385,16 +385,23 @@ def _suite_theorem3(rng: np.random.Generator) -> SuiteResult:
     out = dst.tensor_power_compile(trace, cfg)
     res.check(out.rate_bound == Fraction(39, 100), f"rate-bound {out.rate_bound}")
     fails = []
-    for k in (10, 100, 1000):
+    for k, method in ((10, "exact"), (100, "exact"), (1000, "exact"), (10**4, "chernoff")):
         c = dst.tensor_power_compile(trace, config(k))
-        res.check(c.steps[0].failure_method == "exact", f"exact-method k={k}")
+        res.check(c.steps[0].failure_method == method, f"{method}-method k={k}")
         fails.append(c.failure_probability)
-    res.check(fails[0] > fails[1] > fails[2], f"failure-monotone {fails}")
-    big_cfg = config(10**4)
-    rate = dst.tensor_power_compile(trace, big_cfg).steps[0].achieved_rate
-    target = sum(float(m.rate_prime * m.p_prime) for m in big_cfg.margins[0] if m is not None) / 10
-    res.check(abs(rate - target) <= 1e-3, f"achieved-rate {rate}")
+    res.check(fails[0] > fails[1] > fails[2] > fails[3], f"failure-monotone {fails}")
+    # Chernoff is at most the Hoeffding bound exp(-2k gap^2), gap = p - floor(p'k)/k
+    res.check(fails[3] <= math.exp(-2e4 * (0.5 - 4500 / 10**4) ** 2), f"chernoff {fails[3]:.3g}")
+    # margins do not depend on k; c is the k = 10^4 compile
+    target = sum(float(m.rate_prime * m.p_prime) for m in cfg.margins[0] if m is not None) / 10
+    res.check(abs(c.achieved_rate - target) <= 1e-3, f"achieved-rate {c.achieved_rate}")
     res.check(float(out.rate_bound) <= target + 0.5 / 10 + SIM_TOL, "bound-below-sup")
+    # two constrained p = 1/2 branches: a 1 - P(success) form would floor this near 7e-13
+    pair = dst.ProtocolTrace((dst.TraceStep(10, branches[:1] * 2),))
+    pair_cfg = dst.CompilerConfig.from_fractions(pair, 2000, Fraction(7, 10), Fraction(99, 100))
+    tail = dst.tensor_power_compile(pair, pair_cfg).steps[0]
+    res.check(tail.failure_method == "exact", "exact-method two branches k=2000")
+    res.check(tail.failure_probability < 1e-40, f"two-branch-tail {tail.failure_probability:.3g}")
     return res
 
 

@@ -73,6 +73,8 @@ def test_matrix_decode_diagnostics_name_the_field():
         decode_matrix([[[True, False]]])
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is a boolean"):
         decode_matrix([[[1, 0], [0.5, False]]])
+    with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is not a finite number"):
+        decode_matrix([[[1, 0], [0.5, float("nan")]]])
 
 
 def test_operation_roundtrip():
@@ -228,6 +230,14 @@ def test_classify_schema_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "subops" in err
+
+
+def test_classify_rejects_literals_beyond_double_range(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"input": [1, 1], "subops": [{"output": [1, 1], "kraus": [[[[1e400, 0]]]]}]}')
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert "subops[0].kraus[0][0][0]: entry is not a finite number" in err
 
 
 def test_rates_fixture(capsys, trace_file):

@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entdist import distillation
 from entdist.bounds import binary_entropy, formation_bounds_isotropic
 from entdist.distillation import (
     BranchMargins,
@@ -366,6 +369,85 @@ def test_compile_from_fractions_rejects_nonpositive_slack():
     trace = ProtocolTrace((TraceStep(1, (BranchOutcome(1, 2, 1),)),))
     with pytest.raises(ValueError):
         CompilerConfig.from_fractions(trace, 10, Fraction(1, 2), Fraction(1, 2))
+
+
+# -- failure probability -----------------------------------------------------
+
+
+def exact_failure(k, probs, floors):
+    """1 - P(N_j >= m_j for every j), N ~ multinomial(k, probs + rest), in exact
+    rational arithmetic, where the complement loses nothing.
+
+    With p_j = a_j / D, g[s] sums s! / (c_1! ... c_j!) a_1^c_1 ... a_j^c_j over
+    the counts c_i >= m_i of the branches so far that add up to s; the rest,
+    of weight D - a_1 - ... - a_J, draws the other k - s trials.
+    """
+    d = math.lcm(*(p.denominator for p in probs))
+    g = {0: 1}
+    for p, m in zip(probs, floors):
+        a = int(p * d)
+        nxt = {}
+        for s, w in g.items():
+            for c in range(m, k - s + 1):
+                nxt[s + c] = nxt.get(s + c, 0) + math.comb(s + c, c) * w * a**c
+        g = nxt
+    rest = d - sum(int(p * d) for p in probs)
+    return 1 - Fraction(sum(math.comb(k, s) * w * rest ** (k - s) for s, w in g.items()), d**k)
+
+
+@pytest.mark.parametrize(
+    "k, probs, floors",
+    [
+        (400, ["1/2"], [140]),
+        (400, ["1/2", "1/2"], [100, 100]),  # about 8.6e-25
+        (300, ["3/5", "3/10"], [162, 81]),
+        (60, ["1/5", "4/5"], [0, 40]),
+        (250, ["2/5", "3/10", "1/5"], [90, 67, 45]),
+        (150, ["3/10", "1/4", "1/5", "3/20"], [40, 33, 27, 20]),
+    ],
+)
+def test_failure_probability_matches_exact_rational_sum(k, probs, floors):
+    probs = [Fraction(p) for p in probs]
+    got, method = distillation._failure_probability(k, [float(p) for p in probs], floors)
+    want = exact_failure(k, probs, floors)
+    assert method == "exact"
+    assert got == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+def test_failure_probability_above_the_limit_is_the_chernoff_union_bound():
+    mpmath = pytest.importorskip("mpmath")
+    k, probs, floors = 10**4, [0.5, 0.3], [4500, 2000]
+
+    def kl(a, p):
+        a, p = mpmath.mpf(a), mpmath.mpf(p)
+        return a * mpmath.log(a / p) + (1 - a) * mpmath.log((1 - a) / (1 - p))
+
+    with mpmath.workdps(30):
+        want = sum(mpmath.exp(-k * kl(m / k, p)) for p, m in zip(probs, floors))
+    got, method = distillation._failure_probability(k, probs, floors)
+    assert method == "chernoff"
+    assert got == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+@given(
+    k=st.integers(1, 200),
+    weights=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    rest=st.integers(0, 20),
+    fractions=st.lists(st.floats(0, 1), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_chernoff_bound_is_at_least_the_exact_value(k, weights, rest, fractions):
+    total = sum(weights) + rest
+    probs = [w / total for w in weights]
+    floors = [math.floor(f * k) for f in fractions[: len(probs)]]
+    exact, _ = distillation._failure_probability(k, probs, floors)
+    with mock.patch.object(distillation, "EXACT_TAIL_LIMIT", 0):
+        bound, method = distillation._failure_probability(k, probs, floors)
+    hoeffding = sum(math.exp(-2 * k * max(0.0, p - m / k) ** 2) for p, m in zip(probs, floors))
+    assert method == "chernoff"
+    # slack for the rounding of the exact sum and of the KL divergence only
+    assert bound >= exact * (1 - 1e-12)
+    assert bound <= min(1.0, hoeffding) * (1 + 1e-12)
 
 
 # -- discard padding ---------------------------------------------------------
