@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Any
 
@@ -67,7 +69,34 @@ def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# Entry types that the fast path of decode_matrix converts as the walker does.
+_PLAIN_NUMBERS = {int, float, Fraction}
+
+
 def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
+    """Complex matrix from rows of [re, im] pairs; SchemaError names a bad entry.
+
+    A regular list of lists of [re, im] lists of plain numbers converts in
+    one numpy call; any other input goes through the entry-by-entry walker,
+    which either decodes it the same way or raises.
+    """
+    if (
+        type(data) is list
+        and all(type(row) is list for row in data)
+        and set(map(type, chain.from_iterable(data))) == {list}
+        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
+    ):
+        try:
+            pairs = np.asarray(data, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or beyond the double range
+            pass
+        else:
+            if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
+                return pairs.view(complex)[..., 0]
+    return _walk_matrix(data, where)
+
+
+def _walk_matrix(data: Any, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise SchemaError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -86,9 +115,13 @@ def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
                 raise SchemaError(f"{where}[{i}][{j}]: complex entries are [re, im] pairs")
             if any(isinstance(c, bool) for c in z):
                 raise SchemaError(f"{where}[{i}][{j}]: entry is a boolean, not a number")
-            entries.append(complex(float(z[0]), float(z[1])))
-            if not cmath.isfinite(entries[-1]):
+            try:
+                entry = complex(float(z[0]), float(z[1]))
+            except OverflowError:  # an int or Fraction beyond the double range
+                entry = complex(math.inf)
+            if not cmath.isfinite(entry):
                 raise SchemaError(f"{where}[{i}][{j}]: entry is not a finite number")
+            entries.append(entry)
         rows.append(entries)
     return np.array(rows, dtype=complex)
 

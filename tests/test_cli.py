@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     assert np.allclose(decode_matrix(encode_matrix(m)), m, atol=1e-15)
+    assert decode_matrix(encode_matrix(m)).tobytes() == m.tobytes()
 
 
 def test_matrix_decode_diagnostics_name_the_field():
@@ -75,6 +77,44 @@ def test_matrix_decode_diagnostics_name_the_field():
         decode_matrix([[[1, 0], [0.5, False]]])
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is not a finite number"):
         decode_matrix([[[1, 0], [0.5, float("nan")]]])
+
+
+# One input per kind of bad matrix, with the exact message it must produce.
+BAD_MATRICES = [
+    ([], "matrix: expected a non-empty list of rows"),
+    ([[[1, 0]], []], "matrix[1]: expected a non-empty row"),
+    ([[[1, 0], [0, 1]], [[1, 0]]], "matrix[1]: row length 1 != 2"),
+    ([[[1, 0], 5]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], [1, 0, 0]]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], (1, 0)]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], ["1", 0]]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], [None, 0]]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    ([[[1, 0], [0.5, False]]], "matrix[0][1]: entry is a boolean, not a number"),
+    ([[[1, 0], [0.5, float("nan")]]], "matrix[0][1]: entry is not a finite number"),
+    ([[[1, 0]], [[float("inf"), 0]]], "matrix[1][0]: entry is not a finite number"),
+    ([[[1, 0], [0, 10**400]]], "matrix[0][1]: entry is not a finite number"),
+]
+
+
+@pytest.mark.parametrize("data, message", BAD_MATRICES)
+def test_matrix_decode_messages_are_pinned(data, message):
+    with pytest.raises(SchemaError) as info:
+        decode_matrix(data)
+    assert str(info.value) == message
+
+
+def test_matrix_decode_reads_json_literals_as_either_parse():
+    text = '[[[1e400, 0]]]'
+    for parse_float in (float, Fraction):
+        with pytest.raises(SchemaError) as info:
+            decode_matrix(json.loads(text, parse_float=parse_float), "k")
+        assert str(info.value) == "k[0][0]: entry is not a finite number"
+    text = '[[[0.1, -2], [1, 2.5e-3]], [[-3, 0.7], [0, 1e300]]]'
+    as_float = decode_matrix(json.loads(text))
+    as_fraction = decode_matrix(json.loads(text, parse_float=Fraction))
+    expect = np.array([[0.1 - 2j, 1 + 2.5e-3j], [-3 + 0.7j, 1e300j]])
+    assert as_float.tobytes() == as_fraction.tobytes() == expect.tobytes()
+    assert as_float.dtype == complex and as_float.shape == (2, 2)
 
 
 def test_operation_roundtrip():
@@ -235,6 +275,15 @@ def test_classify_schema_error_exit_code(capsys, tmp_path):
 def test_classify_rejects_literals_beyond_double_range(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"input": [1, 1], "subops": [{"output": [1, 1], "kraus": [[[[1e400, 0]]]]}]}')
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert "subops[0].kraus[0][0][0]: entry is not a finite number" in err
+
+
+def test_classify_rejects_integer_literals_beyond_double_range(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    big = "1" + "0" * 400
+    path.write_text('{"input": [1, 1], "subops": [{"output": [1, 1], "kraus": [[[[%s, 0]]]]}]}' % big)
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "subops[0].kraus[0][0][0]: entry is not a finite number" in err

@@ -148,6 +148,57 @@ def test_monte_carlo_twirl_approaches_exact():
         assert np.max(np.abs(mc - exact_twirl(rho).matrix)) < 1e-2
 
 
+def dense_twirl_reference(rho, samples, rng):
+    """The twirl as the mean of dense products w rho w^dagger, w = U (x) conj(U).
+
+    Draws its Haar unitaries exactly as monte_carlo_twirl does: in chunks of
+    512, QR with the phases of R's diagonal moved into Q.
+    """
+    d = rho.bipartite.dim_a
+    acc = np.zeros((d * d, d * d), dtype=complex)
+    done = 0
+    while done < samples:
+        n = min(512, samples - done)
+        z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        phases = np.einsum("nii->ni", r).copy()
+        phases /= np.abs(phases)
+        u = q * phases[:, None, :]
+        w = np.einsum("nab,ncd->nacbd", u, u.conj()).reshape(n, d * d, d * d)
+        acc += (w @ rho.matrix @ w.conj().transpose(0, 2, 1)).sum(axis=0)
+        done += n
+    return acc / samples
+
+
+# 511-513 straddle one Haar chunk and 1500 ends in a partial one; for K >= 3
+# a chunk spans several sub-blocks, and most of these counts end in a short one.
+@pytest.mark.parametrize("samples", [1, 511, 512, 513, 1500])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_monte_carlo_twirl_matches_dense_reference_on_the_same_draws(k, samples):
+    rho = random_density(BipartiteLabel(k, k), np.random.default_rng([k, samples]))
+    rng, ref_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+    mc = monte_carlo_twirl(rho, samples, rng)
+    ref = dense_twirl_reference(rho, samples, ref_rng)
+    assert np.max(np.abs(mc - ref)) <= 1e-14
+    # both consumed the same draws, so the streams continue alike
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("k, samples", [(16, 64), (12, 256)])
+def test_monte_carlo_twirl_memory_is_bounded(k, samples):
+    # Forming the (n, d^2, d^2) products w rho w^dagger takes 258 MiB at K = 16
+    # and 327 MiB at K = 12 (dense_twirl_reference).
+    rho = random_density(BipartiteLabel(k, k), np.random.default_rng(k))
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_twirl(rho, samples, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.trace(mc).real == pytest.approx(1.0, abs=1e-12)
+
+
 def test_reduction_plan_values():
     plan = reduction_plan(5, 2)
     assert plan.stage1_target == 4
