@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Benchmark record of one checkout: end-to-end metrics and layer rows.
+
+For each workload in BENCHMARK.json this runs the checkout's own
+`perfbench/run.py --trace 0` (seed 1, the declared run length) and copies
+its end-to-end metrics.  It then times the layer rows that the workloads
+never reach at these sizes, each as the median of REPEATS calls after a
+first call whose time is kept apart (it pays any construction or caching
+that later calls skip):
+
+- `apply_operation` and `is_trace_preserving` on
+  `subspace_measurement_op(K, K/2)` at K = 6, 8, 12, 16, 24, 32;
+- `reduce_dimension` to 7 (to 3 at K = 6) at the same K;
+- `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
+  budget and first oracle seed;
+
+and `entdist verify --seed 7` in REPEATS fresh processes.  The record
+names the machine, the repeat count and the line count of `src/entdist`,
+and is merged under --label into --out, so one file holds the records of
+several checkouts measured on one machine.
+
+Usage: python scripts/bench.py --out BENCH_7.json --label change [--checkout DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LAYER_KS = (6, 8, 12, 16, 24, 32)
+REPEATS = 7
+BENCH_SEED = 1
+# the EF calls of the benchmark's verify workload (perfbench/workloads.py)
+EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
+EF_BUDGET = 400
+EF_SEED = 7
+
+
+def _env(checkout: Path) -> dict[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _timed(fn, repeats: int) -> dict[str, float]:
+    times = []
+    for _ in range(repeats + 1):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {"first_s": times[0], "median_s": statistics.median(times[1:])}
+
+
+def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
+    """The layer rows of the entdist on sys.path, in this process."""
+    from entdist.bounds import ef_numeric_estimate
+    from entdist.operations import apply_operation, is_trace_preserving
+    from entdist.protocols import reduce_dimension, subspace_measurement_op
+    from entdist.states import isotropic
+
+    rows = {}
+    for k in LAYER_KS:
+        rho = isotropic(k, 0.7)
+        op = subspace_measurement_op(k, k // 2)
+        rows[f"is_trace_preserving K={k}"] = _timed(lambda: is_trace_preserving(op), repeats)
+        rows[f"apply_operation K={k}"] = _timed(lambda: apply_operation(op, rho), repeats)
+        kp = 3 if k == 6 else 7
+        rows[f"reduce_dimension K={k} Kprime={kp}"] = _timed(
+            lambda: reduce_dimension(rho, kp), repeats
+        )
+    for f in EF_FIDELITIES:
+        rho = isotropic(2, f)
+        rows[f"ef_numeric_estimate K=2 F={f}"] = _timed(
+            lambda: ef_numeric_estimate(rho, budget=EF_BUDGET, seed=EF_SEED), repeats
+        )
+    return rows
+
+
+def _perfbench(checkout: Path, workload: str, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(BENCH_SEED), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"correct": result["correct"], **metrics}
+
+
+def _verify_seed7(checkout: Path, repeats: int) -> dict[str, float]:
+    cmd = [sys.executable, "-m", "entdist.cli", "verify", "--seed", "7"]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, check=True)
+        times.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(times), "runs_s": times}
+
+
+def _machine() -> dict:
+    cpu = platform.processor()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.is_file():
+        names = [ln.split(":", 1)[1].strip() for ln in cpuinfo.read_text().splitlines()
+                 if ln.startswith("model name")]
+        cpu = names[0] if names else cpu
+    import numpy
+
+    return {"cpu": cpu, "nproc": os.cpu_count(), "system": platform.platform(),
+            "python": platform.python_version(), "numpy": numpy.__version__, "blas_threads": 1}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to merge the record into")
+    parser.add_argument("--label", required=True,
+                        help="name of this checkout's record, e.g. parent or change")
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    args = parser.parse_args()
+
+    checkout = args.checkout.resolve()
+    bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    end_to_end = {w["name"]: _perfbench(checkout, w["name"], bench["run_seconds"])
+                  for w in bench["workloads"]}
+    # the layer rows run in a fresh process that imports the checkout's entdist
+    code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+            "import bench; print(json.dumps(bench.layer_rows(bench.REPEATS)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_env(checkout),
+                          capture_output=True, text=True, check=True)
+    record = {
+        "src_entdist_lines": sum(
+            len(p.read_text(encoding="utf-8").splitlines())
+            for p in (checkout / "src" / "entdist").glob("*.py")
+        ),
+        "end_to_end": end_to_end,
+        "verify_seed7_fresh_process": _verify_seed7(checkout, REPEATS),
+        "layers": json.loads(proc.stdout),
+    }
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
+    doc.update(machine=_machine(), repeats=REPEATS, perfbench_seed=BENCH_SEED)
+    doc.setdefault("records", {})[args.label] = record
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

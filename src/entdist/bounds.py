@@ -19,6 +19,7 @@ __all__ = [
     "binary_entropy",
     "FormationBounds",
     "formation_bounds_isotropic",
+    "ef_isotropic",
     "ppt_bound_isotropic",
     "HashingRate",
     "hashing_rate",
@@ -82,6 +83,29 @@ def formation_bounds_isotropic(k: int, f: float) -> FormationBounds:
     return FormationBounds(k, f, lower, upper, ppt_bound_isotropic(k, f))
 
 
+def ef_isotropic(k: int, f: float) -> float:
+    """Entanglement of formation of the isotropic state (k, f), in bits.
+
+    The closed form of Terhal and Vollbrecht (PRL 85, 2625 (2000)): with
+    gamma = (sqrt(F) + sqrt((K-1)(1-F)))^2 / K and
+    R(F) = H2(gamma) + (1 - gamma) log2(K-1), E_f is 0 for F <= 1/K, R(F)
+    up to F = 4(K-1)/K^2, and above that the line through (1, log2 K)
+    tangent to R there, K log2(K-1)/(K-2) (F-1) + log2 K.  At K = 2 it is
+    Wootters's value.
+    """
+    if k < 2:
+        raise ValueError(f"dimension must be at least 2, got {k}")
+    if not 0.0 <= f <= 1.0:
+        raise ValueError(f"fidelity {f} outside [0, 1]")
+    if f <= 1.0 / k:
+        return 0.0
+    if f > 4.0 * (k - 1) / (k * k):
+        return k * math.log2(k - 1) / (k - 2) * (f - 1.0) + math.log2(k)
+    # gamma < 1 for F > 1/K (Cauchy-Schwarz); min() absorbs rounding
+    gamma = min(1.0, (math.sqrt(f) + math.sqrt((k - 1) * (1.0 - f))) ** 2 / k)
+    return binary_entropy(gamma) + (1.0 - gamma) * math.log2(k - 1)
+
+
 @dataclass(frozen=True)
 class HashingRate:
     """Hashing-protocol rate for an isotropic state, raw and clamped at zero."""
@@ -121,7 +145,9 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # forms their reduced matrices, members of trace below 1e-15 are masked out,
 # one stacked eigh diagonalizes the rest, and one batched product builds the
 # gradient columns.  The value is summed in member order, so it is the same
-# float as a member-by-member loop gives.
+# float as a member-by-member loop gives.  The line search evaluates its
+# candidates by value only and builds the gradient, from the same eigh
+# output, for the candidate it accepts.
 # ---------------------------------------------------------------------------
 
 _EIG_FLOOR = 1e-300
@@ -143,26 +169,43 @@ class EFSearch:
     stop: str
 
 
-def _ensemble_objective_grad(
-    g: np.ndarray, a: np.ndarray, da: int, db: int
-) -> tuple[float, np.ndarray]:
-    """Average output entanglement and its Euclidean Wirtinger gradient."""
+def _ensemble_value(g: np.ndarray, a: np.ndarray, da: int, db: int) -> tuple[float, tuple]:
+    """Average output entanglement, and the parts its gradient is built from."""
     cols = a @ g  # d x M, unnormalized member states
     mats = cols.T.reshape(-1, da, db)
     red = mats @ mats.conj().swapaxes(-1, -2)
     p = red.trace(axis1=-2, axis2=-1).real
     live = p >= 1e-15
-    mats, p = mats[live], p[live]
-    lam, vec = np.linalg.eigh(red[live] / p[:, None, None])
+    if live.all():
+        live = None
+    else:
+        mats, red, p = mats[live], red[live], p[live]
+    lam, vec = np.linalg.eigh(red / p[:, None, None])
     lam = np.maximum(lam, _EIG_FLOOR)
     value = 0.0
     for term in (-p * np.sum(lam * np.log2(lam), axis=-1)).tolist():
         value += term  # member order, as a sequential sum
+    return value, (cols.shape, live, mats, lam, vec)
+
+
+def _ensemble_grad(a: np.ndarray, parts: tuple) -> np.ndarray:
+    """The Euclidean Wirtinger gradient at the point `parts` came from."""
+    shape, live, mats, lam, vec = parts
     # d/d conj(M) of [p S(red/p)] is (-log2(red/p)) M
     w = (vec * -np.log2(lam)[:, None, :]) @ vec.conj().swapaxes(-1, -2)
-    grad_c = np.zeros_like(cols)
-    grad_c[:, live] = (w @ mats).reshape(len(p), -1).T
-    return value, a.conj().T @ grad_c
+    grad_c = (w @ mats).reshape(len(mats), -1).T
+    if live is not None:  # masked-out members get zero gradient columns
+        grad_c, live_c = np.zeros(shape, dtype=complex), grad_c
+        grad_c[:, live] = live_c
+    return a.conj().T @ grad_c
+
+
+def _ensemble_objective_grad(
+    g: np.ndarray, a: np.ndarray, da: int, db: int
+) -> tuple[float, np.ndarray]:
+    """Average output entanglement and its Euclidean Wirtinger gradient."""
+    value, parts = _ensemble_value(g, a, da, db)
+    return value, _ensemble_grad(a, parts)
 
 
 def _polar_coisometry(g: np.ndarray) -> np.ndarray:
@@ -190,10 +233,11 @@ def _minimize_from(
             return value, it, norm, "budget"
         step = min(step * 2.0, 1.0)
         while step > 1e-14:
+            # value only: the gradient is built for the accepted candidate alone
             cand = _polar_coisometry(g - step * xi)
-            cand_value, cand_grad = _ensemble_objective_grad(cand, a, da, db)
+            cand_value, parts = _ensemble_value(cand, a, da, db)
             if cand_value < value - 1e-15:
-                g, value, grad = cand, cand_value, cand_grad
+                g, value, grad = cand, cand_value, _ensemble_grad(a, parts)
                 break
             step *= 0.5
         else:

@@ -7,7 +7,8 @@ verify (the full invariant suite).  All output is deterministic for a fixed
 seed: one seeded generator per run, numbers serialized as shortest
 round-trip decimals at the configured precision.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error (including a
+`simulate --K` above MAX_SIMULATE_K).
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from .serialize import (
 INPUT_ERROR = 2
 # Largest F grid accepted (a step of 1e-5 across [0, 1]), so memory stays bounded.
 MAX_F_GRID_POINTS = 100_001
+# Largest K that `simulate` accepts, so memory stays bounded.  A K x K state
+# is a K^2 x K^2 dense matrix; the costliest row at K = 32, a twirl with 512
+# Monte Carlo samples, peaked at 161 MiB RSS in 31 s (2-vCPU x86-64 VM, one
+# BLAS thread), and every dense array grows 16-fold when K doubles.
+MAX_SIMULATE_K = 32
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -112,6 +118,8 @@ def _simulate_rows(args: argparse.Namespace) -> list[dict]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.K > MAX_SIMULATE_K:
+        raise SchemaError(f"K = {args.K} exceeds the simulation limit {MAX_SIMULATE_K}")
     records = _simulate_rows(args)
     if args.emit == "csv":
         header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]

@@ -60,7 +60,8 @@ class SubOperation:
         parts = self.factors
         if not (isinstance(parts, tuple) and parts and all(np.ndim(f) == 3 for f in parts)):
             parts = (parts,)
-        parts = tuple(np.asarray(f, dtype=complex) for f in parts)
+        # own copies, so the read-only flag holds and the caches below stay valid
+        parts = tuple(np.array(f, dtype=complex) for f in parts)
         if any(f.ndim != 3 or f.shape[0] == 0 for f in parts):
             raise ValueError("sub-operation requires at least one Kraus matrix per factor")
         rows = math.prod(f.shape[1] for f in parts)
@@ -90,21 +91,57 @@ class SubOperation:
         flat = (f.reshape(-1, f.shape[2]) for f in self.factors)
         return functools.reduce(np.kron, (g.conj().T @ g for g in flat))
 
-    def apply_raw(self, m: np.ndarray) -> np.ndarray:
-        """Unnormalized branch output sum_j K_j m K_j^dagger, one factor at a time."""
-        dims = [f.shape[2] for f in self.factors]
-        t = np.asarray(m, dtype=complex).reshape(dims + dims)
-        axes = list(range(2 * len(dims)))
-        n, row, col = len(axes), len(axes) + 1, len(axes) + 2
+    @functools.cached_property
+    def _superoperators(self) -> tuple[np.ndarray | None, ...]:
+        """Per factor, its map sum_j F_j (x) conj(F_j) on row-major vec where
+        `apply_raw` contracts through it, else None.
+
+        That route is taken when it costs fewer flops than the Kraus
+        matrices, counting the superoperator's build.  Factors before p act
+        first, so the other axes of factor p's contraction hold the earlier
+        factors' output dimensions and the later factors' input dimensions.
+        """
+        shapes = [f.shape for f in self.factors]
+        maps: list[np.ndarray | None] = []
         for p, f in enumerate(self.factors):
             count, d_out, d_in = f.shape
-            rest = t.size // (d_in * d_in)
-            # sum over the Kraus index first (the factor's superoperator) when cheaper
-            by_superop = d_out * d_in * (count + rest) < count * rest * (d_in + d_out)
-            out = axes.copy()
-            out[p], out[len(dims) + p] = row, col
-            t = np.einsum(f, [n, row, p], t, axes, f.conj(), [n, col, len(dims) + p], out,
-                          optimize=["einsum_path", (0, 2) if by_superop else (0, 1), (0, 1)])
+            rest = math.prod(s[1] ** 2 for s in shapes[:p]) * math.prod(
+                s[2] ** 2 for s in shapes[p + 1 :]
+            )
+            if d_out * d_in * (count + rest) < count * rest * (d_in + d_out):
+                # [(x, a), (y, b)] = sum_j F_j[x, a] conj(F_j)[y, b], one product
+                pairs = f.reshape(count, -1).T @ f.conj().reshape(count, -1)
+                superop = pairs.reshape(d_out, d_in, d_out, d_in).transpose(0, 2, 1, 3)
+                superop = superop.reshape(d_out * d_out, d_in * d_in)
+                superop.setflags(write=False)
+                maps.append(superop)
+            else:
+                maps.append(None)
+        return tuple(maps)
+
+    def apply_raw(self, m: np.ndarray) -> np.ndarray:
+        """Unnormalized branch output sum_j K_j m K_j^dagger, one factor at a time.
+
+        Each factor's row and column axes are moved to the front of the
+        state tensor, which is then contracted by plain matrix products,
+        through the factor's superoperator or Kraus matrix by Kraus matrix.
+        """
+        dims = [f.shape[2] for f in self.factors]
+        t = np.asarray(m, dtype=complex).reshape(dims + dims)
+        for p, (f, superop) in enumerate(zip(self.factors, self._superoperators)):
+            count, d_out, d_in = f.shape
+            front = np.moveaxis(t, (p, len(dims) + p), (0, 1))
+            v = front.reshape(d_in * d_in, -1)
+            if superop is not None:
+                out = superop @ v
+            else:
+                # [x, (j, b), r] = sum_a F_j[x, a] v[(a, b), r], then for each x
+                # the sum over (j, b) against conj(F_j)[y, b]
+                left = f.transpose(1, 0, 2).reshape(d_out * count, d_in)
+                right = f.conj().transpose(1, 0, 2).reshape(d_out, count * d_in)
+                out = right @ (left @ v.reshape(d_in, -1)).reshape(d_out, count * d_in, -1)
+            out = out.reshape((d_out, d_out) + front.shape[2:])
+            t = np.moveaxis(out, (0, 1), (p, len(dims) + p))
         return t.reshape(self.dim_out, self.dim_out)
 
 
@@ -138,13 +175,17 @@ class QuantumOperation:
     def completeness_sum(self) -> np.ndarray:
         return sum(sub.completeness_term() for sub in self.subops)
 
+    @functools.cached_property
+    def completeness_deviation(self) -> float:
+        """Largest entry of |sum K^dagger K - I|, computed once per operation."""
+        return float(np.max(np.abs(self.completeness_sum() - np.eye(self.dim_in))))
+
 
 BranchOutcomes = list[tuple[float, DensityOperator | None]]
 
 
 def is_trace_preserving(op: QuantumOperation, tol: float = TAU_TP) -> bool:
-    dev = op.completeness_sum() - np.eye(op.dim_in)
-    return bool(np.max(np.abs(dev)) <= tol)
+    return op.completeness_deviation <= tol
 
 
 def apply_operation(op: QuantumOperation, rho: DensityOperator) -> BranchOutcomes:

@@ -8,6 +8,7 @@ density-operator simulation in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,11 @@ TWIRL_CHUNK = 512
 # Bytes of one sub-block's intermediate in the Monte Carlo twirl; sized to
 # stay in a core's L2 cache (256 KiB to 1 MiB ran alike; 16 MiB was slower).
 TWIRL_BLOCK_BYTES = 256 * 1024
+# Protocol operations kept per constructor.  They are immutable (read-only
+# factor arrays), so every caller shares one: a grid sweeps one (K, K') pair
+# at many fidelities.  Each kept operation holds its cached superoperators,
+# up to 31 MiB at K = 32, so only a few are kept.
+OP_CACHE_SIZE = 8
 
 
 def _party_kraus(k: int, kp: int) -> tuple[np.ndarray, np.ndarray]:
@@ -49,6 +55,7 @@ def _party_kraus(k: int, kp: int) -> tuple[np.ndarray, np.ndarray]:
     return succ, fail / np.sqrt(kp)
 
 
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
 def subspace_measurement_op(k: int, kp: int, merged: bool = True) -> QuantumOperation:
     """Both parties measure the subspace of their first kp basis elements.
 
@@ -84,6 +91,7 @@ def subspace_measurement_fidelity(k: int, kp: int, f: float) -> float:
     return head + tail
 
 
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
 def factor_tracing_op(k: int, kp: int) -> QuantumOperation:
     """Both parties split their space as kp x (k/kp) and trace the second factor."""
     if not 1 <= kp <= k or k % kp != 0:
@@ -198,6 +206,12 @@ def reduction_plan(k: int, kp: int) -> ReductionPlan:
     return ReductionPlan(k, kp)
 
 
+@functools.lru_cache(maxsize=OP_CACHE_SIZE)
+def _staged(stage1: QuantumOperation, stage2: QuantumOperation) -> QuantumOperation:
+    """The one-branch composite of two shared protocol operations."""
+    return compose(stage1, {0: stage2})
+
+
 def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
     """Local reduction of a k x k state to kp x kp: subspace measurement down
     to kp * floor(k / kp), then factor tracing the rest of the way."""
@@ -206,7 +220,7 @@ def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
         raise ValueError("reduction requires equal factor dimensions")
     plan = ReductionPlan(label.dim_a, kp)
     stage1 = subspace_measurement_op(plan.k, plan.stage1_target)
-    op = compose(stage1, {0: factor_tracing_op(plan.stage1_target, kp)})
+    op = _staged(stage1, factor_tracing_op(plan.stage1_target, kp))
     ((p, state),) = apply_operation(op, rho)
     assert state is not None and abs(p - 1.0) < 1e-9
     return state

@@ -193,6 +193,15 @@ def _suite_lemma1(rng: np.random.Generator) -> SuiteResult:
             res.check(abs(chain - expect) <= EXACT_TOL, f"chain K={k} F={f}")
             fb = bnd.formation_bounds_isotropic(k, f)
             res.check(fb.lower <= fb.upper + EXACT_TOL, f"order K={k} F={f}")
+    # the bounds bracket the exact entanglement of formation (Terhal-Vollbrecht)
+    for k in range(2, 17):
+        for f in F_GRID:
+            fb = bnd.formation_bounds_isotropic(k, f)
+            ef = bnd.ef_isotropic(k, f)
+            res.check(
+                fb.lower - EXACT_TOL <= ef <= fb.upper + EXACT_TOL,
+                f"exact-ef K={k} F={f} lower={fb.lower:.6f} ef={ef:.6f} upper={fb.upper:.6f}",
+            )
     ef_seed = int(rng.integers(2**32))
     for f in (0.5, 0.7, 0.9, 1.0):
         fb = bnd.formation_bounds_isotropic(2, f)

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from entdist.bounds import (
     _ensemble_objective_grad,
     _polar_coisometry,
+    EFSearch,
     binary_entropy,
+    ef_isotropic,
     ef_numeric_estimate,
     ef_numeric_search,
     formation_bounds_isotropic,
     hashing_rate,
     ppt_bound_isotropic,
 )
-from entdist.linalg import BipartiteLabel, DensityOperator
+from entdist.linalg import BipartiteLabel, DensityOperator, random_density
 from entdist.states import isotropic, max_entangled_projector
 
 F_GRID = [round(0.1 * i, 10) for i in range(11)]
@@ -280,3 +282,118 @@ def test_ef_estimate_never_below_exact_two_qubit_value(state_seed, rank, seed):
     rho = DensityOperator((m + m.conj().T) / 2, BipartiteLabel(2, 2))
     exact = _wootters_formation(rho.matrix)
     assert ef_numeric_estimate(rho, budget=400, seed=seed) >= exact - 1e-6
+
+
+def _eager_objective_grad(g, a, da, db):
+    """The batched EF objective with its gradient on every call, member
+    masks always applied: the reference for the value-only line search."""
+    cols = a @ g
+    mats = cols.T.reshape(-1, da, db)
+    red = mats @ mats.conj().swapaxes(-1, -2)
+    p = red.trace(axis1=-2, axis2=-1).real
+    live = p >= 1e-15
+    mats, p = mats[live], p[live]
+    lam, vec = np.linalg.eigh(red[live] / p[:, None, None])
+    lam = np.maximum(lam, 1e-300)
+    value = 0.0
+    for term in (-p * np.sum(lam * np.log2(lam), axis=-1)).tolist():
+        value += term
+    w = (vec * -np.log2(lam)[:, None, :]) @ vec.conj().swapaxes(-1, -2)
+    grad_c = np.zeros_like(cols)
+    grad_c[:, live] = (w @ mats).reshape(len(p), -1).T
+    return value, a.conj().T @ grad_c
+
+
+def _eager_search(rho, budget, seed):
+    """`ef_numeric_search` with a line search that computes the gradient of
+    every candidate it tries."""
+    label = rho.bipartite
+    da, db = label.dim_a, label.dim_b
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    keep = lam > 1e-12
+    a = vecs[:, keep] * np.sqrt(lam[keep])
+    rank, m_count = a.shape[1], max(da * da * db * db + 1, int(keep.sum()))
+    restarts = max(1, budget // 400)
+    rng = np.random.default_rng(seed)
+    best = None
+    for r in range(restarts):
+        g0 = rng.standard_normal((rank, m_count)) + 1j * rng.standard_normal((rank, m_count))
+        g = _polar_coisometry(g0)
+        value, grad = _eager_objective_grad(g, a, da, db)
+        step, it = 1.0, 0
+        while True:
+            sym = g @ grad.conj().T
+            xi = grad - 0.5 * (sym + sym.conj().T) @ g
+            norm = float(np.linalg.norm(xi))
+            if norm < 1e-14:
+                stop = "gradient"
+                break
+            if it == 400:
+                stop = "budget"
+                break
+            step = min(step * 2.0, 1.0)
+            while step > 1e-14:
+                cand = _polar_coisometry(g - step * xi)
+                cand_value, cand_grad = _eager_objective_grad(cand, a, da, db)
+                if cand_value < value - 1e-15:
+                    g, value, grad = cand, cand_value, cand_grad
+                    break
+                step *= 0.5
+            else:
+                stop = "no-descent"
+                break
+            it += 1
+        if best is None or value < best.value:
+            best = EFSearch(value, restarts, r, it, norm, stop)
+    return best
+
+
+def _line_search_cases():
+    # the benchmark's EF calls: K = 2 at four fidelities from four seeds, one restart
+    cases = [(isotropic(2, f), 400, s) for f in (0.5, 0.7, 0.9, 1.0) for s in (7, 8, 9, 10)]
+    rng = np.random.default_rng(2024)
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        for rank in (2, da * db):
+            x = rng.standard_normal((da * db, rank)) + 1j * rng.standard_normal((da * db, rank))
+            m = x @ x.conj().T
+            rho = DensityOperator((m + m.conj().T) / (2 * m.trace().real), BipartiteLabel(da, db))
+            cases.append((rho, 800, int(rng.integers(2**16))))
+    cases.append((random_density(BipartiteLabel(3, 3), rng), 400, 5))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_line_search_cases())))
+def test_value_only_line_search_matches_eager_reference(case):
+    rho, budget, seed = _line_search_cases()[case]
+    assert ef_numeric_search(rho, budget=budget, seed=seed) == _eager_search(rho, budget, seed)
+
+
+@given(st.integers(2, 1000), st.floats(0, 1, allow_nan=False))
+@settings(max_examples=300, deadline=None)
+def test_formation_bounds_bracket_exact_isotropic_formation(k, f):
+    fb = formation_bounds_isotropic(k, f)
+    ef = ef_isotropic(k, f)
+    assert fb.lower - 1e-12 <= ef <= fb.upper + 1e-12, (fb, ef)
+
+
+def test_exact_isotropic_formation_values():
+    assert ef_isotropic(2, 0.9) == pytest.approx(_wootters_formation(isotropic(2, 0.9).matrix), abs=1e-14)
+    for k in (2, 3, 7):
+        assert ef_isotropic(k, 1 / k) == 0.0
+        assert ef_isotropic(k, 1.0) == pytest.approx(math.log2(k), abs=1e-14)
+    for k in (3, 5, 16):
+        # the linear piece meets R(F) at F = 4(K-1)/K^2
+        edge = 4 * (k - 1) / k**2
+        assert ef_isotropic(k, edge) == pytest.approx(ef_isotropic(k, edge + 1e-12), abs=1e-10)
+    with pytest.raises(ValueError):
+        ef_isotropic(1, 0.5)
+    with pytest.raises(ValueError):
+        ef_isotropic(3, 1.5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_ef_search_is_an_upper_estimate_of_the_exact_value(k):
+    for f in (0.5, 0.8, 0.95):
+        ef = ef_numeric_search(isotropic(k, f), budget=400, seed=1)
+        gap = ef.value - ef_isotropic(k, f)
+        assert gap >= -1e-9, f"K={k} F={f}: estimate {ef.value!r} is {-gap:.3g} below exact"

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entdist.cli import MAX_F_GRID_POINTS, main, parse_f_grid
+from entdist.cli import MAX_F_GRID_POINTS, MAX_SIMULATE_K, main, parse_f_grid
 from entdist.operations import identity_operation
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
@@ -238,6 +238,31 @@ def test_simulate_reduce_and_twirl(capsys):
     assert code == 0
     (row,) = json.loads(out)
     assert row["pass"] and row["bound"] < 1e-1
+
+
+def test_simulate_rejects_k_above_limit_before_allocating(capsys, monkeypatch):
+    import tracemalloc
+
+    import entdist.verify as ver
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate_point called for a rejected K")
+
+    monkeypatch.setattr(ver, "simulate_point", never)
+    k = str(MAX_SIMULATE_K + 1)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "simulate", "--K", k, "--Kprime", k, "--protocol", "twirl",
+            "--mc-samples", "512",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert f"exceeds the simulation limit {MAX_SIMULATE_K}" in err
+    # one (K+1)^2 x (K+1)^2 complex matrix alone takes 16 (K+1)^4 bytes (18 MiB)
+    assert peak < 1 << 20
 
 
 def test_classify_identity(capsys, identity_op_file):

@@ -456,3 +456,91 @@ def test_factored_kraus_order_is_a_major():
     ka, kb = chan_a.subops[0].kraus, chan_b.subops[0].kraus
     want = np.stack([tensor(a, b) for a in ka for b in kb])
     assert np.allclose(sub.kraus, want, rtol=0, atol=1e-15)
+
+
+def contraction_cases() -> list[QuantumOperation]:
+    """One-, two- and three-factor operations, composed and tensored, that
+    between them contract factors by both routes of `apply_raw`."""
+    rng = np.random.default_rng(77)
+    meas_a = random_channel(rng, 3, 2, branches=2, n=2)
+    chan_a = random_channel(rng, 2, 3, branches=1, n=3)
+    chan_b = random_channel(rng, 3, 2, branches=1, n=2)
+    wide = random_channel(rng, 2, 2, branches=1, n=4)
+    local = make_local(chan_a, chan_b)
+    return [
+        meas_a,
+        random_channel(rng, 4, 3, branches=1, n=7),
+        local,
+        tensor_operations(local, wide),
+        tensor_operations(meas_a, tensor_operations(chan_b, wide)),
+        compose(local, {0: random_channel(rng, 6, 2, branches=2, n=2)}),
+        compose(subspace_measurement_op(5, 4, merged=False), lambda i: factor_tracing_op(4, 2)),
+        subspace_measurement_op(6, 3),
+        factor_tracing_op(6, 2),
+    ]
+
+
+def test_apply_raw_matches_dense_kraus_sum_on_both_routes():
+    routes, factor_counts = set(), set()
+    rng = np.random.default_rng(78)
+    for op in contraction_cases():
+        rho = random_density(op.in_label, rng).matrix
+        for sub in op.subops:
+            routes |= {s is not None for s in sub._superoperators}
+            factor_counts.add(len(sub.factors))
+            k = sub.kraus
+            want = np.einsum("nxa,ab,nyb->xy", k, rho, k.conj())
+            assert np.max(np.abs(sub.apply_raw(rho) - want)) <= 1e-13
+    assert routes == {True, False}
+    assert factor_counts == {1, 2, 3}
+
+
+def test_trace_preservation_is_summed_once_per_operation(monkeypatch):
+    calls = []
+    completeness_sum = QuantumOperation.completeness_sum
+
+    def counted(self):
+        calls.append(self)
+        return completeness_sum(self)
+
+    monkeypatch.setattr(QuantumOperation, "completeness_sum", counted)
+    op = tensor_operations(basis_measurement(2), identity_operation(3))
+    rho = random_density(6, np.random.default_rng(3))
+    for _ in range(4):
+        apply_operation(op, rho)
+        assert is_trace_preserving(op)
+    assert calls == [op]
+    lonely = QuantumOperation((SubOperation((np.diag([1.0, 0.0]),), 2),), 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="trace-preserving"):
+            apply_operation(lonely, random_density(2, np.random.default_rng(4)))
+    assert calls == [op, lonely]
+    assert not is_trace_preserving(lonely) and is_trace_preserving(lonely, tol=1.0)
+
+
+def test_protocol_constructors_share_read_only_operations():
+    from entdist.protocols import _staged
+
+    for make, args in ((subspace_measurement_op, (6, 3)), (factor_tracing_op, (6, 2))):
+        op = make(*args)
+        assert make(*args) is op
+        for sub in op.subops:
+            for f in sub.factors:
+                assert not f.flags.writeable
+                with pytest.raises(ValueError):
+                    f[0, 0, 0] = 1.0
+    assert subspace_measurement_op(6, 3, merged=False) is not subspace_measurement_op(6, 3)
+    stage1, stage2 = subspace_measurement_op(7, 6), factor_tracing_op(6, 3)
+    assert _staged(stage1, stage2) is _staged(stage1, stage2)
+    (sub,) = _staged(stage1, stage2).subops
+    assert all(not f.flags.writeable for f in sub.factors)
+    assert all(s is None or not s.flags.writeable for s in sub._superoperators)
+
+
+def test_sub_operation_keeps_its_own_read_only_factors():
+    kraus = np.eye(2, dtype=complex)[None]
+    op = QuantumOperation((SubOperation((kraus,), 2),), 2)
+    assert is_trace_preserving(op)
+    kraus[0, 0, 0] = 2.0  # the caller's array stays writable and is not shared
+    assert op.subops[0].factors[0][0, 0, 0] == 1.0 and is_trace_preserving(op)
+    assert not op.subops[0].factors[0].flags.writeable
