@@ -11,6 +11,8 @@ that later calls skip):
 - `apply_operation` and `is_trace_preserving` on
   `subspace_measurement_op(K, K/2)` at K = 6, 8, 12, 16, 24, 32;
 - `reduce_dimension` to 7 (to 3 at K = 6) at the same K;
+- `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2, 4, 6, 8
+  (its Choi matrix is K^4/4 x K^4/4);
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
 
@@ -19,7 +21,7 @@ names the machine, the repeat count and the line count of `src/entdist`,
 and is merged under --label into --out, so one file holds the records of
 several checkouts measured on one machine.
 
-Usage: python scripts/bench.py --out BENCH_7.json --label change [--checkout DIR]
+Usage: python scripts/bench.py --out BENCH_8.json --label change [--checkout DIR]
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYER_KS = (6, 8, 12, 16, 24, 32)
+PPT_KS = (2, 4, 6, 8)
 REPEATS = 7
 BENCH_SEED = 1
 # the EF calls of the benchmark's verify workload (perfbench/workloads.py)
@@ -63,7 +66,7 @@ def _timed(fn, repeats: int) -> dict[str, float]:
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
     from entdist.bounds import ef_numeric_estimate
-    from entdist.operations import apply_operation, is_trace_preserving
+    from entdist.operations import apply_operation, is_ppt_operation, is_trace_preserving
     from entdist.protocols import reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
 
@@ -77,6 +80,9 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         rows[f"reduce_dimension K={k} Kprime={kp}"] = _timed(
             lambda: reduce_dimension(rho, kp), repeats
         )
+    for k in PPT_KS:
+        op = subspace_measurement_op(k, k // 2)
+        rows[f"is_ppt_operation K={k}"] = _timed(lambda: is_ppt_operation(op), repeats)
     for f in EF_FIDELITIES:
         rho = isotropic(2, f)
         rows[f"ef_numeric_estimate K=2 F={f}"] = _timed(

@@ -43,12 +43,10 @@ from .linalg import (
     min_eigenvalue,
     partial_trace,
     partial_transpose,
-    partial_transpose_density,
     random_density,
     tensor,
 )
 from .operations import (
-    LinearAction,
     QuantumOperation,
     SeparableWitness,
     SubOperation,
@@ -56,7 +54,6 @@ from .operations import (
     choi_matrix,
     compose,
     forget,
-    forget_all,
     identity_operation,
     is_completely_positive,
     is_ppt_operation,
@@ -64,7 +61,7 @@ from .operations import (
     make_local,
     make_one_local,
     natural_product_witness,
-    ppt_conjugate,
+    ppt_choi,
     tensor_operations,
     verify_separable_form,
 )
@@ -84,7 +81,6 @@ from .states import (
     IsotropicParams,
     fidelity,
     isotropic,
-    isotropic_params_of,
     isotropic_state,
     max_entangled_ket,
     max_entangled_projector,

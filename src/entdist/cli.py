@@ -47,6 +47,8 @@ MAX_F_GRID_POINTS = 100_001
 # Monte Carlo samples, peaked at 161 MiB RSS in 31 s (2-vCPU x86-64 VM, one
 # BLAS thread), and every dense array grows 16-fold when K doubles.
 MAX_SIMULATE_K = 32
+# Significant digits a report may ask for: 17 round-trips every double.
+PRECISIONS = range(1, 18)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -120,6 +122,8 @@ def _simulate_rows(args: argparse.Namespace) -> list[dict]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.K > MAX_SIMULATE_K:
         raise SchemaError(f"K = {args.K} exceeds the simulation limit {MAX_SIMULATE_K}")
+    if args.mc_samples < 0:
+        raise SchemaError(f"--mc-samples must be at least 0, got {args.mc_samples}")
     records = _simulate_rows(args)
     if args.emit == "csv":
         header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]
@@ -241,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, emit_default: str = "csv") -> None:
         p.add_argument("--emit", choices=["csv", "json"], default=emit_default)
-        p.add_argument("--precision", type=int, default=12, help="significant decimal digits")
+        p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N",
+                       help="significant decimal digits, 1 to 17")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
@@ -256,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Kprime", type=int, required=True)
     p.add_argument("--F-grid", dest="F_grid", default="0:1:0.1")
     p.add_argument("--protocol", choices=["1", "2", "reduce", "twirl"], required=True)
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0)
+    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0,
+                   help="Monte Carlo twirl samples; 0 runs the exact twirl only")
     common(p)
     p.set_defaults(fn=cmd_simulate)
 
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", choices=sorted(ver.SUITES), default=None)
     p.add_argument("--emit", choices=["text", "json"], default="text")
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

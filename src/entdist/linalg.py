@@ -16,7 +16,6 @@ import numpy as np
 TAU_HERM = 1e-9
 TAU_TRACE = 1e-9
 TAU_PSD = 1e-9
-TAU_EIG = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,10 +66,6 @@ def min_eigenvalue(m: np.ndarray, tol: float = TAU_HERM) -> float:
     if not is_hermitian(m, tol):
         raise ValueError("min_eigenvalue requires a Hermitian input")
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def is_psd(m: np.ndarray, tol: float = TAU_PSD) -> bool:
-    return min_eigenvalue(m) >= -tol
 
 
 def tensor(*matrices: np.ndarray) -> np.ndarray:
@@ -153,12 +148,6 @@ def partial_transpose(
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     return t.reshape(label.total, label.total)
-
-
-def partial_transpose_density(
-    rho: DensityOperator, side: Literal["A", "B"] = "B"
-) -> np.ndarray:
-    return partial_transpose(rho.matrix, rho.bipartite, side)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

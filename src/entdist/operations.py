@@ -22,7 +22,6 @@ from .linalg import (
     BipartiteLabel,
     DensityOperator,
     Label,
-    as_square_matrix,
     total_dim,
 )
 
@@ -290,81 +289,17 @@ def forget(op: QuantumOperation, merge: Iterable[int]) -> QuantumOperation:
     return QuantumOperation(tuple(subs), op.in_label, provenance=op.provenance)
 
 
-def forget_all(op: QuantumOperation) -> QuantumOperation:
-    return forget(op, range(len(op.subops)))
-
-
 # ---------------------------------------------------------------------------
-# Linear actions: superoperators that need not admit a Kraus form.
+# Choi matrices: complete positivity and the p.p.t. predicate.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LinearAction:
-    """A linear map on operators, stored as a matrix acting on row-major vec."""
-
-    matrix: np.ndarray
-    in_label: Label
-    out_label: Label
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        d_in, d_out = total_dim(self.in_label), total_dim(self.out_label)
-        if m.shape != (d_out * d_out, d_in * d_in):
-            raise ValueError(
-                f"action matrix shape {m.shape} does not match ({d_out * d_out}, {d_in * d_in})"
-            )
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim_in(self) -> int:
-        return total_dim(self.in_label)
-
-    @property
-    def dim_out(self) -> int:
-        return total_dim(self.out_label)
-
-    def __call__(self, m: np.ndarray) -> np.ndarray:
-        m = as_square_matrix(m)
-        if m.shape[0] != self.dim_in:
-            raise ValueError(f"input dimension {m.shape[0]} does not match {self.dim_in}")
-        out = self.matrix @ m.reshape(-1)
-        return out.reshape(self.dim_out, self.dim_out)
-
-    @classmethod
-    def from_kraus(cls, sub: SubOperation, in_label: Label | None = None) -> "LinearAction":
-        # row-major vec: K X K^dagger -> (K (x) conj(K)) vec(X)
-        k = sub.kraus
-        mat = np.einsum("nxa,nyb->xyab", k, k.conj()).reshape(sub.dim_out**2, sub.dim_in**2)
-        return cls(mat, in_label if in_label is not None else sub.dim_in, sub.out_label)
-
-    @classmethod
-    def from_function(
-        cls, f: Callable[[np.ndarray], np.ndarray], in_label: Label, out_label: Label
-    ) -> "LinearAction":
-        d_in, d_out = total_dim(in_label), total_dim(out_label)
-        cols = np.empty((d_out * d_out, d_in * d_in), dtype=complex)
-        basis = np.zeros((d_in, d_in), dtype=complex)
-        for idx in range(d_in * d_in):
-            basis.flat[idx] = 1.0
-            cols[:, idx] = f(basis).reshape(-1)
-            basis.flat[idx] = 0.0
-        return cls(cols, in_label, out_label)
-
-
-def choi_matrix(action: LinearAction | SubOperation) -> np.ndarray:
+def choi_matrix(sub: SubOperation) -> np.ndarray:
     """Unnormalized Choi matrix (1 (x) S) applied to sum_ab |aa><bb|."""
-    if isinstance(action, SubOperation):
-        # row n of v is the vector sum_a |a> (x) K_n|a>
-        k = action.kraus
-        v = k.transpose(0, 2, 1).reshape(len(k), -1)
-        return v.T @ v.conj()
-    d_in, d_out = action.dim_in, action.dim_out
-    # S(|a><b|)[x, y] is entry ((x, y), (a, b)) of the action matrix
-    blocks = action.matrix.reshape(d_out, d_out, d_in, d_in).transpose(2, 0, 3, 1)
-    return blocks.reshape(d_in * d_out, d_in * d_out)
+    # row n of v is the vector sum_a |a> (x) K_n|a>
+    k = sub.kraus
+    v = k.transpose(0, 2, 1).reshape(len(k), -1)
+    return v.T @ v.conj()
 
 
 def _least_eigenvalue(m: np.ndarray) -> float:
@@ -372,9 +307,9 @@ def _least_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
-def is_completely_positive(action: LinearAction | SubOperation, tol: float = TAU_CP) -> bool:
+def is_completely_positive(sub: SubOperation, tol: float = TAU_CP) -> bool:
     """Complete positivity via positive semidefiniteness of the Choi matrix."""
-    return _least_eigenvalue(choi_matrix(action)) >= -tol
+    return _least_eigenvalue(choi_matrix(sub)) >= -tol
 
 
 def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
@@ -383,25 +318,18 @@ def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
     return label
 
 
-def _ppt_choi(sub: SubOperation, lab_in: BipartiteLabel) -> np.ndarray:
-    """Choi matrix of the branch, partially transposed on B_in (x) B_out."""
+def ppt_choi(sub: SubOperation, in_label: Label) -> np.ndarray:
+    """Choi matrix of the branch, partially transposed on B_in (x) B_out.
+
+    It is the Choi matrix of the p.p.t. conjugate rho -> (S(rho^PT))^PT of
+    the branch, which is completely positive iff this matrix is positive
+    semidefinite.
+    """
+    lab_in = _require_bipartite(in_label, "ppt conjugation")
     lab_out = _require_bipartite(sub.out_label, "ppt conjugation")
     dims = (lab_in.dim_a, lab_in.dim_b, lab_out.dim_a, lab_out.dim_b)
     d = lab_in.total * lab_out.total
     return choi_matrix(sub).reshape(dims + dims).transpose(0, 5, 2, 7, 4, 1, 6, 3).reshape(d, d)
-
-
-def ppt_conjugate(sub: SubOperation, in_label: Label) -> LinearAction:
-    """The action rho -> (S(rho^PT))^PT, partial transpose on the B factors.
-
-    Its Choi matrix is that of S partially transposed on B_in (x) B_out.
-    Generally not completely positive, so the result is a linear action
-    table rather than a Kraus family.
-    """
-    lab_in = _require_bipartite(in_label, "ppt conjugation")
-    d_in, d_out = lab_in.total, sub.dim_out
-    blocks = _ppt_choi(sub, lab_in).reshape(d_in, d_out, d_in, d_out).transpose(1, 3, 0, 2)
-    return LinearAction(blocks.reshape(d_out * d_out, d_in * d_in), lab_in, sub.out_label)
 
 
 def is_ppt_operation(op: QuantumOperation, tol: float = TAU_CP) -> bool:
@@ -409,7 +337,7 @@ def is_ppt_operation(op: QuantumOperation, tol: float = TAU_CP) -> bool:
     conjugation by the partial transpose: its Choi matrix, partially
     transposed on B_in (x) B_out, is positive semidefinite."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
-    return all(_least_eigenvalue(_ppt_choi(sub, lab_in)) >= -tol for sub in op.subops)
+    return all(_least_eigenvalue(ppt_choi(sub, lab_in)) >= -tol for sub in op.subops)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +352,7 @@ def verify_separable_form(
     op: QuantumOperation, witness: SeparableWitness, tol: float = TAU_ACTION
 ) -> bool:
     """Check that each sub-operation's action equals the product-Kraus action
-    induced by its witness, compared on the full matrix-unit spanning set."""
+    induced by its witness, compared through their Choi matrices."""
     if len(witness) != len(op.subops):
         raise ValueError(
             f"witness has {len(witness)} entries for {len(op.subops)} sub-operations"

@@ -76,11 +76,3 @@ def isotropic_state(params: IsotropicParams) -> DensityOperator:
 def isotropic(K: int, F: float) -> DensityOperator:
     return isotropic_state(IsotropicParams(K, F))
 
-
-def isotropic_params_of(rho: DensityOperator) -> IsotropicParams:
-    """Canonical (K, F) of a state; does not assert the state is isotropic."""
-    label = rho.bipartite
-    if label.dim_a != label.dim_b:
-        raise ValueError("isotropic parameters require equal factor dimensions")
-    f = min(1.0, max(0.0, fidelity(rho)))
-    return IsotropicParams(label.dim_a, f)

@@ -27,7 +27,6 @@ from .operations import (
     QuantumOperation,
     SubOperation,
     apply_operation,
-    choi_matrix,
     compose,
     forget,
     identity_operation,
@@ -35,7 +34,7 @@ from .operations import (
     is_ppt_operation,
     is_trace_preserving,
     natural_product_witness,
-    ppt_conjugate,
+    ppt_choi,
     tensor_operations,
     verify_separable_form,
 )
@@ -339,9 +338,7 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
     )
     res.check(is_trace_preserving(creation), "creation-tp")
     res.check(not is_ppt_operation(creation), "creation-non-ppt")
-    ppt_min = float(
-        np.linalg.eigvalsh(choi_matrix(ppt_conjugate(creation.subops[0], BipartiteLabel(2, 2))))[0]
-    )
+    ppt_min = float(np.linalg.eigvalsh(ppt_choi(creation.subops[0], BipartiteLabel(2, 2)))[0])
     res.check(ppt_min <= -0.5 + SIM_TOL, "creation-choi-eigenvalue")
     # the protocol operations are local: separable form verifies, p.p.t. holds
     for k, kp, op_f in ((4, 2, pro.subspace_measurement_op), (4, 2, pro.factor_tracing_op)):

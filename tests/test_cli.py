@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from entdist.cli import MAX_F_GRID_POINTS, MAX_SIMULATE_K, main, parse_f_grid
+from entdist import bounds as bnd
+from entdist.cli import MAX_F_GRID_POINTS, MAX_SIMULATE_K, PRECISIONS, main, parse_f_grid
 from entdist.operations import identity_operation
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
@@ -207,6 +208,45 @@ def test_bounds_json_includes_flag(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc[0]["hashing_established"] is False
+
+
+def run_cli_usage_error(capsys, *argv) -> str:
+    """Run argv, which argparse must reject (exit 2); return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err
+
+
+BOUNDS_ROW = ("bounds", "--K-list", "2", "--F-grid", "0.5:0.5:0.1")
+
+
+def test_precision_accepts_one_to_seventeen(capsys):
+    assert (min(PRECISIONS), max(PRECISIONS)) == (1, 17)
+    raw = bnd.hashing_rate(2, 0.5).raw  # -0.79248...
+    code, out, _ = run_cli(capsys, *BOUNDS_ROW, "--precision", "1")
+    assert code == 0 and out.splitlines()[1].split(",")[5] == "-0.8"
+    code, out, _ = run_cli(capsys, *BOUNDS_ROW, "--precision", "17")
+    # 17 significant digits round-trip the double
+    assert code == 0 and float(out.splitlines()[1].split(",")[5]) == raw
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "18", "twelve"])
+def test_precision_out_of_range_is_a_usage_error(capsys, value):
+    err = run_cli_usage_error(capsys, *BOUNDS_ROW, "--precision", value)
+    assert "argument --precision" in err
+    err = run_cli_usage_error(capsys, "verify", "--suite", "twirl", "--precision", value)
+    assert "argument --precision" in err
+
+
+def test_simulate_rejects_negative_mc_samples(capsys):
+    argv = ("simulate", "--K", "2", "--Kprime", "2", "--protocol", "twirl", "--F-grid", "0:0:1")
+    code, out, err = run_cli(capsys, *argv, "--mc-samples", "-5")
+    assert code == 2 and out == ""
+    assert "--mc-samples must be at least 0, got -5" in err
+    code, out, _ = run_cli(capsys, *argv, "--mc-samples", "0", "--emit", "json")
+    assert code == 0 and json.loads(out)[0]["bound"] is None
 
 
 def test_simulate_protocol1(capsys):

@@ -10,14 +10,12 @@ from entdist.linalg import (
 )
 from entdist.operations import (
     TAU_CP,
-    LinearAction,
     QuantumOperation,
     SubOperation,
     apply_operation,
     choi_matrix,
     compose,
     forget,
-    forget_all,
     identity_operation,
     is_completely_positive,
     is_ppt_operation,
@@ -25,12 +23,30 @@ from entdist.operations import (
     make_local,
     make_one_local,
     natural_product_witness,
-    ppt_conjugate,
+    ppt_choi,
     tensor_operations,
     verify_separable_form,
 )
 from entdist.protocols import factor_tracing_op, subspace_measurement_op
 from entdist.states import fidelity, isotropic, max_entangled_ket
+
+
+def matrix_unit_choi(f, d_in: int, d_out: int) -> np.ndarray:
+    """Choi matrix sum_ab |a><b| (x) f(|a><b|) of a linear map f on d_in x d_in
+    matrices, built by applying f to each matrix unit: an independent
+    reference for the Kraus-form Choi matrices."""
+    choi = np.zeros((d_in, d_out, d_in, d_out), dtype=complex)
+    for a in range(d_in):
+        for b in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[a, b] = 1.0
+            choi[a, :, b, :] = f(unit)
+    return choi.reshape(d_in * d_out, d_in * d_out)
+
+
+def choi_action(choi: np.ndarray, m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The map sum_ab m[a, b] S(|a><b|) whose Choi matrix is `choi`."""
+    return np.einsum("ab,axby->xy", m, choi.reshape(d_in, d_out, d_in, d_out))
 
 
 def basis_measurement(dim: int) -> QuantumOperation:
@@ -93,7 +109,8 @@ def test_apply_probability_conservation_randomized():
     rng = np.random.default_rng(123)
     for _ in range(200):
         d = int(rng.integers(2, 5))
-        op = forget_all(subspace_measurement_op(d, int(rng.integers(1, d + 1)), merged=False))
+        op = subspace_measurement_op(d, int(rng.integers(1, d + 1)), merged=False)
+        op = forget(op, range(len(op.subops)))
         rho = random_density(BipartiteLabel(d, d), rng)
         total = sum(p for p, _ in apply_operation(op, rho))
         assert total == pytest.approx(1.0, abs=1e-9)
@@ -192,7 +209,7 @@ def test_forget_gives_probability_weighted_fidelity_average():
     rho = isotropic(4, 0.85)
     outcomes = apply_operation(op, rho)
     avg = sum(p * fidelity(s) for p, s in outcomes if s is not None)
-    merged = forget_all(op)
+    merged = forget(op, range(len(op.subops)))
     ((_, state),) = apply_operation(merged, rho)
     assert fidelity(state) == pytest.approx(avg, abs=1e-12)
 
@@ -217,14 +234,6 @@ def test_identity_is_cp():
     assert is_completely_positive(identity_operation(3).subops[0])
 
 
-def test_transpose_action_is_not_cp():
-    transpose = LinearAction.from_function(lambda m: m.T, 2, 2)
-    choi = choi_matrix(transpose)
-    # the Choi matrix of the transpose is the swap; min eigenvalue -1
-    assert np.linalg.eigvalsh(choi)[0] == pytest.approx(-1.0, abs=1e-12)
-    assert not is_completely_positive(transpose)
-
-
 def test_cp_choi_cross_checks_output_positivity():
     rng = np.random.default_rng(17)
     sub = subspace_measurement_op(3, 2).subops[0]
@@ -235,41 +244,39 @@ def test_cp_choi_cross_checks_output_positivity():
         assert np.linalg.eigvalsh(out)[0] >= -1e-9
 
 
-def test_choi_kraus_and_action_paths_agree():
-    sub = subspace_measurement_op(3, 2).subops[0]
-    action = LinearAction.from_kraus(sub)
-    assert np.allclose(choi_matrix(sub), choi_matrix(action), atol=1e-12)
-
-
 def test_ppt_conjugate_of_identity_is_identity():
     label = BipartiteLabel(2, 2)
     sub = identity_operation(label).subops[0]
-    action = ppt_conjugate(sub, label)
+    choi = ppt_choi(sub, label)
+    assert np.allclose(choi, choi_matrix(sub), rtol=0, atol=1e-12)
     rho = random_density(label, np.random.default_rng(8))
-    assert np.allclose(action(rho.matrix), rho.matrix, atol=1e-12)
+    assert np.allclose(choi_action(choi, rho.matrix, 4, 4), rho.matrix, atol=1e-12)
 
 
 def test_ppt_conjugate_is_involution():
-    from entdist.linalg import partial_transpose
-
     label = BipartiteLabel(2, 2)
     sub = subspace_measurement_op(2, 2).subops[0]
-    once = ppt_conjugate(sub, label)
-    direct = LinearAction.from_kraus(sub, label)
+    choi = ppt_choi(sub, label)
     rng = np.random.default_rng(9)
     for _ in range(10):
         m = random_density(label, rng).matrix
         # conjugating the conjugated action recovers the original one
-        re_conj = partial_transpose(once(partial_transpose(m, label)), label)
-        assert np.allclose(re_conj, direct(m), atol=1e-12)
+        once = choi_action(choi, partial_transpose(m, label), 4, 4)
+        assert np.allclose(partial_transpose(once, label), sub.apply_raw(m), atol=1e-12)
 
 
 def test_ppt_conjugate_of_pair_creation_has_negative_choi():
     op = entangled_pair_creation()
-    action = ppt_conjugate(op.subops[0], BipartiteLabel(2, 2))
-    least = np.linalg.eigvalsh(choi_matrix(action))[0]
+    least = np.linalg.eigvalsh(ppt_choi(op.subops[0], BipartiteLabel(2, 2)))[0]
     # the emitted projector's partial transpose has eigenvalue -1/2
     assert least == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_ppt_choi_requires_bipartite_labels():
+    with pytest.raises(ValueError, match="bipartite"):
+        ppt_choi(identity_operation(4).subops[0], 4)
+    with pytest.raises(ValueError, match="bipartite"):
+        ppt_choi(identity_operation(4).subops[0], BipartiteLabel(2, 2))
 
 
 def test_is_ppt_operation():
@@ -282,7 +289,7 @@ def test_verify_separable_form_accepts_local():
     rng = np.random.default_rng(12)
     u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     rotate = QuantumOperation((SubOperation((u,), 2),), 2)
-    dephase = forget_all(basis_measurement(2))
+    dephase = forget(basis_measurement(2), range(2))
     op = make_local(rotate, dephase)
     assert verify_separable_form(op, natural_product_witness(op))
 
@@ -345,12 +352,21 @@ def test_class_tag_ordering_fixtures():
 # ---------------------------------------------------------------------------
 
 
-def reference_ppt_min_eigenvalue(sub: SubOperation, in_label: BipartiteLabel) -> float:
+def test_matrix_unit_choi_reference():
+    # the transpose is not completely positive: its Choi matrix is the swap
+    swap = matrix_unit_choi(lambda m: m.T, 2, 2)
+    assert np.allclose(swap, np.eye(4)[[0, 2, 1, 3]], rtol=0, atol=0)
+    assert np.linalg.eigvalsh(swap)[0] == pytest.approx(-1.0, abs=1e-12)
+    sub = subspace_measurement_op(3, 2).subops[0]
+    want = matrix_unit_choi(sub.apply_raw, sub.dim_in, sub.dim_out)
+    assert np.allclose(choi_matrix(sub), want, rtol=0, atol=1e-12)
+
+
+def reference_ppt_choi(sub: SubOperation, in_label: BipartiteLabel) -> np.ndarray:
     def conjugated(m: np.ndarray) -> np.ndarray:
         return partial_transpose(sub.apply_raw(partial_transpose(m, in_label)), sub.out_label)
 
-    choi = choi_matrix(LinearAction.from_function(conjugated, in_label, sub.out_label))
-    return float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    return matrix_unit_choi(conjugated, in_label.total, sub.dim_out)
 
 
 def random_two_branch_operation(rng: np.random.Generator, k: int) -> QuantumOperation:
@@ -375,13 +391,12 @@ def ppt_cross_check_cases() -> list[QuantumOperation]:
 @pytest.mark.parametrize("case", range(len(ppt_cross_check_cases())))
 def test_ppt_choi_matches_matrix_unit_conjugation(case):
     op = ppt_cross_check_cases()[case]
-    want = [reference_ppt_min_eigenvalue(sub, op.in_label) for sub in op.subops]
-    got = []
+    least = []
     for sub in op.subops:
-        choi = choi_matrix(ppt_conjugate(sub, op.in_label))
-        got.append(float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0]))
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
-    assert is_ppt_operation(op) == all(w >= -TAU_CP for w in want)
+        want = reference_ppt_choi(sub, op.in_label)
+        assert np.max(np.abs(ppt_choi(sub, op.in_label) - want)) <= 1e-12
+        least.append(np.linalg.eigvalsh((want + want.conj().T) / 2)[0])
+    assert is_ppt_operation(op) == all(w >= -TAU_CP for w in least)
 
 
 def test_ppt_cross_check_covers_both_verdicts():

@@ -42,11 +42,12 @@ def test_bench_layer_rows(monkeypatch):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     monkeypatch.setattr(bench, "LAYER_KS", (6, 8))
+    monkeypatch.setattr(bench, "PPT_KS", (2,))
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
     rows = bench.layer_rows(repeats=2)
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
-        "ef_numeric_estimate K=2 F=1.0",
+        "is_ppt_operation K=2", "ef_numeric_estimate K=2 F=1.0",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())

@@ -6,7 +6,6 @@ from entdist.states import (
     IsotropicParams,
     fidelity,
     isotropic,
-    isotropic_params_of,
     isotropic_state,
     max_entangled_ket,
     max_entangled_projector,
@@ -100,20 +99,18 @@ def test_isotropic_twirl_invariance_sampled():
 def test_isotropic_params_roundtrip():
     for k in (2, 3, 4):
         for f in (0.0, 0.3, 1.0):
-            params = isotropic_params_of(isotropic(k, f))
-            assert params.K == k
-            assert params.F == pytest.approx(f, abs=1e-12)
+            rho = isotropic(k, f)
+            assert rho.bipartite == BipartiteLabel(k, k)
+            assert fidelity(rho) == pytest.approx(f, abs=1e-12)
 
 
 def test_isotropic_params_of_product_state():
-    params = isotropic_params_of(ket00())
-    assert (params.K, params.F) == (2, pytest.approx(0.5, abs=1e-12))
+    assert fidelity(ket00()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_isotropic_params_of_entangled_projector():
     rho = DensityOperator(max_entangled_projector(4), BipartiteLabel(4, 4))
-    params = isotropic_params_of(rho)
-    assert (params.K, params.F) == (4, pytest.approx(1.0, abs=1e-12))
+    assert fidelity(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_params_reject_out_of_range():
