@@ -15,6 +15,9 @@ that later calls skip):
   (its Choi matrix is K^4/4 x K^4/4);
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
+- `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and K = 4,
+  F = 0.8 (budget 400, seed 1), where the search is slowest to converge,
+  with its iterations, stop reason and gap to the exact `ef_isotropic`;
 
 and `entdist verify --seed 7` in REPEATS fresh processes.  The record
 names the machine, the repeat count and the line count of `src/entdist`,
@@ -27,6 +30,7 @@ Usage: python scripts/bench.py --out BENCH_8.json --label change [--checkout DIR
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -45,6 +49,8 @@ BENCH_SEED = 1
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
 EF_BUDGET = 400
 EF_SEED = 7
+EF_SEARCH_CASES = ((3, 0.95), (4, 0.8))
+EF_SEARCH_SEED = 1
 
 
 def _env(checkout: Path) -> dict[str, str]:
@@ -65,7 +71,7 @@ def _timed(fn, repeats: int) -> dict[str, float]:
 
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
-    from entdist.bounds import ef_numeric_estimate
+    from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
     from entdist.operations import apply_operation, is_ppt_operation, is_trace_preserving
     from entdist.protocols import reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
@@ -88,6 +94,13 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         rows[f"ef_numeric_estimate K=2 F={f}"] = _timed(
             lambda: ef_numeric_estimate(rho, budget=EF_BUDGET, seed=EF_SEED), repeats
         )
+    for k, f in EF_SEARCH_CASES:
+        rho = isotropic(k, f)
+        search = functools.partial(ef_numeric_search, rho, budget=EF_BUDGET, seed=EF_SEARCH_SEED)
+        row = _timed(search, repeats)
+        ef = search()
+        row.update(iterations=ef.iterations, stop=ef.stop, gap=ef.value - ef_isotropic(k, f))
+        rows[f"ef_numeric_search K={k} F={f}"] = row
     return rows
 
 

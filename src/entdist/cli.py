@@ -66,6 +66,14 @@ def _csv(rows: list[list], header: list[str], precision: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def nonnegative_int(text: str) -> int:
+    """The --seed type: numpy's generators take only seeds >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def parse_f_grid(spec: str) -> list[float]:
     """Parse 'start:stop:step' into an inclusive grid."""
     try:
@@ -247,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit", choices=["csv", "json"], default=emit_default)
         p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N",
                        help="significant decimal digits, 1 to 17")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=nonnegative_int, default=0)
         p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
     p = sub.add_parser("bounds", help="evaluate the bound formulas on a (K, F) grid")
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", action="append", choices=sorted(ver.SUITES), default=None)
     p.add_argument("--emit", choices=["text", "json"], default="text")
     p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
     return parser

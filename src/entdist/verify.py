@@ -209,7 +209,7 @@ def _suite_lemma1(rng: np.random.Generator) -> SuiteResult:
             fb.lower - 1e-6 <= ef.value <= fb.upper + 1e-4,
             f"ef-estimate K=2 F={f} est={ef.value:.6f} restarts={ef.restarts} "
             f"best={ef.best_restart} iterations={ef.iterations} "
-            f"grad_norm={ef.grad_norm:.3g} stop={ef.stop}",
+            f"grad_norm={ef.grad_norm:.3g} evaluations={ef.evaluations} stop={ef.stop}",
         )
     return res
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -191,19 +192,25 @@ def test_ef_estimate_rejects_large_dimension():
 
 
 def test_ef_search_reports_how_it_stopped():
-    # at budget 400, seed 0 the three stop reasons each occur once
+    # at budget 400 the three stop reasons each occur: K = 2 from seed 0 at
+    # F = 0.7 and 1.0, and K = 4, F = 0.95 from seed 1
     stops = {}
-    for f in (0.5, 0.7, 1.0):
-        ef = ef_numeric_search(isotropic(2, f), budget=400, seed=0)
-        assert ef.value == ef_numeric_estimate(isotropic(2, f), budget=400, seed=0)
+    for k, f, seed in ((2, 0.7, 0), (2, 1.0, 0), (4, 0.95, 1)):
+        ef = ef_numeric_search(isotropic(k, f), budget=400, seed=seed)
+        assert ef.value == ef_numeric_estimate(isotropic(k, f), budget=400, seed=seed)
         assert (ef.restarts, ef.best_restart) == (1, 0)
         assert 0 <= ef.iterations <= 400 and ef.grad_norm >= 0
-        stops[f] = ef.stop
-    assert stops == {0.5: "budget", 0.7: "no-descent", 1.0: "gradient"}
-    ef = ef_numeric_search(isotropic(2, 0.5), budget=400, seed=0)
+        # one evaluation at the start, at least one per iteration
+        assert ef.evaluations >= ef.iterations + 1
+        stops[k, f] = ef.stop
+    assert stops == {(2, 0.7): "no-descent", (2, 1.0): "gradient", (4, 0.95): "budget"}
+    ef = ef_numeric_search(isotropic(4, 0.95), budget=400, seed=1)
     assert ef.iterations == 400 and ef.grad_norm >= 1e-14
+    # the separability point no longer exhausts the budget
+    ef = ef_numeric_search(isotropic(2, 0.5), budget=400, seed=0)
+    assert ef.stop == "no-descent" and ef.iterations < 400
     best = [ef_numeric_search(isotropic(2, f), budget=1200, seed=3) for f in (0.5, 0.9)]
-    assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 0), (3, 2)]
+    assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 1), (3, 2)]
 
 
 def _objective_grad_per_member(g, a, da, db):
@@ -315,15 +322,20 @@ def _eager_search(rho, budget, seed):
     rank, m_count = a.shape[1], max(da * da * db * db + 1, int(keep.sum()))
     restarts = max(1, budget // 400)
     rng = np.random.default_rng(seed)
-    best = None
+
+    def tangent(g, x):
+        sym = g @ x.conj().T
+        return x - 0.5 * (sym + sym.conj().T) @ g
+
+    best, evaluations = None, 0
     for r in range(restarts):
         g0 = rng.standard_normal((rank, m_count)) + 1j * rng.standard_normal((rank, m_count))
         g = _polar_coisometry(g0)
         value, grad = _eager_objective_grad(g, a, da, db)
+        evaluations += 1
+        xi = direction = tangent(g, grad)
         step, it = 1.0, 0
         while True:
-            sym = g @ grad.conj().T
-            xi = grad - 0.5 * (sym + sym.conj().T) @ g
             norm = float(np.linalg.norm(xi))
             if norm < 1e-14:
                 stop = "gradient"
@@ -331,10 +343,11 @@ def _eager_search(rho, budget, seed):
             if it == 400:
                 stop = "budget"
                 break
-            step = min(step * 2.0, 1.0)
+            step *= 2.0
             while step > 1e-14:
-                cand = _polar_coisometry(g - step * xi)
+                cand = _polar_coisometry(g - step * direction)
                 cand_value, cand_grad = _eager_objective_grad(cand, a, da, db)
+                evaluations += 1
                 if cand_value < value - 1e-15:
                     g, value, grad = cand, cand_value, cand_grad
                     break
@@ -343,9 +356,15 @@ def _eager_search(rho, budget, seed):
                 stop = "no-descent"
                 break
             it += 1
+            moved, xi = tangent(g, xi), tangent(g, grad)
+            denom = np.vdot(moved, moved).real
+            beta = max(0.0, np.vdot(xi, xi - moved).real / denom) if denom > 0 else 0.0
+            direction = xi + beta * tangent(g, direction)
+            if np.vdot(xi, direction).real <= 0:
+                direction = xi
         if best is None or value < best.value:
-            best = EFSearch(value, restarts, r, it, norm, stop)
-    return best
+            best = EFSearch(value, restarts, r, it, norm, 0, stop)
+    return dataclasses.replace(best, evaluations=evaluations)
 
 
 def _line_search_cases():
@@ -397,3 +416,4 @@ def test_ef_search_is_an_upper_estimate_of_the_exact_value(k):
         ef = ef_numeric_search(isotropic(k, f), budget=400, seed=1)
         gap = ef.value - ef_isotropic(k, f)
         assert gap >= -1e-9, f"K={k} F={f}: estimate {ef.value!r} is {-gap:.3g} below exact"
+        assert gap <= 1e-6, f"K={k} F={f}: estimate {ef.value!r} is {gap:.3g} above exact ({ef})"

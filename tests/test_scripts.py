@@ -44,10 +44,13 @@ def test_bench_layer_rows(monkeypatch):
     monkeypatch.setattr(bench, "LAYER_KS", (6, 8))
     monkeypatch.setattr(bench, "PPT_KS", (2,))
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
+    monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0),))
     rows = bench.layer_rows(repeats=2)
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
-        "is_ppt_operation K=2", "ef_numeric_estimate K=2 F=1.0",
+        "is_ppt_operation K=2", "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
+    search = rows["ef_numeric_search K=3 F=1.0"]
+    assert search["stop"] == "gradient" and abs(search["gap"]) <= 1e-12
