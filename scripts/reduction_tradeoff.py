@@ -4,8 +4,9 @@
 For a fixed input dimension, sweeps every target dimension and reports the
 closed-form output fidelity of the subspace measurement, of factor tracing
 (where applicable), and of the two-stage composite, against the guaranteed
-lower bound.  Every closed form is cross-checked against brute-force
-simulation before printing.
+lower bound.  Every value comes from `verify.simulate_point`, the pass rule
+of `entdist simulate`: each closed form is cross-checked against brute-force
+simulation, and the script exits 1 when a point fails.
 
 Usage: python scripts/reduction_tradeoff.py [--K 6] [--F 0.9] [--out FILE]
 """
@@ -13,18 +14,10 @@ Usage: python scripts/reduction_tradeoff.py [--K 6] [--F 0.9] [--out FILE]
 import argparse
 import sys
 
-from entdist.operations import apply_operation
-from entdist.protocols import (
-    factor_tracing_fidelity,
-    factor_tracing_op,
-    reduce_dimension,
-    reduce_dimension_fidelity,
-    reduction_plan,
-    subspace_measurement_fidelity,
-    subspace_measurement_op,
-)
+import numpy as np
+
 from entdist.serialize import format_number
-from entdist.states import fidelity, isotropic
+from entdist.verify import simulate_point
 
 
 def main() -> int:
@@ -33,27 +26,23 @@ def main() -> int:
     parser.add_argument("--F", type=float, default=0.9)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
+    if not 0 <= args.F <= 1:
+        parser.error(f"--F {args.F} outside [0, 1]")
     k, f = args.K, args.F
+    rng = np.random.default_rng(0)  # protocols 1, 2 and reduce draw nothing
 
-    rho = isotropic(k, f)
     lines = ["Kprime,subspace,tracing,composite,composite_bound"]
+    failed = []
     for kp in range(1, k):
-        sub = subspace_measurement_fidelity(k, kp, f)
-        ((_, state),) = apply_operation(subspace_measurement_op(k, kp), rho)
-        assert abs(fidelity(state) - sub) < 1e-9
-
-        if k % kp == 0:
-            trc = factor_tracing_fidelity(k, kp, f)
-            ((_, state),) = apply_operation(factor_tracing_op(k, kp), rho)
-            assert abs(fidelity(state) - trc) < 1e-9
-        else:
-            trc = None
-
-        comp = reduce_dimension_fidelity(k, kp, f)
-        assert abs(fidelity(reduce_dimension(rho, kp)) - comp) < 1e-9
-        bound = reduction_plan(k, kp).guaranteed_fidelity_factor * f
-
-        cells = [kp, sub, trc, comp, bound]
+        recs = {
+            protocol: simulate_point(protocol, k, kp, f, rng)
+            for protocol in ("1", "2", "reduce")
+            if protocol != "2" or k % kp == 0
+        }
+        failed += [f"protocol {p} Kprime={kp}" for p, rec in recs.items() if not rec["pass"]]
+        trc = recs["2"]["F_closed_form"] if "2" in recs else None
+        comp = recs["reduce"]
+        cells = [kp, recs["1"]["F_closed_form"], trc, comp["F_closed_form"], comp["bound"]]
         lines.append(",".join("" if c is None else format_number(c) for c in cells))
 
     text = "\n".join(lines) + "\n"
@@ -62,7 +51,9 @@ def main() -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    for point in failed:
+        print(f"failed: {point}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .distillation import (
 from .linalg import (
     BipartiteLabel,
     DensityOperator,
-    haar_unitary,
+    haar_unitaries,
     min_eigenvalue,
     partial_trace,
     partial_transpose,

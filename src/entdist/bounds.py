@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +28,12 @@ __all__ = [
     "ef_numeric_search",
     "ef_numeric_estimate",
 ]
+
+
+# The smallest integer that float() cannot convert (it rounds to 2**1024).
+# Below it the bounds keep their float formulas; from it on they use forms
+# that never convert a dimension to float.
+FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def _xlog2(x: float) -> float:
@@ -76,10 +83,11 @@ def formation_bounds_isotropic(k: int, f: float) -> FormationBounds:
         return FormationBounds(1, f, 0.0, 0.0, 0.0)
     log2k = math.log2(k)
     lower = max(0.0, f * log2k - binary_entropy(f))
-    if f <= 1.0 / k:
-        upper = 0.0
-    else:
-        upper = min(f * log2k, (f * k - 1) / (k - 1) * log2k)
+    if k < FLOAT_OVERFLOW:
+        upper = 0.0 if f <= 1.0 / k else min(f * log2k, (f * k - 1) / (k - 1) * log2k)
+    else:  # in exact arithmetic
+        fk = Fraction(f) * k
+        upper = 0.0 if fk <= 1 else min(f * log2k, float((fk - 1) / (k - 1)) * log2k)
     return FormationBounds(k, f, lower, upper, ppt_bound_isotropic(k, f))
 
 
@@ -129,7 +137,10 @@ def hashing_rate(k: int, f: float) -> HashingRate:
         raise ValueError(f"fidelity {f} outside [0, 1]")
     raw = math.log2(k) + _xlog2(f)
     if f < 1.0:
-        raw += (1.0 - f) * math.log2((1.0 - f) / (k * k - 1))
+        if k * k - 1 < FLOAT_OVERFLOW:
+            raw += (1.0 - f) * math.log2((1.0 - f) / (k * k - 1))
+        else:
+            raw += (1.0 - f) * (math.log2(1.0 - f) - math.log2(k * k - 1))
     return HashingRate(k, f, raw, max(0.0, raw), k & (k - 1) == 0)
 
 
@@ -274,13 +285,12 @@ def ef_numeric_search(
     rho: DensityOperator,
     budget: int = 8000,
     seed: int = 0,
-    ensemble_size: int | None = None,
 ) -> EFSearch:
     """Upper estimate of the entanglement of formation, in bits, with how
     the search went.
 
     Minimizes the ensemble-average entropy of entanglement over pure-state
-    ensembles of size up to dim^2 + 1 realizing rho.  budget is the total
+    ensembles of size dim^2 + 1 realizing rho.  budget is the total
     number of line-search iterations across restarts; results are
     deterministic for a fixed seed.
     """
@@ -294,8 +304,7 @@ def ef_numeric_search(
     lam, vecs = lam[keep], vecs[:, keep]
     rank = int(lam.size)
     a = vecs * np.sqrt(lam)
-    m_count = min(d * d + 1, ensemble_size or d * d + 1)
-    m_count = max(m_count, rank)
+    m_count = d * d + 1
     iterations = 400
     restarts = max(1, budget // iterations)
     rng = np.random.default_rng(seed)
@@ -313,7 +322,6 @@ def ef_numeric_estimate(
     rho: DensityOperator,
     budget: int = 8000,
     seed: int = 0,
-    ensemble_size: int | None = None,
 ) -> float:
     """The value of `ef_numeric_search`: an upper estimate of E_f in bits."""
-    return ef_numeric_search(rho, budget, seed, ensemble_size).value
+    return ef_numeric_search(rho, budget, seed).value

@@ -8,12 +8,13 @@ seed: one seeded generator per run, numbers serialized as shortest
 round-trip decimals at the configured precision.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including a
-`simulate --K` above MAX_SIMULATE_K).
+`simulate --K` above MAX_SIMULATE_K and a `classify` branch above MAX_CHOI_DIM).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -47,6 +48,12 @@ MAX_F_GRID_POINTS = 100_001
 # Monte Carlo samples, peaked at 161 MiB RSS in 31 s (2-vCPU x86-64 VM, one
 # BLAS thread), and every dense array grows 16-fold when K doubles.
 MAX_SIMULATE_K = 32
+# Largest d_in * d_out of a branch that `classify` accepts, so memory stays
+# bounded: a branch's Choi matrix is (d_in d_out)^2 complex doubles, 16 MiB
+# at the limit.  subspace_measurement_op(8, 4), 64 x 16, sits at it; its
+# p.p.t. test took 0.56 s (median, BENCH_8.json: 2-vCPU x86-64 VM, one BLAS
+# thread).
+MAX_CHOI_DIM = 1024
 # Significant digits a report may ask for: 17 round-trips every double.
 PRECISIONS = range(1, 18)
 
@@ -144,6 +151,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     op, witness = decode_operation(load_json(args.input, exact=False))
+    for i, sub in enumerate(op.subops):
+        if sub.dim_in * sub.dim_out > MAX_CHOI_DIM:
+            raise SchemaError(
+                f"sub-operation {i}: d_in * d_out = {sub.dim_in} * {sub.dim_out} exceeds "
+                f"the Choi matrix limit MAX_CHOI_DIM = {MAX_CHOI_DIM}"
+            )
     report = {
         "tp": is_trace_preserving(op),
         "cp": all(is_completely_positive(sub) for sub in op.subops),
@@ -157,35 +170,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    trace = decode_trace(load_json(args.input))
-    report = dst.rate_report(trace)
-    intervals = dst.formation_rate_intervals(trace)
-    rr = dst.rate_and_residual(trace)
-    mins = dst.min_branch_fidelity(trace)
-    doc = {
-        "single_branch_rate": report.single_branch,
-        "rate": report.rate,
-        "residual": report.residual,
-        "formation_interval": list(report.formation_interval),
-        "min_fidelity": report.min_fidelity,
-        "all_power_of_two": report.all_power_of_two,
-        "per_step": [
-            {
-                "n": s.n,
-                "rate": float(r),
-                "residual": float(res),
-                "formation_lower": iv[0],
-                "formation_upper": iv[1],
-                "min_fidelity": mf,
-            }
-            for s, r, res, iv, mf in zip(trace.steps, rr.rates, rr.residuals, intervals, mins)
-        ],
-    }
+    report = dst.rate_report(decode_trace(load_json(args.input)))
+    per_step = [dataclasses.asdict(row) for row in report.per_step]
     if args.emit == "csv":
-        header = ["n", "rate", "residual", "formation_lower", "formation_upper", "min_fidelity"]
-        rows = [[p[h] for h in header] for p in doc["per_step"]]
-        _emit(_csv(rows, header, args.precision), args.out)
+        header = [f.name for f in dataclasses.fields(dst.StepRates)]
+        _emit(_csv([list(row.values()) for row in per_step], header, args.precision), args.out)
     else:
+        last = report.per_step[-1]
+        doc = {
+            "single_branch_rate": report.single_branch,
+            "rate": last.rate,
+            "residual": last.residual,
+            "formation_interval": [last.formation_lower, last.formation_upper],
+            "min_fidelity": last.min_fidelity,
+            "all_power_of_two": report.all_power_of_two,
+            "per_step": per_step,
+        }
         _emit(dump_report(doc, args.precision), args.out)
     return 0
 

@@ -14,7 +14,7 @@ asserted exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
@@ -45,6 +45,7 @@ __all__ = [
     "tensor_power_compile",
     "DiscardResult",
     "discard_padding",
+    "StepRates",
     "RateReport",
     "rate_report",
 ]
@@ -594,31 +595,34 @@ def discard_padding(trace: ProtocolTrace, up_to: int) -> DiscardResult:
 
 
 @dataclass(frozen=True)
-class RateReport:
-    """Headline values of all rate evaluators on one trace."""
+class StepRates:
+    """One step's row of `entdist rates`."""
 
-    single_branch: float | None
-    formation_interval: tuple[float, float]
+    n: int
     rate: float
     residual: float
+    formation_lower: float
+    formation_upper: float
     min_fidelity: float
+
+
+@dataclass(frozen=True)
+class RateReport:
+    """All rate evaluators on one trace: a row per step; the last row holds
+    the headline values."""
+
+    single_branch: float | None
     all_power_of_two: bool
-    per_step_rates: tuple[float, ...] = field(repr=False, default=())
-    per_step_residuals: tuple[float, ...] = field(repr=False, default=())
+    per_step: tuple[StepRates, ...]
 
 
 def rate_report(trace: ProtocolTrace) -> RateReport:
     if not trace.steps:
         raise ValueError("an empty trace has no headline rates")
     rr = rate_and_residual(trace)
-    intervals = formation_rate_intervals(trace)
-    return RateReport(
-        single_branch=single_branch_rate(trace),
-        formation_interval=intervals[-1],
-        rate=float(rr.rate),
-        residual=float(rr.residual),
-        min_fidelity=min_branch_fidelity(trace)[-1],
-        all_power_of_two=dims_are_powers_of_two(trace),
-        per_step_rates=tuple(float(r) for r in rr.rates),
-        per_step_residuals=tuple(float(r) for r in rr.residuals),
+    intervals, mins = formation_rate_intervals(trace), min_branch_fidelity(trace)
+    per_step = tuple(
+        StepRates(s.n, float(r), float(res), lo, hi, mf)
+        for s, r, res, (lo, hi), mf in zip(trace.steps, rr.rates, rr.residuals, intervals, mins)
     )
+    return RateReport(single_branch_rate(trace), dims_are_powers_of_two(trace), per_step)

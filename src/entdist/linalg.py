@@ -55,17 +55,10 @@ def as_square_matrix(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def is_hermitian(m: np.ndarray, tol: float = TAU_HERM) -> bool:
+def min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part (m + m^dagger) / 2 (dense solver)."""
     m = as_square_matrix(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def min_eigenvalue(m: np.ndarray, tol: float = TAU_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (dense solver)."""
-    m = as_square_matrix(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("min_eigenvalue requires a Hermitian input")
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
 
 
 def tensor(*matrices: np.ndarray) -> np.ndarray:
@@ -150,13 +143,15 @@ def partial_transpose(
     return t.reshape(label.total, label.total)
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """A stack of count Haar-random dim x dim unitaries, shape (count, dim, dim):
+    QR of Ginibre matrices, each Q's columns rephased by R's diagonal."""
+    shape = (count, dim, dim)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+    phases = np.einsum("nii->ni", r).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]
 
 
 def random_density(label: Label, rng: np.random.Generator) -> DensityOperator:

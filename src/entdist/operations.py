@@ -3,10 +3,9 @@
 An operation is a family of sub-operations, each a Kraus family mapping the
 common input space to that sub-operation's own output space, jointly trace
 preserving.  Applying the operation yields one classical branch per
-sub-operation.  Class membership (local, one-local, separable, p.p.t.) is
-tracked two ways: constructors tag provenance, and predicates verify
-explicitly given structure (completeness sums, Choi positivity, separable
-witnesses).
+sub-operation.  Class membership (trace preserving, completely positive,
+p.p.t., separable) is decided by the predicates alone, from explicitly given
+structure: completeness sums, Choi positivity, separable witnesses.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .linalg import (
     BipartiteLabel,
     DensityOperator,
     Label,
+    min_eigenvalue,
     total_dim,
 )
 
@@ -29,16 +29,6 @@ TAU_TP = 1e-9
 TAU_CP = 1e-9
 TAU_ACTION = 1e-9
 ZERO_BRANCH_PROB = 1e-12
-
-# Provenance tags ordered by class containment.
-CLASS_ORDER = ("local", "one-local", "two-local", "separable", "ppt")
-
-
-def _join_provenance(*tags: str | None) -> str | None:
-    known = [t for t in tags if t is not None]
-    if len(known) < len(tags):
-        return None
-    return max(known, key=CLASS_ORDER.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +140,6 @@ class QuantumOperation:
 
     subops: tuple[SubOperation, ...]
     in_label: Label
-    provenance: str | None = None
 
     def __post_init__(self) -> None:
         if not self.subops:
@@ -211,31 +200,27 @@ def apply_operation(op: QuantumOperation, rho: DensityOperator) -> BranchOutcome
 def identity_operation(label: Label) -> QuantumOperation:
     d = total_dim(label)
     sub = SubOperation((np.eye(d, dtype=complex),), label)
-    return QuantumOperation((sub,), label, provenance="local")
+    return QuantumOperation((sub,), label)
 
 
 def compose(
-    first: QuantumOperation,
-    continuation: Mapping[int, QuantumOperation] | Callable[[int], QuantumOperation],
+    first: QuantumOperation, continuation: Mapping[int, QuantumOperation]
 ) -> QuantumOperation:
-    """Perform `first`; on branch i, perform continuation(i).
+    """Perform `first`; on branch i, perform continuation[i].
 
     The result's branches are indexed by (first branch, continuation branch)
     pairs in lexicographic order.
     """
-    pick = continuation.__getitem__ if isinstance(continuation, Mapping) else continuation
     subs: list[SubOperation] = []
-    tags = [first.provenance]
     for i, sub in enumerate(first.subops):
-        follow = pick(i)
+        follow = continuation[i]
         if total_dim(follow.in_label) != sub.dim_out:
             raise ValueError(
                 f"continuation for branch {i} expects input dimension "
                 f"{total_dim(follow.in_label)}, branch outputs {sub.dim_out}"
             )
-        tags.append(follow.provenance)
         subs.extend(_then(fsub, sub) for fsub in follow.subops)
-    return QuantumOperation(tuple(subs), first.in_label, provenance=_join_provenance(*tags))
+    return QuantumOperation(tuple(subs), first.in_label)
 
 
 def _then(second: SubOperation, first: SubOperation) -> SubOperation:
@@ -265,10 +250,7 @@ def tensor_operations(s: QuantumOperation, t: QuantumOperation) -> QuantumOperat
         for ssub in s.subops
         for tsub in t.subops
     ]
-    in_label = s.dim_in * t.dim_in
-    return QuantumOperation(
-        tuple(subs), in_label, provenance=_join_provenance(s.provenance, t.provenance)
-    )
+    return QuantumOperation(tuple(subs), s.dim_in * t.dim_in)
 
 
 def forget(op: QuantumOperation, merge: Iterable[int]) -> QuantumOperation:
@@ -286,7 +268,7 @@ def forget(op: QuantumOperation, merge: Iterable[int]) -> QuantumOperation:
     merged = SubOperation(kraus, op.subops[merge[0]].out_label)
     subs = [merged]
     subs.extend(sub for i, sub in enumerate(op.subops) if i not in merge)
-    return QuantumOperation(tuple(subs), op.in_label, provenance=op.provenance)
+    return QuantumOperation(tuple(subs), op.in_label)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +284,9 @@ def choi_matrix(sub: SubOperation) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _least_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of m."""
-    return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-
-
 def is_completely_positive(sub: SubOperation, tol: float = TAU_CP) -> bool:
     """Complete positivity via positive semidefiniteness of the Choi matrix."""
-    return _least_eigenvalue(choi_matrix(sub)) >= -tol
+    return min_eigenvalue(choi_matrix(sub)) >= -tol
 
 
 def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
@@ -337,7 +314,7 @@ def is_ppt_operation(op: QuantumOperation, tol: float = TAU_CP) -> bool:
     conjugation by the partial transpose: its Choi matrix, partially
     transposed on B_in (x) B_out, is positive semidefinite."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
-    return all(_least_eigenvalue(ppt_choi(sub, lab_in)) >= -tol for sub in op.subops)
+    return all(min_eigenvalue(ppt_choi(sub, lab_in)) >= -tol for sub in op.subops)
 
 
 # ---------------------------------------------------------------------------
@@ -376,25 +353,25 @@ def verify_separable_form(
 
 def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperation:
     """Product operation S_A (x) S_B of two non-measuring single-party
-    operations, tagged local."""
+    operations."""
     if op_a.is_measuring or op_b.is_measuring:
         raise ValueError("local operations are built from non-measuring parts")
     sub_a, sub_b = op_a.subops[0], op_b.subops[0]
     sub = SubOperation(sub_a.factors + sub_b.factors, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
     in_label = BipartiteLabel(op_a.dim_in, op_b.dim_in)
-    return QuantumOperation((sub,), in_label, provenance="local")
+    return QuantumOperation((sub,), in_label)
 
 
 def make_one_local(op_a: QuantumOperation, dim_b: int) -> QuantumOperation:
     """An arbitrary (possibly measuring) operation on party A tensored with
-    identity on B, tagged one-local: the outcome travels from A to B."""
+    identity on B: the outcome travels from A to B."""
     eye_b = np.eye(dim_b, dtype=complex)[None]
     subs = tuple(
         SubOperation(sub_a.factors + (eye_b,), BipartiteLabel(sub_a.dim_out, dim_b))
         for sub_a in op_a.subops
     )
     in_label = BipartiteLabel(op_a.dim_in, dim_b)
-    return QuantumOperation(tuple(subs), in_label, provenance="one-local")
+    return QuantumOperation(tuple(subs), in_label)
 
 
 def natural_product_witness(op: QuantumOperation) -> SeparableWitness:

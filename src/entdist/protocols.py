@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteLabel, DensityOperator
+from .linalg import BipartiteLabel, DensityOperator, haar_unitaries
 from .operations import QuantumOperation, SubOperation, apply_operation, compose
 from .states import fidelity, isotropic
 
@@ -72,10 +72,10 @@ def subspace_measurement_op(k: int, kp: int, merged: bool = True) -> QuantumOper
     out, label = BipartiteLabel(kp, kp), BipartiteLabel(k, k)
     if merged:
         party = np.concatenate([succ, fail])
-        return QuantumOperation((SubOperation((party, party), out),), label, provenance="local")
+        return QuantumOperation((SubOperation((party, party), out),), label)
     sides = [side for side in (succ, fail) if len(side)]
     subs = tuple(SubOperation((a, b), out) for a in sides for b in sides)
-    return QuantumOperation(subs, label, provenance="local")
+    return QuantumOperation(subs, label)
 
 
 def subspace_measurement_fidelity(k: int, kp: int, f: float) -> float:
@@ -100,11 +100,13 @@ def factor_tracing_op(k: int, kp: int) -> QuantumOperation:
     # local Kraus m: identity on the kept factor, basis bra <m| on the traced one
     local = np.einsum("il,mr->milr", np.eye(kp), np.eye(ratio)).reshape(ratio, kp, k)
     sub = SubOperation((local, local), BipartiteLabel(kp, kp))
-    return QuantumOperation((sub,), BipartiteLabel(k, k), provenance="local")
+    return QuantumOperation((sub,), BipartiteLabel(k, k))
 
 
 def factor_tracing_fidelity(k: int, kp: int, f: float) -> float:
     """Closed-form fidelity map of the factor-tracing protocol."""
+    if k < 2:
+        raise ValueError(f"input dimension must be at least 2, got {k}")
     if not 1 <= kp <= k or k % kp != 0:
         raise ValueError(f"{kp} must divide {k}")
     if not 0 <= f <= 1:
@@ -161,12 +163,7 @@ def monte_carlo_twirl(
     done = 0
     while done < samples:
         n = min(TWIRL_CHUNK, samples - done)
-        z = (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        phases = np.einsum("nii->ni", r).copy()
-        phases /= np.abs(phases)
-        u = q * phases[:, None, :]
-        u_t = u.transpose(0, 2, 1)  # [s, old, new]
+        u_t = haar_unitaries(d, n, rng).transpose(0, 2, 1)  # [s, old, new]
         ub_t = u_t.conj()
         for lo in range(0, n, block):
             m = min(block, n - lo)

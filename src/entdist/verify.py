@@ -22,7 +22,9 @@ import numpy as np
 from . import bounds as bnd
 from . import distillation as dst
 from . import protocols as pro
-from .linalg import BipartiteLabel, DensityOperator, haar_unitary, random_density, tensor
+from .linalg import (
+    BipartiteLabel, DensityOperator, haar_unitaries, min_eigenvalue, random_density, tensor,
+)
 from .operations import (
     QuantumOperation,
     SubOperation,
@@ -161,7 +163,7 @@ def _suite_twirl(rng: np.random.Generator) -> SuiteResult:
         res.check(rec["pass"], f"K={k} n=10000 monte-carlo-deviation={rec['bound']:.3g}")
         tw = pro.exact_twirl(random_density(BipartiteLabel(k, k), rng))
         for i in range(100):
-            u = haar_unitary(k, rng)
+            (u,) = haar_unitaries(k, 1, rng)
             w = tensor(u, u.conj())
             conj = w @ tw.matrix @ w.conj().T
             res.check(np.max(np.abs(conj - tw.matrix)) <= SIM_TOL, f"invariance K={k} sample={i}")
@@ -321,10 +323,7 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
         res.check(is_completely_positive(sub), f"cp-choi case={i}")
         for _ in range(5):
             out = sub.apply_raw(random_density(3, rng).matrix)
-            res.check(
-                float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0]) >= -SIM_TOL,
-                f"cp-output case={i}",
-            )
+            res.check(min_eigenvalue(out) >= -SIM_TOL, f"cp-output case={i}")
     # creation of a maximally entangled pair (trace and replace) is not p.p.t.
     ket = max_entangled_ket(2)
     creation = QuantumOperation(
@@ -338,7 +337,7 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
     )
     res.check(is_trace_preserving(creation), "creation-tp")
     res.check(not is_ppt_operation(creation), "creation-non-ppt")
-    ppt_min = float(np.linalg.eigvalsh(ppt_choi(creation.subops[0], BipartiteLabel(2, 2)))[0])
+    ppt_min = min_eigenvalue(ppt_choi(creation.subops[0], BipartiteLabel(2, 2)))
     res.check(ppt_min <= -0.5 + SIM_TOL, "creation-choi-eigenvalue")
     # the protocol operations are local: separable form verifies, p.p.t. holds
     for k, kp, op_f in ((4, 2, pro.subspace_measurement_op), (4, 2, pro.factor_tracing_op)):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from entdist.bounds import (
     _ensemble_objective_grad,
     _polar_coisometry,
+    FLOAT_OVERFLOW,
     EFSearch,
     binary_entropy,
     ef_isotropic,
@@ -160,6 +161,32 @@ def test_hashing_lemma_chain_for_k4():
         assert (
             hashing_rate(4, f).raw - ((2 * f - 1) * 2 - binary_entropy(f)) >= -1e-12
         )
+
+
+@pytest.mark.parametrize("f", [0.0, 0.25, 0.5, 0.9, 1.0])
+def test_bounds_at_k_beyond_double_range_meet_their_large_k_limits(f):
+    # as K -> oo with log2 K = 1100: (FK-1)/(K-1) -> F, log2(K/(K-1)) -> 0
+    # and log2(K^2-1) -> 2 log2 K
+    k, log2k = 2**1100, 1100.0
+    assert k > FLOAT_OVERFLOW
+    fb = formation_bounds_isotropic(k, f)
+    assert fb.lower == max(0.0, f * log2k - binary_entropy(f))
+    assert fb.upper == pytest.approx(f * log2k, rel=1e-15)
+    assert fb.ppt_bound == pytest.approx(f * log2k - binary_entropy(f), rel=1e-15, abs=1e-12)
+    want = (2 * f - 1) * log2k - binary_entropy(f)
+    assert hashing_rate(k, f).raw == pytest.approx(want, rel=1e-15)
+
+
+def test_bounds_continuous_where_their_float_formulas_overflow():
+    """Each side of the switch to the large-K forms agrees to rounding."""
+    for f in (0.3, 0.9):
+        below = formation_bounds_isotropic(FLOAT_OVERFLOW - 1, f)
+        above = formation_bounds_isotropic(FLOAT_OVERFLOW, f)
+        assert above.upper == pytest.approx(below.upper, rel=1e-14)
+        k = math.isqrt(FLOAT_OVERFLOW)  # the last K whose K^2 - 1 converts
+        assert k * k - 1 < FLOAT_OVERFLOW <= (k + 1) ** 2 - 1
+        below, above = hashing_rate(k, f), hashing_rate(k + 1, f)
+        assert above.raw == pytest.approx(below.raw, rel=1e-14)
 
 
 def test_ef_estimate_pure_state():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from entdist import bounds as bnd
-from entdist.cli import MAX_F_GRID_POINTS, MAX_SIMULATE_K, PRECISIONS, main, parse_f_grid
+from entdist.cli import (
+    MAX_CHOI_DIM,
+    MAX_F_GRID_POINTS,
+    MAX_SIMULATE_K,
+    PRECISIONS,
+    main,
+    parse_f_grid,
+)
 from entdist.operations import identity_operation
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
@@ -316,6 +323,38 @@ def test_simulate_rejects_k_above_limit_before_allocating(capsys, monkeypatch):
     assert peak < 1 << 20
 
 
+def test_simulate_rejects_factor_tracing_below_dimension_two(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--K", "1", "--Kprime", "1", "--protocol", "2")
+    assert code == 2 and out == ""
+    assert "input dimension must be at least 2, got 1" in err
+
+
+def test_classify_rejects_branch_above_choi_limit_before_any_choi_matrix(
+    capsys, tmp_path, monkeypatch
+):
+    import entdist.operations as ops
+
+    def never(*args, **kwargs):
+        raise AssertionError("Choi matrix built for a rejected descriptor")
+
+    monkeypatch.setattr(ops, "choi_matrix", never)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(encode_operation(identity_operation(BipartiteLabel(6, 6)))))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert 36 * 36 > MAX_CHOI_DIM
+    assert code == 2 and out == ""
+    assert f"36 * 36 exceeds the Choi matrix limit MAX_CHOI_DIM = {MAX_CHOI_DIM}" in err
+
+
+def test_classify_accepts_a_branch_at_the_choi_limit(capsys, tmp_path):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(encode_operation(identity_operation(BipartiteLabel(4, 8)))))
+    assert 32 * 32 == MAX_CHOI_DIM
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"tp": True, "cp": True, "ppt": True, "separable_verified": None}
+
+
 def test_classify_identity(capsys, identity_op_file):
     code, out, _ = run_cli(capsys, "classify", identity_op_file)
     assert code == 0
@@ -373,6 +412,20 @@ def test_rates_fixture(capsys, trace_file):
     assert doc["residual"] == 0.005
     assert doc["single_branch_rate"] is None
     assert doc["min_fidelity"] == 0.99
+
+
+def test_rates_and_bounds_take_dimensions_beyond_double_range(capsys, tmp_path):
+    k = 2**1100
+    doc = {"steps": [{"n": 10, "branches": [{"p": 0.5, "K": k, "F": 0.99},
+                                           {"p": 0.5, "K": 1, "F": 1}]}]}
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "rates", str(path))
+    assert code == 0, err
+    assert json.loads(out)["rate"] == 55.0
+    code, out, err = run_cli(capsys, "bounds", "--K-list", str(k), "--F-grid", "0.9:0.9:0.1")
+    assert code == 0, err
+    assert out.splitlines()[1].startswith(f"{k},0.9,")
 
 
 def test_compile_fixture(capsys, trace_file):

@@ -504,9 +504,11 @@ def test_discard_padding_schedule_is_dense(up_to):
 def test_rate_report_fields():
     report = rate_report(fixture_trace())
     assert report.single_branch is None
-    assert report.rate == pytest.approx(0.5, abs=1e-15)
-    assert report.residual == pytest.approx(0.005, abs=1e-15)
-    assert report.min_fidelity == pytest.approx(0.99, abs=1e-15)
+    (last,) = report.per_step
+    assert last.n == 10
+    assert last.rate == pytest.approx(0.5, abs=1e-15)
+    assert last.residual == pytest.approx(0.005, abs=1e-15)
+    assert last.min_fidelity == pytest.approx(0.99, abs=1e-15)
     assert report.all_power_of_two
-    lo, hi = report.formation_interval
+    lo, hi = last.formation_lower, last.formation_upper
     assert lo <= hi

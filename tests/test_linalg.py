@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from entdist.linalg import (
     BipartiteLabel,
     DensityOperator,
+    haar_unitaries,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -157,9 +158,17 @@ def test_min_eigenvalue_examples():
     assert min_eigenvalue(np.diag([2.0, -5.0])) == pytest.approx(-5.0, abs=1e-10)
 
 
-def test_min_eigenvalue_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
+def test_min_eigenvalue_reads_the_hermitian_part():
+    # the Hermitian part of this nilpotent matrix is X / 2, eigenvalues -1/2 and 1/2
+    nilpotent = np.array([[0, 1], [0, 0]], dtype=complex)
+    assert min_eigenvalue(nilpotent) == pytest.approx(-0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 6])
+def test_haar_unitaries_draw_a_stack_of_unitaries(dim):
+    u = haar_unitaries(dim, 5, np.random.default_rng(dim))
+    assert u.shape == (5, dim, dim)
+    assert np.allclose(u @ u.conj().transpose(0, 2, 1), np.eye(dim), rtol=0, atol=1e-12)
 
 
 def test_density_operator_validation():

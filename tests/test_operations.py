@@ -120,7 +120,7 @@ def test_compose_identity_laws():
     op = subspace_measurement_op(4, 2, merged=False)
     rho = isotropic(4, 0.8)
     pre = compose(identity_operation(BipartiteLabel(4, 4)), {0: op})
-    post = compose(op, lambda i: identity_operation(BipartiteLabel(2, 2)))
+    post = compose(op, dict.fromkeys(range(4), identity_operation(BipartiteLabel(2, 2))))
     want = apply_operation(op, rho)
     for variant in (pre, post):
         got = apply_operation(variant, rho)
@@ -306,9 +306,8 @@ def test_verify_separable_form_on_protocol_op():
     assert verify_separable_form(op, natural_product_witness(op))
 
 
-def test_make_local_tags_and_rejects_measuring():
+def test_make_local_labels_and_rejects_measuring():
     op = make_local(identity_operation(2), identity_operation(3))
-    assert op.provenance == "local"
     assert op.in_label == BipartiteLabel(2, 3)
     with pytest.raises(ValueError):
         make_local(basis_measurement(2), identity_operation(2))
@@ -316,7 +315,6 @@ def test_make_local_tags_and_rejects_measuring():
 
 def test_make_one_local_branches():
     op = make_one_local(basis_measurement(2), dim_b=2)
-    assert op.provenance == "one-local"
     assert len(op.subops) == 2
     for sub in op.subops:
         # each branch acts as a projector on A and identity on B
@@ -411,7 +409,7 @@ def test_ppt_cross_check_covers_both_verdicts():
 
 def fused(op: QuantumOperation) -> QuantumOperation:
     subs = tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops)
-    return QuantumOperation(subs, op.in_label, provenance=op.provenance)
+    return QuantumOperation(subs, op.in_label)
 
 
 def random_channel(rng: np.random.Generator, d_in: int, d_out: int, branches: int, n: int):
@@ -437,7 +435,10 @@ def factored_cases() -> list[QuantumOperation]:
         tensor_operations(local, meas_a),
         forget(tensor_operations(meas_a, chan_b), [0, 1]),
         compose(local, {0: dense_follow}),
-        compose(subspace_measurement_op(5, 4, merged=False), lambda i: factor_tracing_op(4, 2)),
+        compose(
+            subspace_measurement_op(5, 4, merged=False),
+            dict.fromkeys(range(4), factor_tracing_op(4, 2)),
+        ),
         subspace_measurement_op(5, 3),
     ]
 
@@ -489,7 +490,10 @@ def contraction_cases() -> list[QuantumOperation]:
         tensor_operations(local, wide),
         tensor_operations(meas_a, tensor_operations(chan_b, wide)),
         compose(local, {0: random_channel(rng, 6, 2, branches=2, n=2)}),
-        compose(subspace_measurement_op(5, 4, merged=False), lambda i: factor_tracing_op(4, 2)),
+        compose(
+            subspace_measurement_op(5, 4, merged=False),
+            dict.fromkeys(range(4), factor_tracing_op(4, 2)),
+        ),
         subspace_measurement_op(6, 3),
         factor_tracing_op(6, 2),
     ]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist.linalg import BipartiteLabel, haar_unitary, random_density, tensor
+from entdist.linalg import BipartiteLabel, haar_unitaries, random_density, tensor
 from entdist.operations import apply_operation, is_trace_preserving
 from entdist.protocols import (
     ReductionPlan,
@@ -134,8 +134,7 @@ def test_exact_twirl_preserves_fidelity_and_invariance():
         rho = random_density(BipartiteLabel(k, k), rng)
         tw = exact_twirl(rho)
         assert fidelity(tw) == pytest.approx(fidelity(rho), abs=1e-12)
-        for _ in range(100):
-            u = haar_unitary(k, rng)
+        for u in haar_unitaries(k, 100, rng):
             w = tensor(u, u.conj())
             assert np.max(np.abs(w @ tw.matrix @ w.conj().T - tw.matrix)) < 1e-9
 

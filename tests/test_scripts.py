@@ -1,9 +1,12 @@
 """Smoke tests: the experiment scripts run and write their CSV headers."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,12 +30,20 @@ def test_reduction_tradeoff_script():
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5"]
 
 
-def test_bounds_landscape_script():
-    proc = run_script("bounds_landscape.py", "--K", "2", "4", "--steps", "11")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "K,F,ef_lower,ef_upper,ppt_bound,hashing_raw,hashing_clamped"
-    assert len(lines) == 1 + 2 * 11
+def test_reduction_tradeoff_exits_one_on_a_failing_point(monkeypatch, capsys):
+    from entdist import protocols as pro
+
+    closed_form = pro.subspace_measurement_fidelity
+    monkeypatch.setattr(
+        pro, "subspace_measurement_fidelity", lambda k, kp, f: closed_form(k, kp, f) + 1e-3
+    )
+    monkeypatch.setattr(sys, "argv", ["reduction_tradeoff.py", "--K", "4"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "reduction_tradeoff.py"), run_name="__main__")
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "Kprime,subspace,tracing,composite,composite_bound"
+    assert "failed: protocol 1 Kprime=1" in err
 
 
 def test_bench_layer_rows(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitary, tensor
+from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries, tensor
 from entdist.states import (
     IsotropicParams,
     fidelity,
@@ -89,8 +89,7 @@ def test_isotropic_twirl_invariance_sampled():
     for k in range(2, 7):
         for f in F_GRID:
             rho = isotropic(k, f)
-            for _ in range(100):
-                u = haar_unitary(k, rng)
+            for u in haar_unitaries(k, 100, rng):
                 w = tensor(u, u.conj())
                 conj = w @ rho.matrix @ w.conj().T
                 assert np.max(np.abs(conj - rho.matrix)) < 1e-9
