@@ -18,13 +18,20 @@ that later calls skip):
 - `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and K = 4,
   F = 0.8 (budget 400, seed 1), where the search is slowest to converge,
   with its iterations, stop reason and gap to the exact `ef_isotropic`;
+- `DensityOperator` construction from `isotropic(K, 0.7)`'s matrix at
+  K = 4, 8, 12, 16: the public constructor, which proves positivity by an
+  eigendecomposition, and the in-package path `_by_construction`, which
+  does not (where the checkout has it), next to `isotropic(K, 0.7)` itself.
 
-and `entdist verify --seed 7` in REPEATS fresh processes.  The record
-names the machine, the repeat count and the line count of `src/entdist`,
-and is merged under --label into --out, so one file holds the records of
-several checkouts measured on one machine.
+It also records the EF searches of `lemma1-chain` in one in-process
+`verify --seed 7` run (value, restarts run, why they stopped, time),
+`entdist verify --seed 7` in REPEATS fresh processes, and the wall time of
+the checkout's tier-1 test suite (one run).  The record names the machine,
+the repeat count and the line count of `src/entdist`, and is merged under
+--label into --out, so one file holds the records of several checkouts
+measured on one machine.
 
-Usage: python scripts/bench.py --out BENCH_8.json --label change [--checkout DIR]
+Usage: python scripts/bench.py --out BENCH_11.json --label change [--checkout DIR]
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ EF_BUDGET = 400
 EF_SEED = 7
 EF_SEARCH_CASES = ((3, 0.95), (4, 0.8))
 EF_SEARCH_SEED = 1
+DENSITY_KS = (4, 8, 12, 16)
 
 
 def _env(checkout: Path) -> dict[str, str]:
@@ -72,6 +80,7 @@ def _timed(fn, repeats: int) -> dict[str, float]:
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
     from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
+    from entdist.linalg import DensityOperator
     from entdist.operations import apply_operation, is_ppt_operation, is_trace_preserving
     from entdist.protocols import reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
@@ -101,7 +110,41 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         ef = search()
         row.update(iterations=ef.iterations, stop=ef.stop, gap=ef.value - ef_isotropic(k, f))
         rows[f"ef_numeric_search K={k} F={f}"] = row
+    for k in DENSITY_KS:
+        rho = isotropic(k, 0.7)
+        m, label = rho.matrix, rho.label
+        rows[f"isotropic K={k}"] = _timed(lambda: isotropic(k, 0.7), repeats)
+        rows[f"DensityOperator K={k}"] = _timed(lambda: DensityOperator(m, label), repeats)
+        if hasattr(DensityOperator, "_by_construction"):
+            rows[f"DensityOperator._by_construction K={k}"] = _timed(
+                lambda: DensityOperator._by_construction(m, label), repeats
+            )
     return rows
+
+
+def lemma1_searches() -> list[dict]:
+    """The EF searches of `lemma1-chain` in `verify --seed 7`, in this process."""
+    import entdist.bounds as bnd
+    from entdist.verify import run_suites
+
+    search, found = bnd.ef_numeric_search, []
+
+    def recorded(rho, *args, **kwargs):
+        start = time.perf_counter()
+        ef = search(rho, *args, **kwargs)
+        found.append({"value": repr(ef.value), "restarts": ef.restarts,
+                      "best_restart": ef.best_restart,
+                      "restart_stop": getattr(ef, "restart_stop", "budget"),
+                      "evaluations": ef.evaluations, "s": time.perf_counter() - start})
+        return ef
+
+    bnd.ef_numeric_search = recorded
+    try:
+        if not all(r.passed for r in run_suites(seed=7)):
+            raise RuntimeError("verify --seed 7 failed")
+    finally:
+        bnd.ef_numeric_search = search
+    return found
 
 
 def _perfbench(checkout: Path, workload: str, seconds: float) -> dict:
@@ -121,6 +164,14 @@ def _verify_seed7(checkout: Path, repeats: int) -> dict[str, float]:
         subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, check=True)
         times.append(time.perf_counter() - start)
     return {"median_s": statistics.median(times), "runs_s": times}
+
+
+def _tier1(checkout: Path) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=_env(checkout), capture_output=True, text=True)
+    return {"wall_s": time.perf_counter() - start, "exit": proc.returncode,
+            "summary": proc.stdout.strip().splitlines()[-1]}
 
 
 def _machine() -> dict:
@@ -150,7 +201,8 @@ def main() -> int:
                   for w in bench["workloads"]}
     # the layer rows run in a fresh process that imports the checkout's entdist
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            "import bench; print(json.dumps(bench.layer_rows(bench.REPEATS)))")
+            "import bench; print(json.dumps({'layers': bench.layer_rows(bench.REPEATS), "
+            "'lemma1_chain_seed7': bench.lemma1_searches()}))")
     proc = subprocess.run([sys.executable, "-c", code], env=_env(checkout),
                           capture_output=True, text=True, check=True)
     record = {
@@ -159,8 +211,9 @@ def main() -> int:
             for p in (checkout / "src" / "entdist").glob("*.py")
         ),
         "end_to_end": end_to_end,
+        "tier1": _tier1(checkout),
         "verify_seed7_fresh_process": _verify_seed7(checkout, REPEATS),
-        "layers": json.loads(proc.stdout),
+        **json.loads(proc.stdout.splitlines()[-1]),
     }
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}

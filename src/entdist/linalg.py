@@ -71,28 +71,63 @@ def tensor(*matrices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(m: np.ndarray, label: Label) -> np.ndarray:
+    """m as a complex square matrix, checked against the label's dimension,
+    Hermitian and of trace one."""
+    m = as_square_matrix(m)
+    d = total_dim(label)
+    if m.shape[0] != d:
+        raise ValueError(f"matrix dimension {m.shape[0]} does not match label total {d}")
+    if np.max(np.abs(m - m.conj().T)) > TAU_HERM:
+        raise ValueError("density operator is not Hermitian within tolerance")
+    tr = m.trace()
+    if abs(tr - 1.0) > TAU_TRACE:
+        raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A Hermitian, positive-semidefinite, trace-one operator on a labelled space."""
+    """A Hermitian, positive-semidefinite, trace-one operator on a labelled space.
+
+    `DensityOperator(m, label)` checks all three properties, positivity by a
+    full eigendecomposition, and keeps a read-only copy of m.  The states the
+    package builds itself are positive semidefinite by construction, so they
+    take `_by_construction`, which keeps the shape, Hermitian and trace checks
+    and skips the eigendecomposition (and the copy of an array no one else
+    holds):
+
+    - `states.isotropic_state`: its spectrum is F once and (1-F)/(K^2-1)
+      K^2-1 times, and `IsotropicParams` bounds F to [0, 1];
+    - `operations.apply_operation`, each branch output sum_j K_j rho K_j^dagger / p:
+      a Kraus image of a checked state;
+    - `random_density`: a normalized Gram matrix G G^dagger;
+    - `partial_trace` of a checked state.
+
+    tests/test_linalg.py and tests/test_operations.py check the least
+    eigenvalue of each kind against -TAU_PSD, the test the path skips.
+    """
 
     matrix: np.ndarray
     label: Label
 
     def __post_init__(self) -> None:
-        m = as_square_matrix(self.matrix)
-        d = total_dim(self.label)
-        if m.shape[0] != d:
-            raise ValueError(f"matrix dimension {m.shape[0]} does not match label total {d}")
-        if np.max(np.abs(m - m.conj().T)) > TAU_HERM:
-            raise ValueError("density operator is not Hermitian within tolerance")
-        tr = m.trace()
-        if abs(tr - 1.0) > TAU_TRACE:
-            raise ValueError(f"density operator trace {tr} is not 1 within tolerance")
+        m = _checked(self.matrix, self.label).copy()
         if np.linalg.eigvalsh(m)[0] < -TAU_PSD:
             raise ValueError("density operator is not positive semidefinite within tolerance")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _by_construction(cls, m: np.ndarray, label: Label) -> DensityOperator:
+        """A state positive semidefinite by construction.  m is a fresh
+        array, which the state takes over (copied only into C order)."""
+        m = np.ascontiguousarray(_checked(m, label))
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "label", label)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -112,10 +147,10 @@ def partial_trace(rho: DensityOperator, keep: Literal["A", "B"]) -> DensityOpera
     m = rho.matrix.reshape(da, db, da, db)
     if keep == "A":
         reduced = np.einsum("ajbj->ab", m)
-        return DensityOperator(reduced, da)
+        return DensityOperator._by_construction(reduced, da)
     if keep == "B":
         reduced = np.einsum("jajb->ab", m)
-        return DensityOperator(reduced, db)
+        return DensityOperator._by_construction(reduced, db)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
@@ -161,4 +196,4 @@ def random_density(label: Label, rng: np.random.Generator) -> DensityOperator:
     m = g @ g.conj().T
     m /= m.trace().real
     m = (m + m.conj().T) / 2
-    return DensityOperator(m, label)
+    return DensityOperator._by_construction(m, label)

@@ -108,18 +108,38 @@ class SubOperation:
                 maps.append(None)
         return tuple(maps)
 
+    @functools.cached_property
+    def _axis_orders(self) -> tuple[tuple[int, ...], ...]:
+        """The transposes `apply_raw` makes of the state tensor, whose axes
+        are the factors' row axes 0..n-1 and column axes n..2n-1.
+
+        Before factor p the tensor is laid out as (p, n + p, the other axes in
+        order); entry p carries it there from the layout before factor p - 1
+        (the plain order before factor 0), and the last entry back to the
+        plain order.
+        """
+        n = len(self.factors)
+        plain = list(range(2 * n))
+        layouts = [[p, n + p] + [a for a in plain if a not in (p, n + p)] for p in range(n)]
+        layouts = [plain] + layouts + [plain]
+        return tuple(
+            tuple(prev.index(a) for a in nxt) for prev, nxt in zip(layouts, layouts[1:])
+        )
+
     def apply_raw(self, m: np.ndarray) -> np.ndarray:
         """Unnormalized branch output sum_j K_j m K_j^dagger, one factor at a time.
 
-        Each factor's row and column axes are moved to the front of the
-        state tensor, which is then contracted by plain matrix products,
-        through the factor's superoperator or Kraus matrix by Kraus matrix.
+        Each factor's row and column axes are brought to the front of the
+        state tensor by one transpose, and the tensor is then contracted by
+        plain matrix products, through the factor's superoperator or Kraus
+        matrix by Kraus matrix.
         """
         dims = [f.shape[2] for f in self.factors]
         t = np.asarray(m, dtype=complex).reshape(dims + dims)
-        for p, (f, superop) in enumerate(zip(self.factors, self._superoperators)):
+        orders = self._axis_orders
+        for f, superop, order in zip(self.factors, self._superoperators, orders):
             count, d_out, d_in = f.shape
-            front = np.moveaxis(t, (p, len(dims) + p), (0, 1))
+            front = t.transpose(order)
             v = front.reshape(d_in * d_in, -1)
             if superop is not None:
                 out = superop @ v
@@ -129,9 +149,8 @@ class SubOperation:
                 left = f.transpose(1, 0, 2).reshape(d_out * count, d_in)
                 right = f.conj().transpose(1, 0, 2).reshape(d_out, count * d_in)
                 out = right @ (left @ v.reshape(d_in, -1)).reshape(d_out, count * d_in, -1)
-            out = out.reshape((d_out, d_out) + front.shape[2:])
-            t = np.moveaxis(out, (0, 1), (p, len(dims) + p))
-        return t.reshape(self.dim_out, self.dim_out)
+            t = out.reshape((d_out, d_out) + front.shape[2:])
+        return t.transpose(orders[-1]).reshape(self.dim_out, self.dim_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +212,7 @@ def apply_operation(op: QuantumOperation, rho: DensityOperator) -> BranchOutcome
         if p < ZERO_BRANCH_PROB:
             outcomes.append((max(p, 0.0), None))
         else:
-            outcomes.append((p, DensityOperator(raw / p, sub.out_label)))
+            outcomes.append((p, DensityOperator._by_construction(raw / p, sub.out_label)))
     return outcomes
 
 

@@ -70,7 +70,7 @@ def isotropic_state(params: IsotropicParams) -> DensityOperator:
     k = params.K
     a = params.mixing_parameter
     m = a * max_entangled_projector(k) + (1 - a) * np.eye(k * k) / (k * k)
-    return DensityOperator(m, BipartiteLabel(k, k))
+    return DensityOperator._by_construction(m, BipartiteLabel(k, k))
 
 
 def isotropic(K: int, F: float) -> DensityOperator:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from entdist.bounds import (
     _ensemble_objective_grad,
     _polar_coisometry,
+    EF_RESTART_PATIENCE,
+    EF_RESTART_TOL,
     FLOAT_OVERFLOW,
     EFSearch,
     binary_entropy,
@@ -240,6 +242,21 @@ def test_ef_search_reports_how_it_stopped():
     assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 1), (3, 2)]
 
 
+def test_ef_search_stops_restarting_once_converged():
+    # budgets of at most EF_RESTART_PATIENCE restarts run them all
+    for budget, restarts in ((400, 1), (1200, 3)):
+        ef = ef_numeric_search(isotropic(2, 0.7), budget=budget, seed=7)
+        assert (ef.restarts, ef.restart_stop) == (restarts, "budget")
+    # the default budget allows 20 restarts; the rule stops well before
+    for f in (0.5, 0.7, 0.9, 1.0):
+        ef = ef_numeric_search(isotropic(2, f), seed=7)
+        assert ef.restart_stop == "converged", ef
+        assert EF_RESTART_PATIENCE < ef.restarts < 20
+        assert ef.best_restart < ef.restarts
+        gap = ef.value - ef_isotropic(2, f)
+        assert -EF_RESTART_TOL <= gap <= EF_RESTART_TOL, f"F={f}: gap {gap:.3g}"
+
+
 def _objective_grad_per_member(g, a, da, db):
     """The EF objective and gradient computed one ensemble member at a time."""
     cols = a @ g
@@ -354,7 +371,7 @@ def _eager_search(rho, budget, seed):
         sym = g @ x.conj().T
         return x - 0.5 * (sym + sym.conj().T) @ g
 
-    best, evaluations = None, 0
+    best, evaluations, stale, restart_stop = None, 0, 0, "budget"
     for r in range(restarts):
         g0 = rng.standard_normal((rank, m_count)) + 1j * rng.standard_normal((rank, m_count))
         g = _polar_coisometry(g0)
@@ -389,9 +406,15 @@ def _eager_search(rho, budget, seed):
             direction = xi + beta * tangent(g, direction)
             if np.vdot(xi, direction).real <= 0:
                 direction = xi
+        stale = 0 if best is None or value < best.value - EF_RESTART_TOL else stale + 1
         if best is None or value < best.value:
-            best = EFSearch(value, restarts, r, it, norm, 0, stop)
-    return dataclasses.replace(best, evaluations=evaluations)
+            best = EFSearch(value, restarts, r, it, norm, 0, stop, restart_stop)
+        if stale == EF_RESTART_PATIENCE:
+            restarts, restart_stop = r + 1, "converged"
+            break
+    return dataclasses.replace(
+        best, restarts=restarts, evaluations=evaluations, restart_stop=restart_stop
+    )
 
 
 def _line_search_cases():
@@ -405,6 +428,8 @@ def _line_search_cases():
             rho = DensityOperator((m + m.conj().T) / (2 * m.trace().real), BipartiteLabel(da, db))
             cases.append((rho, 800, int(rng.integers(2**16))))
     cases.append((random_density(BipartiteLabel(3, 3), rng), 400, 5))
+    # the default budget, where the restart rule stops the search
+    cases.append((isotropic(2, 0.7), 8000, 7))
     return cases
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from entdist import bounds as bnd
 from entdist.cli import (
+    MAX_BOUNDS_ROWS,
     MAX_CHOI_DIM,
     MAX_F_GRID_POINTS,
     MAX_SIMULATE_K,
@@ -329,6 +330,36 @@ def test_simulate_rejects_factor_tracing_below_dimension_two(capsys):
     assert "input dimension must be at least 2, got 1" in err
 
 
+def test_simulate_twirl_rejects_a_kprime_other_than_k(capsys):
+    argv = ("simulate", "--K", "4", "--protocol", "twirl", "--F-grid", "0:0:1")
+    code, out, err = run_cli(capsys, *argv, "--Kprime", "2")
+    assert code == 2 and out == ""
+    assert "--Kprime 2 must equal --K 4" in err
+    code, out, _ = run_cli(capsys, *argv, "--Kprime", "4")
+    assert code == 0 and out.splitlines()[1].startswith("4,4,")
+
+
+def test_bounds_memory_at_the_row_limit(capsys):
+    import tracemalloc
+
+    # MAX_BOUNDS_ROWS is one K on a 1e-4 grid; JSON holds the most per row
+    assert MAX_BOUNDS_ROWS == len(parse_f_grid("0:1:0.0001"))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(
+            capsys, "bounds", "--K-list", "2", "--F-grid", "0:1:0.0001", "--emit", "json"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(out)) == MAX_BOUNDS_ROWS
+    # measured 22 MiB (Python 3.11, numpy 2.4.6)
+    assert peak < 48 << 20, f"peak {peak / 2**20:.1f} MiB"
+    code, out, err = run_cli(capsys, "bounds", "--K-list", "2", "3", "--F-grid", "0:1:0.0001")
+    assert code == 2 and out == ""
+    assert f"exceed the row limit MAX_BOUNDS_ROWS = {MAX_BOUNDS_ROWS}" in err
+
+
 def test_classify_rejects_branch_above_choi_limit_before_any_choi_matrix(
     capsys, tmp_path, monkeypatch
 ):
@@ -481,14 +512,14 @@ def test_verify_ef_failure_says_how_the_search_stopped(monkeypatch):
     ]
     pattern = (
         r"ef-estimate K=2 F=\S+ est=\d\.\d{6} restarts=1 best=0 iterations=\d+ "
-        r"grad_norm=\S+ evaluations=\d+ stop=(gradient|no-descent|budget)"
+        r"grad_norm=\S+ evaluations=\d+ stop=(gradient|no-descent|budget) restart_stop=budget"
     )
     assert all(re.fullmatch(pattern, f) for f in result.failures)
     # F = 0.5 is the separability point; the descent reaches it within its budget
     counts = re.search(r"iterations=(\d+) .* evaluations=(\d+)", result.failures[0])
     used, evaluations = map(int, counts.groups())
     assert used < 400 and evaluations > used
-    assert result.failures[0].endswith(" stop=no-descent")
+    assert result.failures[0].endswith(" stop=no-descent restart_stop=budget")
 
 
 def test_simulate_exits_one_on_failing_rows(capsys, monkeypatch):

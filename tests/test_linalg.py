@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entdist.linalg import (
+    TAU_PSD,
     BipartiteLabel,
     DensityOperator,
     haar_unitaries,
@@ -175,9 +176,35 @@ def test_density_operator_validation():
     with pytest.raises(ValueError):
         DensityOperator(np.eye(2), 2)  # trace 2
     with pytest.raises(ValueError):
-        DensityOperator(np.array([[1.5, 0], [0, -0.5]]), 2)  # negative eigenvalue
-    with pytest.raises(ValueError):
         DensityOperator(np.array([[0.5, 0.5], [0, 0.5]]), 2)  # not Hermitian
+    # Hermitian and of trace one, with a negative eigenvalue: the public
+    # constructor still proves positivity, on a diagonal and on the isotropic
+    # form at F = 1.2 (eigenvalue -0.2 / 3)
+    proj = max_entangled_projector(2)
+    beyond = 1.2 * proj - 0.2 * (np.eye(4) - proj) / 3
+    for m, label in ((np.array([[1.5, 0], [0, -0.5]]), 2), (beyond, BipartiteLabel(2, 2))):
+        assert abs(np.trace(m) - 1) < 1e-15 and np.array_equal(m, m.conj().T)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DensityOperator(m, label)
+
+
+def test_states_built_in_package_are_positive_semidefinite():
+    # isotropic, random_density and partial_trace skip the eigendecomposition
+    # that the public constructor runs; this is the proof it gave
+    rng = np.random.default_rng(11)
+    for k in range(2, 10):
+        for f in sorted({0.0, 1 / k**2, 1 / k, 0.25, 0.5, 0.75, 0.9, 1.0}):
+            rho = isotropic(k, f)
+            assert min_eigenvalue(rho.matrix) >= -TAU_PSD, (k, f)
+            assert not rho.matrix.flags.writeable
+        for label in (k, BipartiteLabel(k, 2), BipartiteLabel(2, k)):
+            rho = random_density(label, rng)
+            states = [rho]
+            if isinstance(label, BipartiteLabel):
+                states += [partial_trace(rho, "A"), partial_trace(rho, "B")]
+            for state in states:
+                assert min_eigenvalue(state.matrix) >= -TAU_PSD
+                assert abs(np.trace(state.matrix) - 1) <= 1e-12
 
 
 def test_density_operator_matrix_is_frozen():

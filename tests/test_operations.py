@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from entdist.linalg import (
+    TAU_PSD,
     BipartiteLabel,
     DensityOperator,
+    min_eigenvalue,
     partial_transpose,
     random_density,
     tensor,
@@ -27,8 +29,9 @@ from entdist.operations import (
     tensor_operations,
     verify_separable_form,
 )
-from entdist.protocols import factor_tracing_op, subspace_measurement_op
+from entdist.protocols import factor_tracing_op, reduce_dimension, subspace_measurement_op
 from entdist.states import fidelity, isotropic, max_entangled_ket
+from entdist.verify import F_GRID, _random_operation
 
 
 def matrix_unit_choi(f, d_in: int, d_out: int) -> np.ndarray:
@@ -563,3 +566,29 @@ def test_sub_operation_keeps_its_own_read_only_factors():
     kraus[0, 0, 0] = 2.0  # the caller's array stays writable and is not shared
     assert op.subops[0].factors[0][0, 0, 0] == 1.0 and is_trace_preserving(op)
     assert not op.subops[0].factors[0].flags.writeable
+
+
+def test_branch_outputs_are_positive_semidefinite():
+    # apply_operation builds each branch output without the eigendecomposition
+    # of the public constructor; a Kraus image of a state is PSD, and this is
+    # the proof the skipped test gave
+    rng = np.random.default_rng(31)
+    outputs = []
+    for _ in range(100):
+        d_in = int(rng.integers(1, 5))
+        out_dims = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
+        op = _random_operation(rng, d_in, out_dims)
+        outputs += apply_operation(op, random_density(d_in, rng))
+    for k in range(2, 9):
+        for f in F_GRID:
+            rho = isotropic(k, f)
+            for kp in range(1, k):
+                outputs += apply_operation(subspace_measurement_op(k, kp), rho)
+                outputs.append((1.0, reduce_dimension(rho, kp)))
+                if k % kp == 0:
+                    outputs += apply_operation(factor_tracing_op(k, kp), rho)
+    states = [state for _, state in outputs if state is not None]
+    assert len(states) > 900
+    for state in states:
+        assert min_eigenvalue(state.matrix) >= -TAU_PSD
+        assert not state.matrix.flags.writeable
