@@ -12,7 +12,11 @@ that later calls skip):
   `subspace_measurement_op(K, K/2)` at K = 6, 8, 12, 16, 24, 32;
 - `reduce_dimension` to 7 (to 3 at K = 6) at the same K;
 - `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2, 4, 6, 8
-  (its Choi matrix is K^4/4 x K^4/4);
+  (its Choi matrix is K^4/4 x K^4/4), and the three predicates `classify`
+  reports (cp, ppt, separable with the natural product witness) on the
+  dense one-factor form of the same operation, the form `decode_operation`
+  builds;
+- the `operation-algebra` suite of `verify` at seed 7;
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
 - `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and K = 4,
@@ -31,7 +35,7 @@ the repeat count and the line count of `src/entdist`, and is merged under
 --label into --out, so one file holds the records of several checkouts
 measured on one machine.
 
-Usage: python scripts/bench.py --out BENCH_11.json --label change [--checkout DIR]
+Usage: python scripts/bench.py --out BENCH_12.json --label change [--checkout DIR]
 """
 
 from __future__ import annotations
@@ -81,9 +85,17 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
     from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
     from entdist.linalg import DensityOperator
-    from entdist.operations import apply_operation, is_ppt_operation, is_trace_preserving
+    from entdist.operations import (
+        QuantumOperation, SubOperation, apply_operation, is_completely_positive,
+        is_ppt_operation, is_trace_preserving, natural_product_witness, verify_separable_form,
+    )
     from entdist.protocols import reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
+    from entdist.verify import run_suites
+
+    def classify(op, witness):
+        return (all(is_completely_positive(sub) for sub in op.subops), is_ppt_operation(op),
+                verify_separable_form(op, witness))
 
     rows = {}
     for k in LAYER_KS:
@@ -98,6 +110,14 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     for k in PPT_KS:
         op = subspace_measurement_op(k, k // 2)
         rows[f"is_ppt_operation K={k}"] = _timed(lambda: is_ppt_operation(op), repeats)
+        dense = QuantumOperation(
+            tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops), op.in_label
+        )
+        witness = natural_product_witness(dense)
+        rows[f"classify K={k}"] = _timed(lambda: classify(dense, witness), repeats)
+    rows["operation-algebra seed=7"] = _timed(
+        lambda: run_suites(seed=7, suites=["operation-algebra"]), repeats
+    )
     for f in EF_FIDELITIES:
         rho = isotropic(2, f)
         rows[f"ef_numeric_estimate K=2 F={f}"] = _timed(

@@ -27,10 +27,7 @@ from . import bounds as bnd
 from . import distillation as dst
 from . import verify as ver
 from .operations import (
-    is_ppt_operation,
-    is_trace_preserving,
-    is_completely_positive,
-    verify_separable_form,
+    is_completely_positive, is_ppt_operation, is_trace_preserving, verify_separable_form,
 )
 from .serialize import (
     SchemaError,
@@ -57,9 +54,9 @@ MAX_BOUNDS_ROWS = 10_001
 MAX_SIMULATE_K = 32
 # Largest d_in * d_out of a branch that `classify` accepts, so memory stays
 # bounded: a branch's Choi matrix is (d_in d_out)^2 complex doubles, 16 MiB
-# at the limit.  subspace_measurement_op(8, 4), 64 x 16, sits at it; its
-# p.p.t. test took 0.56 s (median, BENCH_8.json: 2-vCPU x86-64 VM, one BLAS
-# thread).
+# at the limit.  subspace_measurement_op(8, 4), 64 x 16, sits at it; its one
+# Choi eigendecomposition, the p.p.t. test, took 0.56 s (median, BENCH_8.json:
+# 2-vCPU x86-64 VM, one BLAS thread).
 MAX_CHOI_DIM = 1024
 # Significant digits a report may ask for: 17 round-trips every double.
 PRECISIONS = range(1, 18)

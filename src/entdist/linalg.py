@@ -102,7 +102,8 @@ class DensityOperator:
     - `operations.apply_operation`, each branch output sum_j K_j rho K_j^dagger / p:
       a Kraus image of a checked state;
     - `random_density`: a normalized Gram matrix G G^dagger;
-    - `partial_trace` of a checked state.
+    - `partial_trace` of a checked state;
+    - in `verify`, a tensor product of two checked states: its spectrum is the products of theirs.
 
     tests/test_linalg.py and tests/test_operations.py check the least
     eigenvalue of each kind against -TAU_PSD, the test the path skips.

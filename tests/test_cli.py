@@ -15,7 +15,7 @@ from entdist.cli import (
     main,
     parse_f_grid,
 )
-from entdist.operations import identity_operation
+from entdist.operations import QuantumOperation, SubOperation, identity_operation
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
     SchemaError,
@@ -408,6 +408,22 @@ def test_classify_with_witness(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
     assert json.loads(out)["separable_verified"] is True
+
+
+def test_classify_verdicts_hold_at_large_kraus_scale(capsys, tmp_path):
+    # one 4 x 4 Kraus matrix 1e4 (A (x) B): CP and p.p.t. by construction, not
+    # trace preserving; its Choi matrix has norm around 1e8
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    label = BipartiteLabel(2, 2)
+    op = QuantumOperation((SubOperation(1e4 * np.kron(a, b)[None], label),), label)
+    doc = encode_operation(op)
+    doc["witness"] = [[[encode_matrix(1e4 * a), encode_matrix(b)]]]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"tp": False, "cp": True, "ppt": True, "separable_verified": True}
 
 
 def test_classify_schema_error_exit_code(capsys, tmp_path):

