@@ -25,7 +25,12 @@ that later calls skip):
 - `DensityOperator` construction from `isotropic(K, 0.7)`'s matrix at
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
-  does not (where the checkout has it), next to `isotropic(K, 0.7)` itself.
+  does not (where the checkout has it), next to `isotropic(K, 0.7)` itself;
+- `entdist compile` at k = 100, 1000, 4096, 10^4 on one step with 2, 4 and
+  8 constrained branches (K = 1024, F = 0.99, probability 0.8 shared
+  evenly, a dimension-1 rest), with the failure probability it prints and
+  how it was computed, and `entdist rates` on 20 such steps with 4
+  branches.  Both run in-process through `entdist.cli.main`.
 
 It also records the EF searches of `lemma1-chain` in one in-process
 `verify --seed 7` run (value, restarts run, why they stopped, time),
@@ -41,13 +46,16 @@ Usage: python scripts/bench.py --out BENCH_12.json --label change [--checkout DI
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -63,6 +71,9 @@ EF_SEED = 7
 EF_SEARCH_CASES = ((3, 0.95), (4, 0.8))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
+COMPILE_KS = (100, 1000, 4096, 10**4)
+COMPILE_BRANCHES = (2, 4, 8)
+RATES_STEPS = 20
 
 
 def _env(checkout: Path) -> dict[str, str]:
@@ -79,6 +90,45 @@ def _timed(fn, repeats: int) -> dict[str, float]:
         fn()
         times.append(time.perf_counter() - start)
     return {"first_s": times[0], "median_s": statistics.median(times[1:])}
+
+
+def _trace_file(directory: str, steps: int, branches: int) -> str:
+    """A trace file of `steps` steps, each with `branches` constrained branches
+    (K = 1024, F = 0.99) that share probability 0.8, and a dimension-1 rest."""
+    step = [{"p": 0.8 / branches, "K": 1024, "F": 0.99}] * branches + [{"p": 0.2, "K": 1, "F": 1}]
+    path = Path(directory) / f"trace-{steps}-{branches}.json"
+    path.write_text(json.dumps({"steps": [{"n": 10 * (i + 1), "branches": step}
+                                          for i in range(steps)]}), encoding="utf-8")
+    return str(path)
+
+
+def _cli(*argv: str) -> str:
+    """stdout of one in-process `entdist` call, which must exit 0."""
+    from entdist.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        if main(list(argv)) != 0:
+            raise RuntimeError(f"entdist {' '.join(argv)} failed")
+    return out.getvalue()
+
+
+def trace_rows(repeats: int) -> dict[str, dict]:
+    """The `compile` and `rates` rows of the entdist on sys.path, in this process."""
+    rows = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for branches in COMPILE_BRANCHES:
+            path = _trace_file(tmp, 1, branches)
+            for k in COMPILE_KS:
+                argv = ("compile", path, "--k-list", str(k), "--precision", "17")
+                row = _timed(lambda: _cli(*argv), repeats)
+                (doc,) = json.loads(_cli(*argv))
+                row.update(failure_probability=doc["failure_probability"],
+                           failure_method=doc["failure_method"])
+                rows[f"compile k={k} branches={branches}"] = row
+        path = _trace_file(tmp, RATES_STEPS, 4)
+        rates = _timed(lambda: _cli("rates", path), repeats)
+        rows[f"rates steps={RATES_STEPS} branches=4"] = rates
+    return rows
 
 
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
@@ -139,7 +189,7 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
             rows[f"DensityOperator._by_construction K={k}"] = _timed(
                 lambda: DensityOperator._by_construction(m, label), repeats
             )
-    return rows
+    return rows | trace_rows(repeats)
 
 
 def lemma1_searches() -> list[dict]:

@@ -18,7 +18,6 @@ from .bounds import (
     ppt_bound_isotropic,
 )
 from .distillation import (
-    BranchMargins,
     BranchOutcome,
     CompilerConfig,
     CompileResult,
@@ -28,10 +27,7 @@ from .distillation import (
     discard_padding,
     dims_are_powers_of_two,
     floor_dims_to_powers_of_two,
-    formation_rate_intervals,
-    min_branch_fidelity,
     power_of_two_transform,
-    rate_and_residual,
     rate_report,
     single_branch_rate,
     tensor_power_compile,

@@ -210,8 +210,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     r_frac = Fraction(args.rate_fraction)
     out_docs = []
     for k in args.k_list:
-        cfg = dst.CompilerConfig.from_fractions(trace, k, p_frac, r_frac)
-        result = dst.tensor_power_compile(trace, cfg)
+        result = dst.tensor_power_compile(trace, dst.CompilerConfig(k, p_frac, r_frac))
         out_docs.append(
             {
                 "k": k,

@@ -29,17 +29,10 @@ __all__ = [
     "TraceStep",
     "ProtocolTrace",
     "single_branch_rate",
-    "Def1Diagnostics",
-    "def1_diagnostics",
     "dims_are_powers_of_two",
-    "RateResidualReport",
-    "rate_and_residual",
-    "formation_rate_intervals",
-    "min_branch_fidelity",
     "Theorem2Result",
     "power_of_two_transform",
     "floor_dims_to_powers_of_two",
-    "BranchMargins",
     "CompilerConfig",
     "CompileResult",
     "tensor_power_compile",
@@ -147,41 +140,21 @@ def fidelity_condition_holds(fidelities: Sequence[Number]) -> bool:
     return tail[-1] <= TAIL_SHRINK * tail[0]
 
 
-@dataclass(frozen=True)
-class Def1Diagnostics:
-    """Rate diagnostics for single-branch traces."""
-
-    applicable: bool  # every step has exactly one branch
-    fidelity_condition: bool
-    per_step: tuple[float, ...]  # log2 K_i / n_i
-    last: float | None
-    trend: float | None  # difference quotient over the trend window
-
-
-def def1_diagnostics(trace: ProtocolTrace) -> Def1Diagnostics:
-    if not trace.is_single_branch:
-        return Def1Diagnostics(False, False, (), None, None)
-    if not trace.steps:
-        return Def1Diagnostics(True, False, (), None, None)
-    steps = trace.steps
-    logs = [_log2_dim(s.branches[0].K) for s in steps]
-    per_step = tuple(float(l) / s.n for l, s in zip(logs, steps))
-    cond = fidelity_condition_holds([s.branches[0].F for s in steps])
-    if len(steps) == 1:
-        trend = per_step[0]
-    else:
-        w = min(TREND_WINDOW, len(steps) - 1)
-        trend = float(logs[-1] - logs[-1 - w]) / (steps[-1].n - steps[-1 - w].n)
-    return Def1Diagnostics(True, cond, per_step, per_step[-1], trend)
-
-
 def single_branch_rate(trace: ProtocolTrace) -> float | None:
-    """Rate estimate for non-measuring traces; None when a step is measuring
-    or the fidelities do not tend to 1."""
-    diag = def1_diagnostics(trace)
-    if not diag.applicable or not diag.fidelity_condition:
+    """Definition-1 rate estimate for non-measuring traces: the difference
+    quotient of log2 K over n across the last TREND_WINDOW steps (log2 K / n
+    for one step).  None when the trace is empty, a step is measuring, or the
+    fidelities do not tend to 1."""
+    steps = trace.steps
+    if not steps or not trace.is_single_branch:
         return None
-    return diag.trend
+    if not fidelity_condition_holds([s.branches[0].F for s in steps]):
+        return None
+    if len(steps) == 1:
+        return float(_log2_dim(steps[0].branches[0].K)) / steps[0].n
+    first, last = steps[-1 - min(TREND_WINDOW, len(steps) - 1)], steps[-1]
+    rise = _log2_dim(last.branches[0].K) - _log2_dim(first.branches[0].K)
+    return float(rise) / (last.n - first.n)
 
 
 def dims_are_powers_of_two(trace: ProtocolTrace) -> bool:
@@ -189,58 +162,6 @@ def dims_are_powers_of_two(trace: ProtocolTrace) -> bool:
     return all(
         b.K & (b.K - 1) == 0 for s in trace.steps for b in s.branches
     )
-
-
-@dataclass(frozen=True)
-class RateResidualReport:
-    """Per-step weighted log-dimension rate and infidelity residual."""
-
-    rates: tuple[Number, ...]
-    residuals: tuple[Number, ...]
-
-    @property
-    def rate(self) -> Number:
-        return self.rates[-1]
-
-    @property
-    def residual(self) -> Number:
-        return self.residuals[-1]
-
-    @property
-    def residual_condition(self) -> bool:
-        return fidelity_condition_holds([1 - min(1, float(r)) for r in self.residuals])
-
-
-def rate_and_residual(trace: ProtocolTrace) -> RateResidualReport:
-    """Per step: (1/n) sum_j p_j log2 K_j and (1/n) sum_j p_j (1-F_j) log2 K_j."""
-    rates = []
-    residuals = []
-    for step in trace.steps:
-        rate = sum((b.p * _log2_dim(b.K) for b in step.branches), Fraction(0))
-        res = sum((b.p * (1 - b.F) * _log2_dim(b.K) for b in step.branches), Fraction(0))
-        rates.append(rate / step.n)
-        residuals.append(res / step.n)
-    return RateResidualReport(tuple(rates), tuple(residuals))
-
-
-def formation_rate_intervals(trace: ProtocolTrace) -> tuple[tuple[float, float], ...]:
-    """Per-step interval for the ensemble-average entanglement of formation
-    rate, using the isotropic-minimizer bounds per branch."""
-    out = []
-    for step in trace.steps:
-        lo = 0.0
-        hi = 0.0
-        for b in step.branches:
-            fb = formation_bounds_isotropic(b.K, float(b.F))
-            lo += float(b.p) * fb.lower
-            hi += float(b.p) * fb.upper
-        out.append((lo / step.n, hi / step.n))
-    return tuple(out)
-
-
-def min_branch_fidelity(trace: ProtocolTrace) -> tuple[float, ...]:
-    """Per-step minimum branch fidelity (dimension-1 branches count as 1)."""
-    return tuple(min(float(b.F) for b in s.branches) for s in trace.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -315,84 +236,34 @@ def floor_dims_to_powers_of_two(trace: ProtocolTrace) -> ProtocolTrace:
 
 
 @dataclass(frozen=True)
-class BranchMargins:
-    """Slackened probability and rate targets for one branch."""
-
-    p_prime: Number
-    rate_prime: Number
-
-
-@dataclass(frozen=True)
 class CompilerConfig:
-    """Margins per step and branch plus the tensor-power count.
-
-    margins[i][j] is None exactly for dimension-1 branches, which feed
-    nothing to the hashing stage and need no count guarantee.
-    """
+    """The tensor-power count k and the fractions that set every branch's
+    margins: p' = p_fraction p and R' = rate_fraction ((2F-1) log2 K - 1)."""
 
     k: int
-    margins: tuple[tuple[BranchMargins | None, ...], ...]
+    p_fraction: Number
+    rate_fraction: Number
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"tensor-power count must be positive, got {self.k}")
+        if not 0 < self.p_fraction < 1:
+            raise ValueError(f"p_fraction must lie in (0, 1), got {self.p_fraction}")
+        if not 0 < self.rate_fraction < 1:
+            raise ValueError(f"rate_fraction must lie in (0, 1), got {self.rate_fraction}")
 
-    @classmethod
-    def from_fractions(
-        cls,
-        trace: ProtocolTrace,
-        k: int,
-        p_fraction: Number,
-        rate_fraction: Number,
-    ) -> "CompilerConfig":
-        """Margins at a fixed fraction of each branch's probability and of its
-        hashing rate slack (2F-1) log2 K - 1, which must be positive."""
-        if not 0 < p_fraction < 1:
-            raise ValueError(f"p_fraction must lie in (0, 1), got {p_fraction}")
-        if not 0 < rate_fraction < 1:
-            raise ValueError(f"rate_fraction must lie in (0, 1), got {rate_fraction}")
-        margins = []
-        for step in trace.steps:
-            row: list[BranchMargins | None] = []
-            for b in step.branches:
-                if b.K == 1:
-                    row.append(None)
-                    continue
-                slack = (2 * b.F - 1) * _log2_dim(b.K) - 1
-                if slack <= 0:
-                    raise ValueError(
-                        f"branch (K={b.K}, F={b.F}) has nonpositive rate slack {slack}; "
-                        "supply explicit margins instead"
-                    )
-                row.append(BranchMargins(p_fraction * b.p, rate_fraction * slack))
-            margins.append(tuple(row))
-        return cls(k, tuple(margins))
-
-
-def _validate_margins(trace: ProtocolTrace, cfg: CompilerConfig) -> None:
-    if len(cfg.margins) != len(trace.steps):
-        raise ValueError(
-            f"config has {len(cfg.margins)} margin rows for {len(trace.steps)} steps"
-        )
-    for i, (step, row) in enumerate(zip(trace.steps, cfg.margins)):
-        if len(row) != len(step.branches):
-            raise ValueError(f"step {i}: {len(row)} margins for {len(step.branches)} branches")
-        for j, (b, m) in enumerate(zip(step.branches, row)):
-            if b.K == 1:
-                if m is not None:
-                    raise ValueError(f"step {i} branch {j}: dimension-1 branches take no margins")
-                continue
-            if m is None:
-                raise ValueError(f"step {i} branch {j}: margins required for K >= 2")
-            if not 0 < m.p_prime < b.p:
-                raise ValueError(
-                    f"step {i} branch {j}: p' must lie in (0, p), got {m.p_prime} vs p={b.p}"
-                )
-            slack = (2 * b.F - 1) * _log2_dim(b.K) - 1
-            if not m.rate_prime < slack:
-                raise ValueError(
-                    f"step {i} branch {j}: rate margin {m.rate_prime} must be below {slack}"
-                )
+    def margins(self, b: BranchOutcome) -> tuple[Number, Number] | None:
+        """(p', R') for a branch, or None for one that feeds the hashing stage
+        nothing and needs no count guarantee: dimension 1 or probability 0."""
+        if b.K == 1 or b.p == 0:
+            return None
+        hashing = (2 * b.F - 1) * _log2_dim(b.K)
+        if hashing <= 1:
+            raise ValueError(
+                f"branch K={b.K}, F={float(b.F):g}: the compiler needs "
+                f"(2F-1)*log2 K > 1, got {float(hashing):g}"
+            )
+        return self.p_fraction * b.p, self.rate_fraction * (hashing - 1)
 
 
 EXACT_TAIL_LIMIT = 4096
@@ -507,31 +378,29 @@ def tensor_power_compile(trace: ProtocolTrace, cfg: CompilerConfig) -> CompileRe
 
     Runs each step k times in parallel; with probability 1 - failure each
     branch j occurs at least floor(p'_j k) times and hashing converts those
-    copies into floor(2^(R'_j p'_j k)) dimensions of near-perfect output.
-    Branches of dimension 1 contribute nothing.  On failure the protocol
-    emits a random state of the same dimension, so the compiled trace stays
-    non-measuring.
+    copies into floor(2^(R'_j p'_j k)) dimensions of near-perfect output, with
+    (p'_j, R'_j) = cfg.margins(branch j).  Branches of dimension 1 or
+    probability 0 contribute nothing.  On failure the protocol emits a random
+    state of the same dimension, so the compiled trace stays non-measuring.
     """
     if not dims_are_powers_of_two(trace):
         raise ValueError(
             "branch dimensions must be powers of 2; apply floor_dims_to_powers_of_two first"
         )
-    _validate_margins(trace, cfg)
     out_steps = []
     def1_steps = []
-    for step, row in zip(trace.steps, cfg.margins):
+    for step in trace.steps:
         log2_dim_total = 0.0
         dim_total: int | None = 1
         constrained_p: list[float] = []
         constrained_floors: list[int] = []
-        for b, m in zip(step.branches, row):
-            if m is None:
+        for b in step.branches:
+            if (m := cfg.margins(b)) is None:
                 continue
+            p_prime, rate_prime = m
             constrained_p.append(float(b.p))
-            constrained_floors.append(math.floor(float(m.p_prime) * cfg.k))
-            if m.rate_prime <= 0:
-                continue  # nonpositive target rate yields a trivial factor
-            factor, log2_factor = _floor_pow2_log2(m.rate_prime * m.p_prime * cfg.k)
+            constrained_floors.append(math.floor(float(p_prime) * cfg.k))
+            factor, log2_factor = _floor_pow2_log2(rate_prime * p_prime * cfg.k)
             log2_dim_total += log2_factor
             dim_total = dim_total * factor if (dim_total is not None and factor is not None) else None
         fail, method = _failure_probability(cfg.k, constrained_p, constrained_floors)
@@ -599,8 +468,8 @@ class StepRates:
     """One step's row of `entdist rates`."""
 
     n: int
-    rate: float
-    residual: float
+    rate: Number
+    residual: Number
     formation_lower: float
     formation_upper: float
     min_fidelity: float
@@ -608,7 +477,7 @@ class StepRates:
 
 @dataclass(frozen=True)
 class RateReport:
-    """All rate evaluators on one trace: a row per step; the last row holds
+    """The rate accounting of one trace: a row per step; the last row holds
     the headline values."""
 
     single_branch: float | None
@@ -617,12 +486,23 @@ class RateReport:
 
 
 def rate_report(trace: ProtocolTrace) -> RateReport:
+    """Per step: the rate (1/n) sum_j p_j log2 K_j and the residual
+    (1/n) sum_j p_j (1-F_j) log2 K_j, exact where the inputs allow; the
+    ensemble-average formation rate between the isotropic-minimizer bounds
+    per branch; the least branch fidelity (dimension-1 branches count as 1)."""
     if not trace.steps:
         raise ValueError("an empty trace has no headline rates")
-    rr = rate_and_residual(trace)
-    intervals, mins = formation_rate_intervals(trace), min_branch_fidelity(trace)
-    per_step = tuple(
-        StepRates(s.n, float(r), float(res), lo, hi, mf)
-        for s, r, res, (lo, hi), mf in zip(trace.steps, rr.rates, rr.residuals, intervals, mins)
-    )
-    return RateReport(single_branch_rate(trace), dims_are_powers_of_two(trace), per_step)
+    rows = []
+    for step in trace.steps:
+        rate = residual = Fraction(0)
+        lo = hi = 0.0
+        for b in step.branches:
+            log2_k = _log2_dim(b.K)
+            rate += b.p * log2_k
+            residual += b.p * (1 - b.F) * log2_k
+            fb = formation_bounds_isotropic(b.K, float(b.F))
+            lo += float(b.p) * fb.lower
+            hi += float(b.p) * fb.upper
+        n, min_f = step.n, min(float(b.F) for b in step.branches)
+        rows.append(StepRates(n, rate / n, residual / n, lo / n, hi / n, min_f))
+    return RateReport(single_branch_rate(trace), dims_are_powers_of_two(trace), tuple(rows))

@@ -64,11 +64,6 @@ def dump_report(obj: Any, precision: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 # Entry types that the fast path of decode_matrix converts as the walker does.
 _PLAIN_NUMBERS = {int, float, Fraction}
 
@@ -190,24 +185,6 @@ def decode_operation(doc: Any) -> tuple[QuantumOperation, list | None]:
                 )
             witness.append(decoded)
     return op, witness
-
-
-def encode_operation(op: QuantumOperation) -> dict:
-    label = op.in_label
-    if not isinstance(label, BipartiteLabel):
-        raise ValueError("only bipartite operations have a descriptor encoding")
-    subs = []
-    for sub in op.subops:
-        out = sub.out_label
-        if not isinstance(out, BipartiteLabel):
-            raise ValueError("only bipartite sub-operations have a descriptor encoding")
-        subs.append(
-            {
-                "output": [out.dim_a, out.dim_b],
-                "kraus": [encode_matrix(k) for k in sub.kraus],
-            }
-        )
-    return {"input": [label.dim_a, label.dim_b], "subops": subs}
 
 
 # ---------------------------------------------------------------------------

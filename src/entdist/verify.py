@@ -374,10 +374,10 @@ def _suite_theorem3(rng: np.random.Generator) -> SuiteResult:
     trace = dst.ProtocolTrace((dst.TraceStep(10, branches),))
 
     def config(k: int) -> dst.CompilerConfig:
-        return dst.CompilerConfig.from_fractions(trace, k, Fraction(9, 10), Fraction(99, 100))
+        return dst.CompilerConfig(k, Fraction(9, 10), Fraction(99, 100))
 
     cfg = config(1000)
-    p_prime = cfg.margins[0][0].p_prime
+    p_prime, rate_prime = cfg.margins(branches[0])
     res.check(p_prime == Fraction(9, 20), f"p-prime {p_prime}")
     out = dst.tensor_power_compile(trace, cfg)
     res.check(out.rate_bound == Fraction(39, 100), f"rate-bound {out.rate_bound}")
@@ -390,12 +390,12 @@ def _suite_theorem3(rng: np.random.Generator) -> SuiteResult:
     # Chernoff is at most the Hoeffding bound exp(-2k gap^2), gap = p - floor(p'k)/k
     res.check(fails[3] <= math.exp(-2e4 * (0.5 - 4500 / 10**4) ** 2), f"chernoff {fails[3]:.3g}")
     # margins do not depend on k; c is the k = 10^4 compile
-    target = sum(float(m.rate_prime * m.p_prime) for m in cfg.margins[0] if m is not None) / 10
+    target = float(rate_prime * p_prime) / 10
     res.check(abs(c.achieved_rate - target) <= 1e-3, f"achieved-rate {c.achieved_rate}")
     res.check(float(out.rate_bound) <= target + 0.5 / 10 + SIM_TOL, "bound-below-sup")
     # two constrained p = 1/2 branches: a 1 - P(success) form would floor this near 7e-13
     pair = dst.ProtocolTrace((dst.TraceStep(10, branches[:1] * 2),))
-    pair_cfg = dst.CompilerConfig.from_fractions(pair, 2000, Fraction(7, 10), Fraction(99, 100))
+    pair_cfg = dst.CompilerConfig(2000, Fraction(7, 10), Fraction(99, 100))
     tail = dst.tensor_power_compile(pair, pair_cfg).steps[0]
     res.check(tail.failure_method == "exact", "exact-method two branches k=2000")
     res.check(tail.failure_probability < 1e-40, f"two-branch-tail {tail.failure_probability:.3g}")

@@ -22,13 +22,28 @@ from entdist.serialize import (
     decode_matrix,
     decode_operation,
     decode_trace,
-    encode_matrix,
-    encode_operation,
     encode_trace,
     format_number,
     load_json,
 )
 from entdist.protocols import subspace_measurement_op
+
+
+def encode_matrix(m):
+    """The wire form of a complex matrix: rows of [re, im] pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def encode_operation(op: QuantumOperation) -> dict:
+    """The descriptor `entdist classify` reads, for a bipartite operation."""
+    subs = [
+        {
+            "output": [sub.out_label.dim_a, sub.out_label.dim_b],
+            "kraus": [encode_matrix(k) for k in sub.kraus],
+        }
+        for sub in op.subops
+    ]
+    return {"input": [op.in_label.dim_a, op.in_label.dim_b], "subops": subs}
 
 
 TRACE_DOC = {
@@ -395,7 +410,6 @@ def test_classify_identity(capsys, identity_op_file):
 
 def test_classify_with_witness(capsys, tmp_path):
     from entdist.operations import natural_product_witness
-    from entdist.serialize import encode_matrix
 
     op = subspace_measurement_op(2, 1, merged=False)
     doc = encode_operation(op)
@@ -486,6 +500,39 @@ def test_compile_fixture(capsys, trace_file):
     assert doc["rate_bound"] == 0.39
     assert abs(doc["achieved_rate"] - 0.39204) < 1e-9
     assert doc["failure_method"] == "exact"
+
+
+def write_trace(tmp_path, branches, n=10):
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"steps": [{"n": n, "branches": branches}]}))
+    return str(path)
+
+
+def test_compile_takes_a_zero_probability_branch(capsys, tmp_path):
+    # the branch never occurs, so it takes no margin, as `rates` accepts it
+    path = write_trace(tmp_path, [{"p": 0, "K": 1024, "F": 0.99}, {"p": 1, "K": 1, "F": 1}])
+    code, out, err = run_cli(capsys, "compile", path, "--k-list", "10", "5000")
+    assert code == 0, err
+    for doc in json.loads(out):
+        assert doc["achieved_rate"] == 0 and doc["failure_probability"] == 0
+    assert run_cli(capsys, "rates", path)[0] == 0
+
+
+def test_compile_names_the_hashing_requirement(capsys, tmp_path):
+    path = write_trace(tmp_path, [{"p": 0.5, "K": 2, "F": 1}, {"p": 0.5, "K": 1024, "F": 0.99}])
+    code, _, err = run_cli(capsys, "compile", path, "--k-list", "10")
+    assert code == 2
+    assert "K=2, F=1" in err and "(2F-1)*log2 K > 1" in err
+    assert "explicit margins" not in err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--p-fraction", "1.5"), ("--p-fraction", "0"), ("--rate-fraction", "1")]
+)
+def test_compile_rejects_fractions_outside_the_unit_interval(capsys, trace_file, option, value):
+    code, _, err = run_cli(capsys, "compile", trace_file, "--k-list", "10", option, value)
+    assert code == 2
+    assert "must lie in (0, 1)" in err
 
 
 def test_verify_suite_filter_and_determinism(capsys):

@@ -9,19 +9,15 @@ from hypothesis import strategies as st
 from entdist import distillation
 from entdist.bounds import binary_entropy, formation_bounds_isotropic
 from entdist.distillation import (
-    BranchMargins,
     BranchOutcome,
     CompilerConfig,
     ProtocolTrace,
     TraceStep,
-    def1_diagnostics,
     dims_are_powers_of_two,
     discard_padding,
+    fidelity_condition_holds,
     floor_dims_to_powers_of_two,
-    formation_rate_intervals,
-    min_branch_fidelity,
     power_of_two_transform,
-    rate_and_residual,
     rate_report,
     single_branch_rate,
     tensor_power_compile,
@@ -102,13 +98,13 @@ def test_single_branch_rate_half():
 def test_single_branch_rate_rejects_stalled_fidelity():
     trace = single_branch_trace([(2**i, 0.9) for i in range(1, 21)], ns=list(range(1, 21)))
     assert single_branch_rate(trace) is None
-    diag = def1_diagnostics(trace)
-    assert diag.applicable and not diag.fidelity_condition
+    assert trace.is_single_branch
+    assert not fidelity_condition_holds([s.branches[0].F for s in trace.steps])
 
 
 def test_single_branch_rate_not_applicable_for_measuring():
     assert single_branch_rate(fixture_trace()) is None
-    assert not def1_diagnostics(fixture_trace()).applicable
+    assert not fixture_trace().is_single_branch
 
 
 def test_power_of_two_check():
@@ -128,20 +124,20 @@ def test_empty_trace_has_no_headline_rates():
 
 
 def test_rate_and_residual_fixture_exact():
-    rr = rate_and_residual(fixture_trace())
-    assert rr.rate == Fraction(1, 2)
-    assert rr.residual == Fraction(1, 200)
+    (row,) = rate_report(fixture_trace()).per_step
+    assert row.rate == Fraction(1, 2)
+    assert row.residual == Fraction(1, 200)
 
 
 def test_residual_zero_for_perfect_fidelity():
     trace = single_branch_trace([(4, 1), (16, 1), (64, 1)])
-    assert rate_and_residual(trace).residual == 0
+    assert [row.residual for row in rate_report(trace).per_step] == [0, 0, 0]
 
 
 def test_failure_only_trace():
     trace = single_branch_trace([(1, 1), (1, 1)])
-    rr = rate_and_residual(trace)
-    assert rr.rate == 0 and rr.residual == 0
+    row = rate_report(trace).per_step[-1]
+    assert row.rate == 0 and row.residual == 0
 
 
 def test_def1_pass_implies_residual_vanishes():
@@ -160,34 +156,38 @@ def test_def1_pass_implies_residual_vanishes():
         trace = ProtocolTrace(tuple(steps))
         if single_branch_rate(trace) is None:
             continue
-        rr = rate_and_residual(trace)
-        assert rr.residual_condition, case
-        assert float(rr.residuals[-1]) < float(rr.residuals[0])
+        residuals = [float(row.residual) for row in rate_report(trace).per_step]
+        assert fidelity_condition_holds([1 - min(1, r) for r in residuals]), case
+        assert residuals[-1] < residuals[0]
 
 
 # -- formation intervals -----------------------------------------------------
 
 
+def formation_interval(trace):
+    (row,) = rate_report(trace).per_step
+    return row.formation_lower, row.formation_upper
+
+
 def test_formation_interval_perfect_branch():
     trace = ProtocolTrace((TraceStep(5, (BranchOutcome(1, 8, 1),)),))
-    (iv,) = formation_rate_intervals(trace)
-    assert iv[0] == pytest.approx(3 / 5, abs=1e-12)
-    assert iv[1] == pytest.approx(3 / 5, abs=1e-12)
+    lo, hi = formation_interval(trace)
+    assert lo == pytest.approx(3 / 5, abs=1e-12)
+    assert hi == pytest.approx(3 / 5, abs=1e-12)
 
 
 def test_formation_interval_worked_value():
     trace = ProtocolTrace((TraceStep(10, (BranchOutcome(1, 2, 0.9),)),))
-    (iv,) = formation_rate_intervals(trace)
-    assert iv[0] == pytest.approx((0.9 - binary_entropy(0.9)) / 10, abs=1e-12)
-    assert iv[1] == pytest.approx(0.08, abs=1e-12)
+    lo, hi = formation_interval(trace)
+    assert lo == pytest.approx((0.9 - binary_entropy(0.9)) / 10, abs=1e-12)
+    assert hi == pytest.approx(0.08, abs=1e-12)
 
 
 def test_formation_interval_ignores_dimension_one():
-    trace = fixture_trace()
-    (iv,) = formation_rate_intervals(trace)
+    lo, hi = formation_interval(fixture_trace())
     fb = formation_bounds_isotropic(1024, 0.99)
-    assert iv[0] == pytest.approx(0.5 * fb.lower / 10, abs=1e-12)
-    assert iv[1] == pytest.approx(0.5 * fb.upper / 10, abs=1e-12)
+    assert lo == pytest.approx(0.5 * fb.lower / 10, abs=1e-12)
+    assert hi == pytest.approx(0.5 * fb.upper / 10, abs=1e-12)
 
 
 def test_rate_interval_residual_inequality():
@@ -210,23 +210,26 @@ def test_rate_interval_residual_inequality():
         ),
     ]
     for trace in fixtures:
-        rr = rate_and_residual(trace)
-        intervals = formation_rate_intervals(trace)
-        for step, rate, res, iv in zip(trace.steps, rr.rates, rr.residuals, intervals):
+        for step, row in zip(trace.steps, rate_report(trace).per_step):
             entropy_term = (
                 sum(float(b.p) * binary_entropy(float(b.F)) for b in step.branches) / step.n
             )
-            assert float(rate) - iv[1] <= float(res) + entropy_term + 1e-12
+            gap = float(row.rate) - row.formation_upper
+            assert gap <= float(row.residual) + entropy_term + 1e-12
 
 
 def test_min_branch_fidelity():
     trace = ProtocolTrace(
         (TraceStep(1, (BranchOutcome(0.5, 4, 0.99), BranchOutcome(0.5, 4, 1))),)
     )
-    assert min_branch_fidelity(trace) == (0.99,)
-    assert min_branch_fidelity(fixture_trace()) == (0.99,)
+
+    def min_fidelities(trace):
+        return [row.min_fidelity for row in rate_report(trace).per_step]
+
+    assert min_fidelities(trace) == [0.99]
+    assert min_fidelities(fixture_trace()) == [0.99]
     all_perfect = single_branch_trace([(2, 1), (4, 1)])
-    assert min_branch_fidelity(all_perfect) == (1.0, 1.0)
+    assert min_fidelities(all_perfect) == [1.0, 1.0]
 
 
 # -- power-of-two transform --------------------------------------------------
@@ -282,12 +285,31 @@ def test_floor_dims_branchwise():
 # -- tensor-power compiler ---------------------------------------------------
 
 
-def margins(k, p_frac=Fraction(9, 10), r_frac=Fraction(99, 100)):
-    return CompilerConfig.from_fractions(fixture_trace(), k, p_frac, r_frac)
+def config(k, p_frac=Fraction(9, 10), r_frac=Fraction(99, 100)):
+    return CompilerConfig(k, p_frac, r_frac)
+
+
+def test_compiler_config_validates_k_and_fractions():
+    CompilerConfig(1, Fraction(1, 2), 0.5)
+    for k, p_frac, r_frac in [
+        (0, 0.5, 0.5), (10, 0, 0.5), (10, 1, 0.5), (10, 1.5, 0.5),
+        (10, 0.5, 0), (10, 0.5, 1), (10, 0.5, -0.1),
+    ]:
+        with pytest.raises(ValueError):
+            CompilerConfig(k, p_frac, r_frac)
+
+
+def test_compiler_margins_from_the_two_fractions():
+    cfg = config(10)
+    branch, failure = fixture_trace().steps[0].branches
+    # p' = (9/10)(1/2); R' = (99/100)((2 * 99/100 - 1) * 10 - 1) = (99/100)(44/5)
+    assert cfg.margins(branch) == (Fraction(9, 20), Fraction(1089, 125))
+    assert cfg.margins(failure) is None
+    assert cfg.margins(BranchOutcome(0, 1024, Fraction(1, 2))) is None  # never occurs
 
 
 def test_compile_rate_bound_exact():
-    out = tensor_power_compile(fixture_trace(), margins(1000))
+    out = tensor_power_compile(fixture_trace(), config(1000))
     assert out.rate_bound == Fraction(39, 100)
     assert float(out.rate_bound) == 0.39
 
@@ -295,7 +317,7 @@ def test_compile_rate_bound_exact():
 def test_compile_failure_probability_monotone():
     fails = []
     for k in (10, 100, 1000):
-        out = tensor_power_compile(fixture_trace(), margins(k))
+        out = tensor_power_compile(fixture_trace(), config(k))
         assert out.steps[0].failure_method == "exact"
         fails.append(out.failure_probability)
     assert fails[0] > fails[1] > fails[2]
@@ -303,72 +325,59 @@ def test_compile_failure_probability_monotone():
 
 def test_compile_failure_probability_k10_exact_value():
     # single constrained branch: P(Bin(10, 1/2) < 4) = 176/1024
-    out = tensor_power_compile(fixture_trace(), margins(10))
+    out = tensor_power_compile(fixture_trace(), config(10))
     assert out.failure_probability == pytest.approx(176 / 1024, abs=1e-12)
 
 
 def test_compile_half_margins_failure_is_negligible():
-    cfg = CompilerConfig.from_fractions(fixture_trace(), 1000, Fraction(1, 2), Fraction(1, 2))
+    cfg = CompilerConfig(1000, Fraction(1, 2), Fraction(1, 2))
     out = tensor_power_compile(fixture_trace(), cfg)
     assert out.failure_probability < 1e-10
 
 
 def test_compile_achieved_rate_at_large_k():
-    cfg = margins(10**4)
+    cfg = config(10**4)
     out = tensor_power_compile(fixture_trace(), cfg)
-    target = sum(
-        float(m.rate_prime * m.p_prime) for m in cfg.margins[0] if m is not None
-    ) / 10
+    branches = fixture_trace().steps[0].branches
+    target = sum(float(r * p) for p, r in filter(None, map(cfg.margins, branches))) / 10
     assert abs(out.achieved_rate - target) <= 1e-3
     assert out.def1_trace is not None
     assert out.def1_trace.steps[0].n == 10 * 10**4
 
 
 def test_compile_rate_bound_below_margin_supremum():
-    out = tensor_power_compile(fixture_trace(), margins(100))
+    out = tensor_power_compile(fixture_trace(), config(100))
     supremum = 0.5 * ((2 * 0.99 - 1) * 10 - 1) / 10
     assert float(out.rate_bound) <= supremum + 1e-9
 
 
-def test_compile_degenerate_branch_forces_zero_rate():
-    trace = ProtocolTrace((TraceStep(1, (BranchOutcome(1, 2, 1),)),))
-    cfg = CompilerConfig(100, ((BranchMargins(Fraction(1, 2), Fraction(-1, 10)),),))
-    out = tensor_power_compile(trace, cfg)
-    assert out.achieved_rate == 0.0
-    assert out.steps[0].output_dim == 1
-
-
-def test_compile_validates_margins():
-    trace = fixture_trace()
-    with pytest.raises(ValueError):
-        tensor_power_compile(
-            trace, CompilerConfig(10, ((BranchMargins(Fraction(3, 4), 1), None),))
-        )  # p' >= p
-    with pytest.raises(ValueError):
-        tensor_power_compile(
-            trace, CompilerConfig(10, ((BranchMargins(Fraction(1, 4), 9), None),))
-        )  # rate margin above the slack
-    with pytest.raises(ValueError):
-        tensor_power_compile(
-            trace,
-            CompilerConfig(
-                10,
-                ((BranchMargins(Fraction(1, 4), 1), BranchMargins(Fraction(1, 4), 1)),),
-            ),
-        )  # margins on a dimension-1 branch
-
-
 def test_compile_requires_power_of_two_dimensions():
     trace = ProtocolTrace((TraceStep(1, (BranchOutcome(1, 6, 0.99),)),))
-    cfg = CompilerConfig(10, ((BranchMargins(Fraction(1, 2), Fraction(1, 2)),),))
     with pytest.raises(ValueError):
-        tensor_power_compile(trace, cfg)
+        tensor_power_compile(trace, CompilerConfig(10, Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_compile_from_fractions_rejects_nonpositive_slack():
+    # (2F - 1) log2 K = 1: the hashing stage has no rate to give up
     trace = ProtocolTrace((TraceStep(1, (BranchOutcome(1, 2, 1),)),))
-    with pytest.raises(ValueError):
-        CompilerConfig.from_fractions(trace, 10, Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"K=2, F=1: .*\(2F-1\)\*log2 K > 1"):
+        tensor_power_compile(trace, CompilerConfig(10, Fraction(1, 2), Fraction(1, 2)))
+
+
+@given(
+    k=st.integers(1, 5000),
+    log2_k=st.integers(1, 40),
+    f=st.fractions(0, 1),
+    at=st.integers(0, 2),
+)
+@settings(max_examples=30, deadline=None)
+def test_compile_ignores_a_zero_probability_branch(k, log2_k, f, at):
+    base = fixture_trace()
+    branches = list(base.steps[0].branches)
+    branches.insert(at, BranchOutcome(Fraction(0), 2**log2_k, f))
+    padded = ProtocolTrace((TraceStep(base.steps[0].n, tuple(branches)),))
+    cfg = config(k)
+    assert tensor_power_compile(padded, cfg) == tensor_power_compile(base, cfg)
 
 
 # -- failure probability -----------------------------------------------------
@@ -467,8 +476,7 @@ def test_discard_padding_reuses_largest_step():
     assert step25.branches[0].K == 2**20
     assert out.discard_fractions[24] == Fraction(1, 5)
     # scaled rate: reusing n=20 at n=25 costs the discard fraction
-    rr = rate_and_residual(out.trace)
-    assert float(rr.rates[24]) == pytest.approx(20 / 25, abs=1e-12)
+    assert rate_report(out.trace).per_step[24].rate == Fraction(20, 25)
 
 
 def test_discard_padding_exact_step_unchanged():

@@ -57,6 +57,9 @@ def test_bench_layer_rows(monkeypatch):
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
     monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0),))
     monkeypatch.setattr(bench, "DENSITY_KS", (4,))
+    monkeypatch.setattr(bench, "COMPILE_KS", (100, 10**4))
+    monkeypatch.setattr(bench, "COMPILE_BRANCHES", (2,))
+    monkeypatch.setattr(bench, "RATES_STEPS", 3)
     rows = bench.layer_rows(repeats=2)
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
@@ -64,8 +67,12 @@ def test_bench_layer_rows(monkeypatch):
         "is_ppt_operation K=2", "classify K=2", "operation-algebra seed=7",
         "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
+        "compile k=100 branches=2", "compile k=10000 branches=2", "rates steps=3 branches=4",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
+    compiled = [rows[f"compile k={k} branches=2"] for k in (100, 10**4)]
+    assert [row["failure_method"] for row in compiled] == ["exact", "chernoff"]
+    assert 1 > compiled[0]["failure_probability"] > compiled[1]["failure_probability"] > 0
     search = rows["ef_numeric_search K=3 F=1.0"]
     assert search["stop"] == "gradient" and abs(search["gap"]) <= 1e-12
     # verify --seed 7 runs lemma1-chain's four EF searches; each stops on the restart rule
