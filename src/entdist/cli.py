@@ -73,7 +73,10 @@ def _emit(text: str, out: str | None) -> None:
 def _csv(rows: list[list], header: list[str], precision: int) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_number(x, precision) if x is not None else "" for x in row))
+        lines.append(",".join(
+            x if isinstance(x, str) else "" if x is None else format_number(x, precision)
+            for x in row
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -228,7 +231,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             }
         )
     if args.emit == "csv":
-        header = ["k", "achieved_rate", "failure_probability", "rate_bound"]
+        header = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
         rows = [[d[h] for h in header] for d in out_docs]
         _emit(_csv(rows, header, args.precision), args.out)
     else:

@@ -14,13 +14,14 @@ asserted exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bounds import formation_bounds_isotropic
 
@@ -273,13 +274,24 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
     """P(N_j < m_j for some j), N ~ multinomial(k, probs + an unconstrained rest).
 
     Exact up to k = EXACT_TAIL_LIMIT: summed over the first branch j that misses
-    its floor, a binomial of the trials branches 1..j-1 left, given that those
-    met theirs.  Every term is a positive probability and no 1 - x is formed.
-    Each pmf is the exp of a sum of log-factorials up to log k!, off by a few of
-    its ulps: about 3e-11 relative per branch at k = 4096 (2e-12 seen against
-    long-double arithmetic).  Above the limit, the union of the Chernoff bounds
-    exp(-k KL(m_j/k || p_j)) on P(N_j < m_j), 1 where m_j/k >= p_j < 1; as
-    KL >= 2 gap^2 (Pinsker), never looser than Hoeffding's exp(-2k gap^2).
+    its floor, a binomial(n, q_j) of the n trials branches 1..j-1 left, given
+    that those met theirs.  Every term is a positive probability and no 1 - x
+    is formed.  Each pmf is the exp of a sum of log-factorials up to log k!,
+    off by a few of its ulps: about 3e-11 relative per branch at k = 4096
+    (2e-12 seen against long-double arithmetic).
+
+    Only the terms that can matter are formed, and those left out sum to at
+    most 2^-60 of the result.  The result is at least L = max_j P(N_j < m_j),
+    N_j ~ binomial(k, p_j), so each of the J branches may drop a mass of
+    2^-60 L / J, a quarter of it to each of four cuts.  The states (trials
+    used so far) at either end whose cumulative mass stays within a quarter
+    are dropped.  The counts of a block of states are kept on a window
+    [c0, c1]; below c0 and above c1, Chernoff's exp(-n KL(c/n || q)) bounds
+    each tail by a quarter per unit mass, for every n in the block.
+
+    Above the limit, the union of the Chernoff bounds exp(-k KL(m_j/k || p_j))
+    on P(N_j < m_j), 1 where m_j/k >= p_j < 1; as KL >= 2 gap^2 (Pinsker),
+    never looser than Hoeffding's exp(-2k gap^2).
     """
     if k > EXACT_TAIL_LIMIT:
         bound = 0.0
@@ -290,36 +302,89 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
                 bound += math.exp(-k * kl)
         return min(1.0, bound), "chernoff"
     lf = np.array([math.lgamma(i + 1) for i in range(k + 1)])
-    rev = lf[::-1]  # rev[u] = log (k - u)!
-    # per count c = -k-1..k, from index 0: log c!, and +inf below c = 0
-    counts, log_fact = np.arange(-k - 1, k + 1), np.concatenate([np.full(k + 1, np.inf), lf])
+    lf_wrap = np.concatenate([lf, np.full(k, np.inf)])  # +inf at -1..-k: no term has c > n
+    rows = (1 << 18) // (k + 1)  # states per block: 2 MiB of float64
+    # scratch for one block; fresh arrays of this size would each cost page faults
+    buf_x, buf_i = np.empty(rows * (k + 1)), np.empty(rows * (k + 1), np.intp)
+
+    def log_pmf(c0: int, c1: int, n0: int, cols: int, lq: float, l1q: float) -> np.ndarray:
+        """log binomial(n, q) pmf at c = c0..c1 (rows) and n = n0, n0 - 1, ...
+        (cols columns); -inf where c > n.  Every term is formed in one order,
+        log n! - log c! - log (n - c)! + c log q + (n - c) log(1 - q).  The
+        result is a view of the scratch."""
+        c = np.arange(c0, c1 + 1)[:, None]
+        nc = n0 - c0 - np.arange(c1 - c0 + cols)  # n - c on the antidiagonal i + j
+        hankel = lambda v: as_strided(v, (c.size, cols), v.strides * 2)  # [i, j] = v[i + j]
+        x = buf_x[: c.size * cols].reshape(-1, cols)
+        np.subtract(lf[n0 - np.arange(cols)], lf[c], out=x)
+        x -= hankel(lf_wrap[nc])
+        x += c * lq
+        x += hankel(nc * l1q)
+        return x
+
+    def miss_tail(p: float, m: int) -> float:  # P(N < m), N ~ binomial(k, p)
+        terms = np.exp(log_pmf(0, min(m, k + 1) - 1, k, 1, math.log(p), math.log1p(-p)))
+        return math.fsum(terms[::-1].ravel().tolist())  # largest first: fewer partials
+
+    lower = max(
+        (miss_tail(p, m) for p, m in zip(probs, floors) if 0 < p < 1 and m > 0), default=0.0
+    )
+    # per branch and for each of its two state tails and two count tails
+    share = 2.0**-60 * lower / (4 * max(len(probs), 1))
+    # the exponent is compared with a relative margin for its own rounding
+    lam = -math.log(share) * (1 + 1e-9) if share > 0 else math.inf
     mass = np.zeros(k + 1)  # mass[u]: the branches so far used u trials, met their floors
     mass[0], remaining, failure = 1.0, 1.0, 0.0
-    rows = (1 << 18) // (k + 1)  # states per block: 2 MiB of float64
     for p, m in zip(probs, floors):
         q = p / remaining if remaining > p else 1.0
         remaining -= p
-        col_q = np.zeros(k + 1)  # (k - t) log(1 - q), 0 at t = k
-        col_q[:k] = np.arange(k, 0, -1) * (math.log1p(-q) if q < 1 else -math.inf)
-        cq = counts * math.log(q)
-        short = counts < m  # the counts that miss the floor
-        lost, kept = np.zeros(k + 1), np.zeros(k + 1)  # over t = u + c
         live = np.flatnonzero(mass)
-        for a in range(live.min(initial=k + 1), live.max(initial=-1) + 1, rows):
-            b = min(a + rows, live[-1] + 1)  # states u = a..b-1, n = k - u trials left
-            # Toeplitz views v[t - u] on rows u and columns t = a..k
-            window = slice(k + 2 + a - b, 2 * k + 2 - a)
-            toeplitz = lambda v: sliding_window_view(v[window], k + 1 - a)[::-1]
-            x = rev[a:b, None] - toeplitz(log_fact)
-            x -= rev[a:]  # log pmf(n, c) = log n! - log c! - log (n - c)! + ...
-            x += toeplitz(cq)
-            x += col_q[a:]
+        w = mass[live]
+        first = np.searchsorted(np.cumsum(w), share, side="right")
+        last = live.size - np.searchsorted(np.cumsum(w[::-1]), share, side="right")
+        kept = np.zeros(k + 1)  # over t = u + c
+        if first >= last:
+            mass = kept
+            continue
+        u0, u1 = int(live[first]), int(live[last - 1])
+        if q >= 1:  # every trial left lands in this branch: c = n
+            u = np.arange(u0, u1 + 1)
+            miss = k - u < m
+            failure += math.fsum(mass[u[miss]].tolist())
+            kept[k] = mass[u[~miss]].sum()
+            mass = kept
+            continue
+        lq, l1q = math.log(q), math.log1p(-q)
+
+        def exponent(c: int, n: int) -> float:  # n KL(c/n || q)
+            return ((c * (math.log(c / n) - lq) if c else 0.0)
+                    + ((n - c) * (math.log1p(-c / n) - l1q) if c < n else 0.0))
+
+        lost = []
+        for a in range(u0, u1 + 1, rows):
+            b = min(a + rows, u1 + 1)  # states u = a..b-1, n = k - u trials left
+            n_lo, n_hi = k - b + 1, k - a
+            # the exponent falls on c <= n q and grows with n below the mean, grows on
+            # c >= n q and falls with n above it: bisect for the first count kept at
+            # n_lo and the first count cut at n_hi
+            below = range(math.ceil(n_lo * q))
+            c0 = bisect_left(below, True, key=lambda c: exponent(c, n_lo) < lam)
+            above = range(math.floor(n_hi * q) + 1, n_hi + 1)
+            c1 = above.start + bisect_left(above, True, key=lambda c: exponent(c, n_hi) >= lam) - 1
+            # rows are counts c = c0..c1, columns states u = a..b-1
+            x = log_pmf(c0, c1, k - a, b - a, lq, l1q)
             np.exp(x, out=x)
-            x *= mass[a:b, None]
-            miss = toeplitz(short)
-            lost[a:] += np.where(miss, x, 0.0).sum(axis=0)
-            kept[a:] += np.where(miss, 0.0, x).sum(axis=0)
-        failure += math.fsum(lost)
+            x *= mass[a:b]
+            s = min(max(m - c0, 0), len(x))  # the counts c < m miss the floor
+            lost.append(x[:s].sum(axis=1))
+            if s < len(x):  # count c0 + s + i of state a + j lands on t = a + c0 + s + i + j
+                diag = np.add.outer(np.arange(len(x) - s), np.arange(b - a),
+                                    out=buf_i[: x[s:].size].reshape(x[s:].shape))
+                sums = np.bincount(diag.ravel(), weights=x[s:].ravel())
+                t0 = a + c0 + s
+                end = min(k + 1, t0 + sums.size)  # beyond k only terms with c > n, all 0
+                kept[t0:end] += sums[: end - t0]
+        failure += math.fsum(np.concatenate(lost)[::-1].tolist())  # largest first, as above
         mass = kept
     return min(1.0, float(failure)), "exact"
 

@@ -502,6 +502,16 @@ def test_compile_fixture(capsys, trace_file):
     assert doc["failure_method"] == "exact"
 
 
+def test_compile_csv_names_how_each_failure_probability_was_obtained(capsys, trace_file):
+    code, out, err = run_cli(
+        capsys, "compile", trace_file, "--k-list", "1000", "8192", "--emit", "csv"
+    )
+    assert code == 0, err
+    header, *rows = out.splitlines()
+    assert header == "k,achieved_rate,failure_probability,failure_method,rate_bound"
+    assert [row.split(",")[3] for row in rows] == ["exact", "chernoff"]
+
+
 def write_trace(tmp_path, branches, n=10):
     path = tmp_path / "trace.json"
     path.write_text(json.dumps({"steps": [{"n": n, "branches": branches}]}))

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from entdist import distillation
 from entdist.bounds import binary_entropy, formation_bounds_isotropic
@@ -421,6 +423,109 @@ def test_failure_probability_matches_exact_rational_sum(k, probs, floors):
     want = exact_failure(k, probs, floors)
     assert method == "exact"
     assert got == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+def full_grid_failure(k, probs, floors):
+    """The first-failure sum of `_failure_probability` over every (state u,
+    trial count t) pair: every term is formed, with the same per-term
+    arithmetic as the cut sum."""
+    lf = np.array([math.lgamma(i + 1) for i in range(k + 1)])
+    rev = lf[::-1]  # rev[u] = log (k - u)!
+    # per count c = -k-1..k, from index 0: log c!, and +inf below c = 0
+    counts, log_fact = np.arange(-k - 1, k + 1), np.concatenate([np.full(k + 1, np.inf), lf])
+    mass = np.zeros(k + 1)  # mass[u]: the branches so far used u trials, met their floors
+    mass[0], remaining, failure = 1.0, 1.0, 0.0
+    rows = (1 << 18) // (k + 1)
+    for p, m in zip(probs, floors):
+        q = p / remaining if remaining > p else 1.0
+        remaining -= p
+        col_q = np.zeros(k + 1)  # (k - t) log(1 - q), 0 at t = k
+        col_q[:k] = np.arange(k, 0, -1) * (math.log1p(-q) if q < 1 else -math.inf)
+        cq = counts * math.log(q)
+        short = counts < m
+        lost, kept = np.zeros(k + 1), np.zeros(k + 1)  # over t = u + c
+        live = np.flatnonzero(mass)
+        for a in range(live.min(initial=k + 1), live.max(initial=-1) + 1, rows):
+            b = min(a + rows, live[-1] + 1)
+            # Toeplitz views v[t - u] on rows u = a..b-1 and columns t = a..k
+            window = slice(k + 2 + a - b, 2 * k + 2 - a)
+            toeplitz = lambda v: sliding_window_view(v[window], k + 1 - a)[::-1]
+            x = rev[a:b, None] - toeplitz(log_fact)
+            x -= rev[a:]
+            x += toeplitz(cq)
+            x += col_q[a:]
+            np.exp(x, out=x)
+            x *= mass[a:b, None]
+            miss = toeplitz(short)
+            lost[a:] += np.where(miss, x, 0.0).sum(axis=0)
+            kept[a:] += np.where(miss, 0.0, x).sum(axis=0)
+        failure += math.fsum(lost)
+        mass = kept
+    return min(1.0, float(failure))
+
+
+def binomial_lower_tail(k, p, m):
+    """P(N < m), N ~ binomial(k, p), in floats."""
+    return math.fsum(math.comb(k, c) * p**c * (1 - p) ** (k - c) for c in range(min(m, k + 1)))
+
+
+BENCHMARK_PROBS = ([0.8], [0.6, 0.3], [0.4, 0.3, 0.2], [0.3, 0.25, 0.2, 0.15])
+
+
+@pytest.mark.parametrize("k", [512, 2048, 4096])
+@pytest.mark.parametrize("probs", BENCHMARK_PROBS, ids=lambda probs: f"{len(probs)}branches")
+@pytest.mark.parametrize("p_fraction", [0.9, 0.95, 0.99])
+def test_cut_failure_probability_matches_the_full_grid(k, probs, p_fraction):
+    floors = [math.floor(p_fraction * p * k) for p in probs]
+    got, method = distillation._failure_probability(k, probs, floors)
+    want = full_grid_failure(k, probs, floors)
+    assert method == "exact" and want > 0
+    if len(probs) == 1:  # one state, the same terms: the same fsum
+        assert got == want
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "k, probs, floors",
+    [
+        (2000, [0.5, 0.5], [700, 700]),  # about 8.7e-42; the last branch has q = 1
+        (512, [0.2, 0.3, 0.5], [90, 140, 230]),  # q = 1 on the last branch
+        (4096, [0.4, 0.4], [545, 545]),  # L is subnormal: no budget, nothing is cut
+        (1, [0.5], [1]),
+        (6, [0.3, 0.3, 0.3], [1, 1, 1]),
+        (40, [0.5, 0.25], [30, 1]),  # floors above the means
+    ],
+)
+def test_cut_failure_probability_edge_cases(k, probs, floors):
+    got, _ = distillation._failure_probability(k, probs, floors)
+    want = full_grid_failure(k, probs, floors)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_cut_failure_probability_without_floors_is_zero():
+    for k in (1, 100, 1000):
+        got = distillation._failure_probability(k, [0.3, 0.25, 0.2, 0.15], [0] * 4)
+        assert got == (0.0, "exact")
+
+
+@given(
+    k=st.integers(1, 600),
+    weights=st.lists(st.integers(1, 20), min_size=1, max_size=4),
+    rest=st.integers(0, 20),
+    fractions=st.lists(st.floats(0, 1.1), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_cut_failure_probability_is_within_its_budget(k, weights, rest, fractions):
+    total = sum(weights) + rest
+    probs = [w / total for w in weights]
+    floors = [math.floor(f * p * k) for f, p in zip(fractions, probs)]
+    got, _ = distillation._failure_probability(k, probs, floors)
+    want = full_grid_failure(k, probs, floors)
+    lower = max(binomial_lower_tail(k, p, m) for p, m in zip(probs, floors))
+    assert want >= lower * (1 - 1e-12)
+    # the terms cut off, plus the rounding of sums taken in another order
+    assert abs(got - want) <= 2**-60 * lower + 1e-14 * want
 
 
 def test_failure_probability_above_the_limit_is_the_chernoff_union_bound():
