@@ -40,7 +40,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     random_density,
-    tensor,
 )
 from .operations import (
     QuantumOperation,
@@ -55,7 +54,6 @@ from .operations import (
     is_ppt_operation,
     is_trace_preserving,
     make_local,
-    make_one_local,
     natural_product_witness,
     ppt_choi,
     tensor_operations,
@@ -69,15 +67,12 @@ from .protocols import (
     monte_carlo_twirl,
     reduce_dimension,
     reduce_dimension_fidelity,
-    reduction_plan,
     subspace_measurement_fidelity,
     subspace_measurement_op,
 )
 from .states import (
-    IsotropicParams,
     fidelity,
     isotropic,
-    isotropic_state,
     max_entangled_ket,
     max_entangled_projector,
 )

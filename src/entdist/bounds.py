@@ -232,14 +232,6 @@ def _ensemble_grad(a: np.ndarray, parts: tuple) -> np.ndarray:
     return a.conj().T @ grad_c
 
 
-def _ensemble_objective_grad(
-    g: np.ndarray, a: np.ndarray, da: int, db: int
-) -> tuple[float, np.ndarray]:
-    """Average output entanglement and its Euclidean Wirtinger gradient."""
-    value, parts = _ensemble_value(g, a, da, db)
-    return value, _ensemble_grad(a, parts)
-
-
 def _polar_coisometry(g: np.ndarray) -> np.ndarray:
     u, _, vh = np.linalg.svd(g, full_matrices=False)
     return u @ vh
@@ -257,7 +249,8 @@ def _minimize_from(
     """Descend from g0; return the value, the iterations used, the final
     projected-gradient norm, the objective evaluations and the stop reason."""
     g = _polar_coisometry(g0)
-    value, grad = _ensemble_objective_grad(g, a, da, db)
+    value, parts = _ensemble_value(g, a, da, db)
+    grad = _ensemble_grad(a, parts)
     evaluations = 1
     xi = _tangent(g, grad)
     direction = xi

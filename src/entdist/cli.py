@@ -70,14 +70,22 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv(rows: list[list], header: list[str], precision: int) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            x if isinstance(x, str) else "" if x is None else format_number(x, precision)
-            for x in row
-        ))
-    return "\n".join(lines) + "\n"
+def _emit_report(
+    args: argparse.Namespace, doc: object, records: list[dict], header: list[str]
+) -> None:
+    """With --emit csv, the `header` columns of records, one row each;
+    otherwise doc as JSON."""
+    if args.emit == "csv":
+        lines = [",".join(header)]
+        for r in records:
+            lines.append(",".join(
+                x if isinstance(x, str) else "" if x is None else format_number(x, args.precision)
+                for x in (r[h] for h in header)
+            ))
+        text = "\n".join(lines) + "\n"
+    else:
+        text = dump_report(doc, args.precision)
+    _emit(text, args.out)
 
 
 def nonnegative_int(text: str) -> int:
@@ -128,12 +136,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "hashing_established": hr.dimension_is_power_of_two,
                 }
             )
-    if args.emit == "csv":
-        header = ["K", "F", "ef_lower", "ef_upper", "ppt_bound", "hashing_raw", "hashing_clamped"]
-        rows = [[r[h] for h in header] for r in records]
-        _emit(_csv(rows, header, args.precision), args.out)
-    else:
-        _emit(dump_report(records, args.precision), args.out)
+    header = ["K", "F", "ef_lower", "ef_upper", "ppt_bound", "hashing_raw", "hashing_clamped"]
+    _emit_report(args, records, records, header)
     return 0
 
 
@@ -155,12 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"--Kprime {args.Kprime} must equal --K {args.K}: the twirl keeps the dimension"
         )
     records = _simulate_rows(args)
-    if args.emit == "csv":
-        header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]
-        rows = [[r[h] for h in header] for r in records]
-        _emit(_csv(rows, header, args.precision), args.out)
-    else:
-        _emit(dump_report(records, args.precision), args.out)
+    header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]
+    _emit_report(args, records, records, header)
     return 0 if all(r["pass"] for r in records) else 1
 
 
@@ -187,21 +187,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_rates(args: argparse.Namespace) -> int:
     report = dst.rate_report(decode_trace(load_json(args.input)))
     per_step = [dataclasses.asdict(row) for row in report.per_step]
-    if args.emit == "csv":
-        header = [f.name for f in dataclasses.fields(dst.StepRates)]
-        _emit(_csv([list(row.values()) for row in per_step], header, args.precision), args.out)
-    else:
-        last = report.per_step[-1]
-        doc = {
-            "single_branch_rate": report.single_branch,
-            "rate": last.rate,
-            "residual": last.residual,
-            "formation_interval": [last.formation_lower, last.formation_upper],
-            "min_fidelity": last.min_fidelity,
-            "all_power_of_two": report.all_power_of_two,
-            "per_step": per_step,
-        }
-        _emit(dump_report(doc, args.precision), args.out)
+    last = report.per_step[-1]
+    doc = {
+        "single_branch_rate": report.single_branch,
+        "rate": last.rate,
+        "residual": last.residual,
+        "formation_interval": [last.formation_lower, last.formation_upper],
+        "min_fidelity": last.min_fidelity,
+        "all_power_of_two": report.all_power_of_two,
+        "per_step": per_step,
+    }
+    _emit_report(args, doc, per_step, [f.name for f in dataclasses.fields(dst.StepRates)])
     return 0
 
 
@@ -230,12 +226,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
                 "log2_output_dims": [s.log2_output_dim for s in result.steps],
             }
         )
-    if args.emit == "csv":
-        header = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
-        rows = [[d[h] for h in header] for d in out_docs]
-        _emit(_csv(rows, header, args.precision), args.out)
-    else:
-        _emit(dump_report(out_docs, args.precision), args.out)
+    header = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
+    _emit_report(args, out_docs, out_docs, header)
     return 0
 
 

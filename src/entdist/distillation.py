@@ -177,12 +177,13 @@ def _largest_power_of_two_below_ratio(k: int, n: int) -> int:
     return 1 << (((k - 1) // n).bit_length() - 1)
 
 
-def _reduced_branch(k: int, n: int, f: Number) -> BranchOutcome:
-    kp = _largest_power_of_two_below_ratio(k, n)
+def _reduced_branch(b: BranchOutcome, n: int) -> BranchOutcome:
+    """b at the largest power of 2 below K/n, with fidelity (1 - K'/K) F
+    (dimension 1 at fidelity 1 when K < 2n); p is kept."""
+    kp = _largest_power_of_two_below_ratio(b.K, n)
     if kp == 1:
-        return BranchOutcome(Fraction(1), 1, Fraction(1))
-    fp = (1 - Fraction(kp, k)) * f
-    return BranchOutcome(Fraction(1), kp, fp)
+        return BranchOutcome(b.p, 1, Fraction(1))
+    return BranchOutcome(b.p, kp, (1 - Fraction(kp, b.K)) * b.F)
 
 
 @dataclass(frozen=True)
@@ -202,33 +203,23 @@ def power_of_two_transform(trace: ProtocolTrace) -> Theorem2Result:
     recorded fidelity is the guaranteed (1 - K'/K) F."""
     if not trace.is_single_branch:
         raise ValueError("transform requires a single-branch trace")
-    new_steps = []
-    originals = []
-    transformed = []
-    ratios = []
-    for step in trace.steps:
-        b = step.branches[0]
-        nb = _reduced_branch(b.K, step.n, b.F)
-        new_steps.append(TraceStep(step.n, (nb,)))
-        originals.append(float(_log2_dim(b.K)) / step.n)
-        transformed.append(float(_log2_dim(nb.K)) / step.n)
-        ratios.append(float(Fraction(nb.K, b.K)))
+    out = floor_dims_to_powers_of_two(trace)
+    pairs = [(s.n, s.branches[0].K, t.branches[0].K) for s, t in zip(trace.steps, out.steps)]
     return Theorem2Result(
-        ProtocolTrace(tuple(new_steps)), tuple(originals), tuple(transformed), tuple(ratios)
+        out,
+        tuple(float(_log2_dim(k)) / n for n, k, _ in pairs),
+        tuple(float(_log2_dim(kp)) / n for n, _, kp in pairs),
+        tuple(float(Fraction(kp, k)) for _, k, kp in pairs),
     )
 
 
 def floor_dims_to_powers_of_two(trace: ProtocolTrace) -> ProtocolTrace:
     """Branch-wise power-of-two normalization for measuring traces: branches
     with K below 2n collapse to dimension 1 at fidelity 1."""
-    new_steps = []
-    for step in trace.steps:
-        branches = []
-        for b in step.branches:
-            reduced = _reduced_branch(b.K, step.n, b.F)
-            branches.append(BranchOutcome(b.p, reduced.K, reduced.F))
-        new_steps.append(TraceStep(step.n, tuple(branches)))
-    return ProtocolTrace(tuple(new_steps))
+    return ProtocolTrace(tuple(
+        TraceStep(step.n, tuple(_reduced_branch(b, step.n) for b in step.branches))
+        for step in trace.steps
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class BipartiteLabel:
     def total(self) -> int:
         return self.dim_a * self.dim_b
 
-    def index(self, a: int, b: int) -> int:
-        """Joint index of the basis pair (a, b)."""
-        return a * self.dim_b + b
-
 
 # Plain int labels a unipartite space of that dimension.
 Label = Union[BipartiteLabel, int]
@@ -59,16 +55,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part (m + m^dagger) / 2 (dense solver)."""
     m = as_square_matrix(m)
     return float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-
-
-def tensor(*matrices: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, A-major index order."""
-    if not matrices:
-        raise ValueError("tensor requires at least one matrix")
-    out = np.asarray(matrices[0], dtype=complex)
-    for m in matrices[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
 
 
 def _checked(m: np.ndarray, label: Label) -> np.ndarray:
@@ -97,8 +83,8 @@ class DensityOperator:
     and skips the eigendecomposition (and the copy of an array no one else
     holds):
 
-    - `states.isotropic_state`: its spectrum is F once and (1-F)/(K^2-1)
-      K^2-1 times, and `IsotropicParams` bounds F to [0, 1];
+    - `states.isotropic`: its spectrum is F once and (1-F)/(K^2-1)
+      K^2-1 times, and it bounds F to [0, 1];
     - `operations.apply_operation`, each branch output sum_j K_j rho K_j^dagger / p:
       a Kraus image of a checked state;
     - `random_density`: a normalized Gram matrix G G^dagger;

@@ -176,10 +176,6 @@ class QuantumOperation:
     def dim_in(self) -> int:
         return total_dim(self.in_label)
 
-    @property
-    def is_measuring(self) -> bool:
-        return len(self.subops) > 1
-
     def completeness_sum(self) -> np.ndarray:
         return sum(sub.completeness_term() for sub in self.subops)
 
@@ -192,8 +188,8 @@ class QuantumOperation:
 BranchOutcomes = list[tuple[float, DensityOperator | None]]
 
 
-def is_trace_preserving(op: QuantumOperation, tol: float = TAU_TP) -> bool:
-    return op.completeness_deviation <= tol
+def is_trace_preserving(op: QuantumOperation) -> bool:
+    return op.completeness_deviation <= TAU_TP
 
 
 def apply_operation(op: QuantumOperation, rho: DensityOperator) -> BranchOutcomes:
@@ -381,26 +377,16 @@ def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bo
 
 
 def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperation:
-    """Product operation S_A (x) S_B of two non-measuring single-party
-    operations."""
-    if op_a.is_measuring or op_b.is_measuring:
-        raise ValueError("local operations are built from non-measuring parts")
-    sub_a, sub_b = op_a.subops[0], op_b.subops[0]
-    sub = SubOperation(sub_a.factors + sub_b.factors, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
-    in_label = BipartiteLabel(op_a.dim_in, op_b.dim_in)
-    return QuantumOperation((sub,), in_label)
-
-
-def make_one_local(op_a: QuantumOperation, dim_b: int) -> QuantumOperation:
-    """An arbitrary (possibly measuring) operation on party A tensored with
-    identity on B: the outcome travels from A to B."""
-    eye_b = np.eye(dim_b, dtype=complex)[None]
+    """Product operation S_A (x) S_B of two single-party operations, either
+    of which may measure: its branches are the pairs of the parties'
+    branches, A major, as in `tensor_operations`, with bipartite labels.
+    Tensoring with `identity_operation(d)` leaves the other party alone."""
     subs = tuple(
-        SubOperation(sub_a.factors + (eye_b,), BipartiteLabel(sub_a.dim_out, dim_b))
+        SubOperation(sub_a.factors + sub_b.factors, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
         for sub_a in op_a.subops
+        for sub_b in op_b.subops
     )
-    in_label = BipartiteLabel(op_a.dim_in, dim_b)
-    return QuantumOperation(tuple(subs), in_label)
+    return QuantumOperation(subs, BipartiteLabel(op_a.dim_in, op_b.dim_in))
 
 
 def natural_product_witness(op: QuantumOperation) -> SeparableWitness:

@@ -25,7 +25,6 @@ __all__ = [
     "factor_tracing_fidelity",
     "exact_twirl",
     "monte_carlo_twirl",
-    "reduction_plan",
     "reduce_dimension",
     "reduce_dimension_fidelity",
 ]
@@ -56,26 +55,20 @@ def _party_kraus(k: int, kp: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=OP_CACHE_SIZE)
-def subspace_measurement_op(k: int, kp: int, merged: bool = True) -> QuantumOperation:
+def subspace_measurement_op(k: int, kp: int) -> QuantumOperation:
     """Both parties measure the subspace of their first kp basis elements.
 
     On success a party keeps its (truncated) state; on failure it replaces
     its portion with the maximally mixed state on the kp-subspace, which is
     the ensemble average of drawing a random element of that subspace.  The
     four success/failure branches share the kp x kp output space and are
-    merged by default, into the product of the parties' merged families;
-    pass merged=False to keep them separate.
+    merged, into the product of the parties' merged families.
     """
     if not 1 <= kp <= k:
         raise ValueError(f"target dimension must satisfy 1 <= {kp} <= {k}")
-    succ, fail = _party_kraus(k, kp)
-    out, label = BipartiteLabel(kp, kp), BipartiteLabel(k, k)
-    if merged:
-        party = np.concatenate([succ, fail])
-        return QuantumOperation((SubOperation((party, party), out),), label)
-    sides = [side for side in (succ, fail) if len(side)]
-    subs = tuple(SubOperation((a, b), out) for a in sides for b in sides)
-    return QuantumOperation(subs, label)
+    party = np.concatenate(_party_kraus(k, kp))
+    sub = SubOperation((party, party), BipartiteLabel(kp, kp))
+    return QuantumOperation((sub,), BipartiteLabel(k, k))
 
 
 def subspace_measurement_fidelity(k: int, kp: int, f: float) -> float:
@@ -197,10 +190,6 @@ class ReductionPlan:
     @property
     def coarse_fidelity_factor(self) -> float:
         return max(self.k - self.kp, self.kp) / self.k
-
-
-def reduction_plan(k: int, kp: int) -> ReductionPlan:
-    return ReductionPlan(k, kp)
 
 
 @functools.lru_cache(maxsize=OP_CACHE_SIZE)

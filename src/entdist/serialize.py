@@ -126,12 +126,20 @@ def _walk_matrix(data: Any, where: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _is_count(x: Any) -> bool:
+    """A JSON integer of at least 1; true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _is_finite_number(x: Any) -> bool:
+    """A JSON number other than NaN and +-Infinity (which parse as floats)."""
+    if not isinstance(x, (int, float, Fraction)) or isinstance(x, bool):
+        return False
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def _decode_label(data: Any, where: str) -> BipartiteLabel:
-    if (
-        not isinstance(data, list)
-        or len(data) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in data)
-    ):
+    if not isinstance(data, list) or len(data) != 2 or not all(map(_is_count, data)):
         raise SchemaError(f"{where}: expected [dimA, dimB] with positive integers")
     return BipartiteLabel(data[0], data[1])
 
@@ -203,7 +211,7 @@ def decode_trace(doc: Any) -> ProtocolTrace:
         if not isinstance(sd, dict):
             raise SchemaError(f"steps[{i}]: expected an object")
         n = sd.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_count(n):
             raise SchemaError(f"steps[{i}].n: expected a positive integer")
         branches_doc = sd.get("branches")
         if not isinstance(branches_doc, list) or not branches_doc:
@@ -213,12 +221,12 @@ def decode_trace(doc: Any) -> ProtocolTrace:
             if not isinstance(bd, dict):
                 raise SchemaError(f"steps[{i}].branches[{j}]: expected an object")
             p, big_k, f = bd.get("p"), bd.get("K"), bd.get("F")
-            if not isinstance(p, (int, float, Fraction)) or isinstance(p, bool):
-                raise SchemaError(f"steps[{i}].branches[{j}].p: expected a number")
-            if not isinstance(big_k, int) or big_k < 1:
+            if not _is_finite_number(p):
+                raise SchemaError(f"steps[{i}].branches[{j}].p: expected a finite number")
+            if not _is_count(big_k):
                 raise SchemaError(f"steps[{i}].branches[{j}].K: expected a positive integer")
-            if not isinstance(f, (int, float, Fraction)) or isinstance(f, bool):
-                raise SchemaError(f"steps[{i}].branches[{j}].F: expected a number")
+            if not _is_finite_number(f):
+                raise SchemaError(f"steps[{i}].branches[{j}].F: expected a finite number")
             try:
                 branches.append(BranchOutcome(Fraction(p), big_k, Fraction(f)))
             except ValueError as exc:

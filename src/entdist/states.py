@@ -7,8 +7,6 @@ it and results are invariant under local unitary changes of that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import BipartiteLabel, DensityOperator
@@ -41,38 +39,16 @@ def fidelity(rho: DensityOperator) -> float:
     return float(np.real(v.conj() @ rho.matrix @ v))
 
 
-@dataclass(frozen=True)
-class IsotropicParams:
-    """The pair (local dimension, fidelity) identifying an isotropic state."""
-
-    K: int
-    F: float
-
-    def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError(f"local dimension must be positive, got {self.K}")
-        if self.F < -F_RANGE_SLACK or self.F > 1 + F_RANGE_SLACK:
-            raise ValueError(f"fidelity {self.F} outside [0, 1]")
-        if self.K == 1 and abs(self.F - 1) > F_RANGE_SLACK:
-            raise ValueError("dimension 1 forces fidelity 1")
-
-    @property
-    def mixing_parameter(self) -> float:
-        """Weight of the maximally entangled projector in the mixture."""
-        if self.K == 1:
-            return 1.0
-        k2 = self.K * self.K
-        return (self.F * k2 - 1) / (k2 - 1)
-
-
-def isotropic_state(params: IsotropicParams) -> DensityOperator:
-    """The state a * P+ + (1 - a) * I / K^2 with fidelity params.F."""
-    k = params.K
-    a = params.mixing_parameter
-    m = a * max_entangled_projector(k) + (1 - a) * np.eye(k * k) / (k * k)
-    return DensityOperator._by_construction(m, BipartiteLabel(k, k))
-
-
 def isotropic(K: int, F: float) -> DensityOperator:
-    return isotropic_state(IsotropicParams(K, F))
-
+    """The state a * P+ + (1 - a) * I / K^2 with fidelity F, where the
+    weight of the maximally entangled projector is a = (F K^2 - 1)/(K^2 - 1)."""
+    if K < 1:
+        raise ValueError(f"local dimension must be positive, got {K}")
+    if F < -F_RANGE_SLACK or F > 1 + F_RANGE_SLACK:
+        raise ValueError(f"fidelity {F} outside [0, 1]")
+    if K == 1 and abs(F - 1) > F_RANGE_SLACK:
+        raise ValueError("dimension 1 forces fidelity 1")
+    k2 = K * K
+    a = 1.0 if K == 1 else (F * k2 - 1) / (k2 - 1)
+    m = a * max_entangled_projector(K) + (1 - a) * np.eye(k2) / k2
+    return DensityOperator._by_construction(m, BipartiteLabel(K, K))

@@ -22,9 +22,7 @@ import numpy as np
 from . import bounds as bnd
 from . import distillation as dst
 from . import protocols as pro
-from .linalg import (
-    BipartiteLabel, DensityOperator, haar_unitaries, min_eigenvalue, random_density, tensor,
-)
+from .linalg import BipartiteLabel, DensityOperator, haar_unitaries, min_eigenvalue, random_density
 from .operations import (
     QuantumOperation,
     SubOperation,
@@ -51,6 +49,8 @@ SIM_TOL = 1e-9
 EXACT_TOL = 1e-12
 # Largest entry deviation of the Monte Carlo twirl from the exact twirl.
 MC_TOL = 1e-2
+# Failing checks the text report names per suite.
+MAX_FAILURES_SHOWN = 5
 
 
 @dataclass
@@ -92,7 +92,7 @@ def simulate_point(
     elif protocol == "reduce":
         closed = pro.reduce_dimension_fidelity(k, kp, f)
         sim = fidelity(pro.reduce_dimension(isotropic(k, f), kp))
-        bound = pro.reduction_plan(k, kp).guaranteed_fidelity_factor * f
+        bound = pro.ReductionPlan(k, kp).guaranteed_fidelity_factor * f
     elif protocol == "twirl":
         rho = random_density(BipartiteLabel(k, k), rng)
         tw = pro.exact_twirl(rho)
@@ -163,7 +163,7 @@ def _suite_twirl(rng: np.random.Generator) -> SuiteResult:
         tw = pro.exact_twirl(random_density(BipartiteLabel(k, k), rng))
         for i in range(100):
             (u,) = haar_unitaries(k, 1, rng)
-            w = tensor(u, u.conj())
+            w = np.kron(u, u.conj())
             conj = w @ tw.matrix @ w.conj().T
             res.check(np.max(np.abs(conj - tw.matrix)) <= SIM_TOL, f"invariance K={k} sample={i}")
     return res
@@ -173,7 +173,7 @@ def _suite_lemma2(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("lemma2-bound")
     pairs = [(k, kp) for k in range(2, 7) for kp in range(1, k)]
     for k, kp in pairs:
-        plan = pro.reduction_plan(k, kp)
+        plan = pro.ReductionPlan(k, kp)
         res.check(
             plan.guaranteed_fidelity_factor >= plan.coarse_fidelity_factor - EXACT_TOL,
             f"factor K={k} Kprime={kp}",
@@ -299,7 +299,7 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
         rho_t = random_density(t.dim_in, rng)
         # a tensor product of two states is PSD by construction
         joint = DensityOperator._by_construction(
-            tensor(rho_s.matrix, rho_t.matrix), s.dim_in * t.dim_in
+            np.kron(rho_s.matrix, rho_t.matrix), s.dim_in * t.dim_in
         )
         got = apply_operation(tensor_operations(s, t), joint)
         ps = [p for p, _ in apply_operation(s, rho_s)]
@@ -426,15 +426,15 @@ def run_suites(seed: int = 0, suites: list[str] | None = None) -> list[SuiteResu
     return [SUITES[name](rng) for name in names]
 
 
-def render_text(results: list[SuiteResult], max_failures: int = 5) -> str:
+def render_text(results: list[SuiteResult]) -> str:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"[{status}] {r.name}: {r.checks - len(r.failures)}/{r.checks} checks")
-        for f in r.failures[:max_failures]:
+        for f in r.failures[:MAX_FAILURES_SHOWN]:
             lines.append(f"    failed: {f}")
-        if len(r.failures) > max_failures:
-            lines.append(f"    ... and {len(r.failures) - max_failures} more")
+        if len(r.failures) > MAX_FAILURES_SHOWN:
+            lines.append(f"    ... and {len(r.failures) - MAX_FAILURES_SHOWN} more")
     total_fail = sum(len(r.failures) for r in results)
     lines.append(
         f"TOTAL: {len(results)} suites, "

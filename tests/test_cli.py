@@ -26,7 +26,7 @@ from entdist.serialize import (
     format_number,
     load_json,
 )
-from entdist.protocols import subspace_measurement_op
+from helpers import unmerged_subspace_measurement
 
 
 def encode_matrix(m):
@@ -142,7 +142,7 @@ def test_matrix_decode_reads_json_literals_as_either_parse():
 
 
 def test_operation_roundtrip():
-    op = subspace_measurement_op(3, 2, merged=False)
+    op = unmerged_subspace_measurement(3, 2)
     doc = encode_operation(op)
     back, witness = decode_operation(doc)
     assert witness is None
@@ -411,7 +411,7 @@ def test_classify_identity(capsys, identity_op_file):
 def test_classify_with_witness(capsys, tmp_path):
     from entdist.operations import natural_product_witness
 
-    op = subspace_measurement_op(2, 1, merged=False)
+    op = unmerged_subspace_measurement(2, 1)
     doc = encode_operation(op)
     doc["witness"] = [
         [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]
@@ -463,6 +463,30 @@ def test_classify_rejects_integer_literals_beyond_double_range(capsys, tmp_path)
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "subops[0].kraus[0][0][0]: entry is not a finite number" in err
+
+
+ONE_STEP = '{"steps": [{"n": %s, "branches": [{"p": %s, "K": %s, "F": %s}]}]}'
+ONE_BRANCH = '{"input": %s, "subops": [{"output": %s, "kraus": [[[[1, 0]]]]}]}'
+
+
+@pytest.mark.parametrize("command,text,field", [
+    ("rates", ONE_STEP % ("true", 1, 2, 1), "steps[0].n: expected a positive integer"),
+    ("rates", ONE_STEP % (1, 1, "true", 1), "steps[0].branches[0].K: expected a positive integer"),
+    ("rates", ONE_STEP % (1, "Infinity", 2, 1), "steps[0].branches[0].p: expected a finite number"),
+    ("compile", ONE_STEP % (1, 1, 2, "-Infinity"),
+     "steps[0].branches[0].F: expected a finite number"),
+    ("classify", ONE_BRANCH % ("[true, 1]", "[1, 1]"), "input: expected [dimA, dimB]"),
+    ("classify", ONE_BRANCH % ("[1, 1]", "[1, true]"), "subops[0].output: expected [dimA, dimB]"),
+])
+def test_booleans_and_infinities_are_input_errors_naming_the_field(
+    capsys, tmp_path, command, text, field
+):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--k-list", "10"] if command == "compile" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert field in err
 
 
 def test_rates_fixture(capsys, trace_file):

