@@ -1,11 +1,20 @@
 """Command-line front end.
 
-Subcommands: bounds (bound grids), simulate (protocol closed forms against
-brute-force simulation), classify (operation class predicates), rates
-(protocol-trace rate accounting), compile (tensor-power compilation), and
-verify (the full invariant suite).  All output is deterministic for a fixed
-seed: one seeded generator per run, numbers serialized as shortest
-round-trip decimals at the configured precision.
+Subcommands, each with only the options it reads; all take --out FILE,
+which writes the report there instead of to stdout:
+
+- bounds (bound grids): --K-list --F-grid --emit --precision
+- simulate (protocol closed forms against brute-force simulation): --K
+  --Kprime --F-grid --protocol --mc-samples --emit --precision --seed
+- classify (operation class predicates, always JSON): input
+- rates (protocol-trace rate accounting): input --emit --precision
+- compile (tensor-power compilation): input --k-list --p-fraction
+  --rate-fraction --emit --precision
+- verify (the full invariant suite): --suite --emit {text,json} --seed
+
+Output is deterministic: simulate and verify draw from one generator seeded
+by --seed, and numbers are serialized as shortest round-trip decimals at
+--precision significant digits.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (including a
 `simulate --K` above MAX_SIMULATE_K, a twirl `simulate` whose --Kprime is not
@@ -19,6 +28,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -62,20 +72,14 @@ MAX_CHOI_DIM = 1024
 PRECISIONS = range(1, 18)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _emit_report(
-    args: argparse.Namespace, doc: object, records: list[dict], header: list[str]
+def _emit(
+    args: argparse.Namespace, doc: object, records: Sequence[dict] = (), header: Sequence[str] = ()
 ) -> None:
-    """With --emit csv, the `header` columns of records, one row each;
-    otherwise doc as JSON."""
-    if args.emit == "csv":
+    """Write a report to --out, else to stdout: with --emit csv the `header`
+    columns of records, one row each; a text doc as it is; otherwise doc as
+    JSON.  classify and verify reports hold no float, so they take no
+    --precision."""
+    if getattr(args, "emit", "json") == "csv":
         lines = [",".join(header)]
         for r in records:
             lines.append(",".join(
@@ -83,9 +87,15 @@ def _emit_report(
                 for x in (r[h] for h in header)
             ))
         text = "\n".join(lines) + "\n"
+    elif isinstance(doc, str):
+        text = doc
     else:
-        text = dump_report(doc, args.precision)
-    _emit(text, args.out)
+        text = dump_report(doc, getattr(args, "precision", 12))
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def nonnegative_int(text: str) -> int:
@@ -137,16 +147,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                 }
             )
     header = ["K", "F", "ef_lower", "ef_upper", "ppt_bound", "hashing_raw", "hashing_clamped"]
-    _emit_report(args, records, records, header)
+    _emit(args, records, records, header)
     return 0
-
-
-def _simulate_rows(args: argparse.Namespace) -> list[dict]:
-    rng = np.random.default_rng(args.seed)
-    return [
-        ver.simulate_point(args.protocol, args.K, args.Kprime, f, rng, args.mc_samples)
-        for f in parse_f_grid(args.F_grid)
-    ]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -158,9 +160,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SchemaError(
             f"--Kprime {args.Kprime} must equal --K {args.K}: the twirl keeps the dimension"
         )
-    records = _simulate_rows(args)
+    rng = np.random.default_rng(args.seed)
+    records = [
+        ver.simulate_point(args.protocol, args.K, args.Kprime, f, rng, args.mc_samples)
+        for f in parse_f_grid(args.F_grid)
+    ]
     header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]
-    _emit_report(args, records, records, header)
+    _emit(args, records, records, header)
     return 0 if all(r["pass"] for r in records) else 1
 
 
@@ -180,7 +186,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             verify_separable_form(op, witness) if witness is not None else None
         ),
     }
-    _emit(dump_report(report, args.precision), args.out)
+    _emit(args, report)
     return 0
 
 
@@ -197,7 +203,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
         "all_power_of_two": report.all_power_of_two,
         "per_step": per_step,
     }
-    _emit_report(args, doc, per_step, [f.name for f in dataclasses.fields(dst.StepRates)])
+    _emit(args, doc, per_step, [f.name for f in dataclasses.fields(dst.StepRates)])
     return 0
 
 
@@ -227,7 +233,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             }
         )
     header = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
-    _emit_report(args, out_docs, out_docs, header)
+    _emit(args, out_docs, out_docs, header)
     return 0
 
 
@@ -243,9 +249,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             for r in results
         ]
-        _emit(dump_report(doc, args.precision), args.out)
     else:
-        _emit(ver.render_text(results), args.out)
+        doc = ver.render_text(results)
+    _emit(args, doc)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -256,18 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
         "operation classification, and trace rate accounting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, emit_default: str = "csv") -> None:
-        p.add_argument("--emit", choices=["csv", "json"], default=emit_default)
-        p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N",
-                       help="significant decimal digits, 1 to 17")
-        p.add_argument("--seed", type=nonnegative_int, default=0)
-        p.add_argument("--out", default=None, help="write to a file instead of stdout")
+    # each subcommand declares only the options it reads
+    precision = dict(type=int, choices=PRECISIONS, default=12, metavar="N",
+                     help="significant decimal digits, 1 to 17")
 
     p = sub.add_parser("bounds", help="evaluate the bound formulas on a (K, F) grid")
     p.add_argument("--K-list", dest="K_list", type=int, nargs="+", required=True)
     p.add_argument("--F-grid", dest="F_grid", default="0:1:0.1", help="start:stop:step")
-    common(p)
+    p.add_argument("--emit", choices=["csv", "json"], default="csv")
+    p.add_argument("--precision", **precision)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("simulate", help="protocol simulation against closed forms")
@@ -277,17 +280,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=["1", "2", "reduce", "twirl"], required=True)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=0,
                    help="Monte Carlo twirl samples; 0 runs the exact twirl only")
-    common(p)
+    p.add_argument("--emit", choices=["csv", "json"], default="csv")
+    p.add_argument("--precision", **precision)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("classify", help="class predicates for an operation descriptor")
     p.add_argument("input", help="operation descriptor JSON")
-    common(p, emit_default="json")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("rates", help="rate accounting for a protocol trace")
     p.add_argument("input", help="protocol trace JSON")
-    common(p, emit_default="json")
+    p.add_argument("--emit", choices=["csv", "json"], default="json")
+    p.add_argument("--precision", **precision)
     p.set_defaults(fn=cmd_rates)
 
     p = sub.add_parser("compile", help="tensor-power compilation of a trace")
@@ -297,16 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="p' as a fraction of each branch probability")
     p.add_argument("--rate-fraction", dest="rate_fraction", default="0.99",
                    help="R' as a fraction of each branch's rate slack")
-    common(p, emit_default="json")
+    p.add_argument("--emit", choices=["csv", "json"], default="json")
+    p.add_argument("--precision", **precision)
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", choices=sorted(ver.SUITES), default=None)
     p.add_argument("--emit", choices=["text", "json"], default="text")
-    p.add_argument("--precision", type=int, choices=PRECISIONS, default=12, metavar="N")
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
+    # every subcommand writes its report through _emit, which reads --out
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write to a file instead of stdout")
     return parser
 
 

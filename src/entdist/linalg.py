@@ -18,6 +18,11 @@ TAU_TRACE = 1e-9
 TAU_PSD = 1e-9
 
 
+def _is_count(x: object) -> bool:
+    """An integer (numpy's too) of at least 1; True and False are not integers here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class BipartiteLabel:
     """Factor dimensions of a bipartite space."""
@@ -26,9 +31,9 @@ class BipartiteLabel:
     dim_b: int
 
     def __post_init__(self) -> None:
-        if self.dim_a < 1 or self.dim_b < 1:
+        if not (_is_count(self.dim_a) and _is_count(self.dim_b)):
             raise ValueError(
-                f"factor dimensions must be positive, got {self.dim_a}x{self.dim_b}"
+                f"factor dimensions must be positive integers, got {self.dim_a!r}x{self.dim_b!r}"
             )
 
     @property

@@ -390,22 +390,20 @@ def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperati
 
 
 def natural_product_witness(op: QuantumOperation) -> SeparableWitness:
-    """Witness for operations whose Kraus matrices were built as A (x) B
-    products; reconstructs the factors per branch by rank-one splitting."""
+    """Witness for operations whose branches keep each Kronecker factor inside
+    one party (`make_local`, the reduction protocols): each branch's factors
+    split where their running output and input dimensions reach A's, and the
+    witness pairs the A group's Kraus matrices with the B group's, A major."""
     lab_in = _require_bipartite(op.in_label, "product witness")
+    one = np.ones((1, 1, 1), dtype=complex)
     witness = []
-    for sub in op.subops:
+    for i, sub in enumerate(op.subops):
         lab_out = _require_bipartite(sub.out_label, "product witness")
-        k = sub.kraus
-        t = k.reshape(len(k), lab_out.dim_a, lab_out.dim_b, lab_in.dim_a, lab_in.dim_b)
-        t = t.transpose(0, 1, 3, 2, 4).reshape(
-            len(k), lab_out.dim_a * lab_in.dim_a, lab_out.dim_b * lab_in.dim_b
-        )
-        u, s, vh = np.linalg.svd(t)
-        if s.shape[1] > 1 and np.any(s[:, 1] > 1e-9):
-            raise ValueError("Kraus matrix is not a product operator")
-        root = np.sqrt(s[:, :1])
-        a = (root * u[:, :, 0]).reshape(len(k), lab_out.dim_a, lab_in.dim_a)
-        b = (root * vh[:, 0, :]).reshape(len(k), lab_out.dim_b, lab_in.dim_b)
-        witness.append(list(zip(a, b)))
+        heads = [sub.factors[:c] for c in range(len(sub.factors) + 1)]
+        dims = [(math.prod(f.shape[1] for f in h), math.prod(f.shape[2] for f in h)) for h in heads]
+        if (lab_out.dim_a, lab_in.dim_a) not in dims:
+            raise ValueError(f"sub-operation {i}: no factor boundary splits A from B")
+        cut = dims.index((lab_out.dim_a, lab_in.dim_a))
+        a, b = (functools.reduce(np.kron, g, one) for g in (sub.factors[:cut], sub.factors[cut:]))
+        witness.append([(ka, kb) for ka in a for kb in b])
     return witness

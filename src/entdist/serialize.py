@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .distillation import BranchOutcome, ProtocolTrace, TraceStep
-from .linalg import BipartiteLabel
+from .linalg import BipartiteLabel, _is_count
 from .operations import QuantumOperation, SubOperation
 
 
@@ -32,18 +32,12 @@ def format_number(x: Any, precision: int = 12) -> str:
     """Shortest round-trip decimal of x at the given significant precision."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Rational):
-        x = float(x)
-    return repr(float(f"{float(x):.{precision}g}"))
+    return str(round_for_report(x, precision))
 
 
 def round_for_report(obj: Any, precision: int = 12) -> Any:
     """Recursively round floats (and exact fractions) for serialization."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, int):
+    if isinstance(obj, int) or obj is None:  # bool is an int
         return obj
     if isinstance(obj, (float, Rational)):
         return float(f"{float(obj):.{precision}g}")
@@ -124,11 +118,6 @@ def _walk_matrix(data: Any, where: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Operation descriptors.
 # ---------------------------------------------------------------------------
-
-
-def _is_count(x: Any) -> bool:
-    """A JSON integer of at least 1; true and false are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 def _is_finite_number(x: Any) -> bool:

@@ -259,8 +259,24 @@ def test_precision_accepts_one_to_seventeen(capsys):
 def test_precision_out_of_range_is_a_usage_error(capsys, value):
     err = run_cli_usage_error(capsys, *BOUNDS_ROW, "--precision", value)
     assert "argument --precision" in err
-    err = run_cli_usage_error(capsys, "verify", "--suite", "twirl", "--precision", value)
-    assert "argument --precision" in err
+
+
+# Each subcommand takes only the options it reads; these it never read.
+UNREAD_OPTIONS = [
+    (BOUNDS_ROW, "--seed", "3"),
+    (("classify", "op.json"), "--seed", "3"),
+    (("rates", "trace.json"), "--seed", "3"),
+    (("compile", "trace.json", "--k-list", "16"), "--seed", "3"),
+    (("classify", "op.json"), "--precision", "5"),
+    (("verify", "--suite", "twirl"), "--precision", "5"),
+    (("classify", "op.json"), "--emit", "csv"),
+]
+
+
+@pytest.mark.parametrize("argv,option,value", UNREAD_OPTIONS)
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys, argv, option, value):
+    err = run_cli_usage_error(capsys, *argv, option, value)
+    assert f"unrecognized arguments: {option} {value}" in err
 
 
 @pytest.mark.parametrize("value,message", [

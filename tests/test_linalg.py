@@ -204,5 +204,13 @@ def test_density_operator_matrix_is_frozen():
 def test_bipartite_label_total_and_validation():
     label = BipartiteLabel(2, 3)
     assert label.total == 6
+    assert BipartiteLabel(np.int64(2), 3) == label
     with pytest.raises(ValueError):
         BipartiteLabel(0, 3)
+
+
+@pytest.mark.parametrize("dims", [(True, 2), (2, False), (2.5, 2), (2, 2.0), ("2", 2)])
+def test_bipartite_label_takes_only_integer_dimensions(dims):
+    # the decoder's rule for counts: bool is not an integer here
+    with pytest.raises(ValueError, match="must be positive integers"):
+        BipartiteLabel(*dims)

@@ -461,6 +461,33 @@ def scale_cases() -> list[tuple]:
     return cases
 
 
+def test_product_witness_reads_the_factors_at_any_kraus_scale():
+    # the witness is read off the factors, so no Kraus scale makes a
+    # product branch look entangled
+    for s in (1e-8, 1.0, 1e8):
+        op = scaled(subspace_measurement_op(4, 2), s)
+        assert is_ppt_operation(op)
+        assert verify_separable_form(op, natural_product_witness(op)), s
+
+
+def test_product_witness_pairs_the_party_factors_a_major():
+    meas, tracing = basis_measurement(2), factor_tracing_op(4, 2)
+    op = make_local(meas, tracing)
+    for i, sub_a in enumerate(meas.subops):
+        pairs = natural_product_witness(op)[i]
+        want = [(ka, kb) for ka in sub_a.kraus for kb in tracing.subops[0].kraus]
+        assert len(pairs) == len(want)
+        for (ka, kb), (want_a, want_b) in zip(pairs, want):
+            assert np.array_equal(ka, want_a) and np.array_equal(kb, want_b)
+
+
+def test_product_witness_names_a_branch_with_no_party_boundary():
+    label = BipartiteLabel(2, 2)
+    dense = QuantumOperation((SubOperation(np.eye(4)[None], label),), label)
+    with pytest.raises(ValueError, match="sub-operation 0: no factor boundary"):
+        natural_product_witness(dense)
+
+
 @pytest.mark.parametrize("exponent", range(-4, 7))
 def test_class_verdicts_do_not_depend_on_kraus_scale(exponent):
     s = 10.0**exponent
