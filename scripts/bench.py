@@ -26,6 +26,10 @@ that later calls skip):
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
   does not (where the checkout has it), next to `isotropic(K, 0.7)` itself;
+- `monte_carlo_twirl` of a random K x K state at K = 2, 3, 4, 6, 8 with
+  10^4 samples and at K = 16 with 512, each call from the same generator
+  seed, and `haar_unitaries` at d = 2, 3, 4, 6, 8, 16 for stacks of 512 (one
+  twirl chunk) and of 1 (the single draws of `verify`'s invariance checks);
 - `entdist compile` at k = 100, 1000, 4096, 10^4 on one step with 2, 4 and
   8 constrained branches (K = 1024, F = 0.99, probability 0.8 shared
   evenly, a dimension-1 rest), with the failure probability it prints and
@@ -71,6 +75,9 @@ EF_SEED = 7
 EF_SEARCH_CASES = ((3, 0.95), (4, 0.8))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
+TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (8, 10**4), (16, 512))
+HAAR_DIMS = (2, 3, 4, 6, 8, 16)
+HAAR_COUNTS = (512, 1)
 COMPILE_KS = (100, 1000, 4096, 10**4)
 COMPILE_BRANCHES = (2, 4, 8)
 RATES_STEPS = 20
@@ -133,13 +140,14 @@ def trace_rows(repeats: int) -> dict[str, dict]:
 
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
+    import numpy as np
     from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
-    from entdist.linalg import DensityOperator
+    from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries, random_density
     from entdist.operations import (
         QuantumOperation, SubOperation, apply_operation, is_completely_positive,
         is_ppt_operation, is_trace_preserving, natural_product_witness, verify_separable_form,
     )
-    from entdist.protocols import reduce_dimension, subspace_measurement_op
+    from entdist.protocols import monte_carlo_twirl, reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
     from entdist.verify import run_suites
 
@@ -189,6 +197,16 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         if hasattr(DensityOperator, "_by_construction"):
             rows[f"DensityOperator._by_construction K={k}"] = _timed(
                 lambda: DensityOperator._by_construction(m, label), repeats
+            )
+    for k, samples in TWIRL_CASES:
+        rho = random_density(BipartiteLabel(k, k), np.random.default_rng(k))
+        rows[f"monte_carlo_twirl K={k} samples={samples}"] = _timed(
+            lambda: monte_carlo_twirl(rho, samples, np.random.default_rng(BENCH_SEED)), repeats
+        )
+    for d in HAAR_DIMS:
+        for count in HAAR_COUNTS:
+            rows[f"haar_unitaries d={d} count={count}"] = _timed(
+                lambda: haar_unitaries(d, count, np.random.default_rng(BENCH_SEED)), repeats
             )
     return rows | trace_rows(repeats)
 

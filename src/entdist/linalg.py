@@ -46,7 +46,12 @@ Label = Union[BipartiteLabel, int]
 
 
 def total_dim(label: Label) -> int:
-    return label.total if isinstance(label, BipartiteLabel) else int(label)
+    """The dimension of a labelled space; a plain label must be a positive integer."""
+    if isinstance(label, BipartiteLabel):
+        return label.total
+    if not _is_count(label):
+        raise ValueError(f"a label is a BipartiteLabel or a positive integer, got {label!r}")
+    return int(label)
 
 
 def as_square_matrix(m: np.ndarray) -> np.ndarray:
@@ -171,14 +176,22 @@ def partial_transpose(
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """A stack of count Haar-random dim x dim unitaries, shape (count, dim, dim):
-    QR of Ginibre matrices, each Q's columns rephased by R's diagonal."""
+    """A stack of count Haar-random dim x dim unitaries, shape (count, dim, dim).
+
+    Each is the Q factor of a Ginibre matrix whose R has a positive real
+    diagonal (Mezzadri, math-ph/0609050), formed by classical Gram-Schmidt
+    run twice per column, one column at a time over the whole stack.  The
+    draws are those of a QR of the same Ginibre stack, so the unitaries agree
+    with QR's rephased Q to rounding."""
     shape = (count, dim, dim)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    phases = np.einsum("nii->ni", r).copy()
-    phases /= np.abs(phases)
-    return q * phases[:, None, :]
+    for j in range(dim):
+        v, q = z[:, :, j : j + 1], z[:, :, :j]  # column j and the orthonormal ones before it
+        for _ in range(2 if j else 0):
+            # v -= q q^H v, with q^H v formed as (v^H q)^H so that only v is conjugated
+            v -= q @ (v.conj().transpose(0, 2, 1) @ q).conj().transpose(0, 2, 1)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return z
 
 
 def random_density(label: Label, rng: np.random.Generator) -> DensityOperator:

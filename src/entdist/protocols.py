@@ -138,8 +138,9 @@ def monte_carlo_twirl(
     product per sample that drops the leading index and appends the new
     one, and the last is fused with the sum over samples into one
     (d^3, m d) @ (m d, d) product.  That costs O(samples d^5) instead of
-    O(samples d^6).  Unitaries are drawn in chunks of TWIRL_CHUNK and
-    applied in sub-blocks of m samples, m d^4 16 bytes within
+    O(samples d^6).  Unitaries are drawn in chunks of TWIRL_CHUNK, each
+    chunk one `haar_unitaries` stack (batched Gram-Schmidt, no per-matrix
+    QR call), and applied in sub-blocks of m samples, m d^4 16 bytes within
     TWIRL_BLOCK_BYTES (m >= 1), so beyond one chunk of unitaries (and rho
     and the result) the memory is a few arrays of max(TWIRL_BLOCK_BYTES,
     16 d^4) bytes.  Sub-blocking only splits the arithmetic: the draws, and

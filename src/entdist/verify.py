@@ -47,8 +47,11 @@ SIM_TOL = 1e-9
 # Slack on relations between closed forms (bounds, identities) and on the
 # fidelity the exact twirl preserves.
 EXACT_TOL = 1e-12
-# Largest entry deviation of the Monte Carlo twirl from the exact twirl.
+# Largest entry deviation of the Monte Carlo twirl from the exact twirl at
+# MC_TOL_SAMPLES samples; the sampling noise, and so the tolerance, scales
+# as 1/sqrt(samples).
 MC_TOL = 1e-2
+MC_TOL_SAMPLES = 10_000
 # Failing checks the text report names per suite.
 MAX_FAILURES_SHOWN = 5
 
@@ -78,8 +81,9 @@ def simulate_point(
     when the simulated fidelity matches the closed form and is at least the
     protocol's guaranteed bound.  "twirl" draws a random k x k state from rng
     (f is only echoed) and passes when the exact twirl keeps its fidelity and,
-    with mc_samples > 0, the Monte Carlo twirl is within MC_TOL of it; the
-    bound column is then that deviation.
+    with mc_samples > 0, the Monte Carlo twirl is within
+    MC_TOL * sqrt(MC_TOL_SAMPLES / mc_samples) of it; the bound column is
+    then that deviation.
     """
     if protocol == "1":
         closed = pro.subspace_measurement_fidelity(k, kp, f)
@@ -103,7 +107,9 @@ def simulate_point(
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "twirl":
-        ok = abs(sim - closed) <= EXACT_TOL and (bound is None or bound <= MC_TOL)
+        ok = abs(sim - closed) <= EXACT_TOL and (
+            bound is None or bound <= MC_TOL * math.sqrt(MC_TOL_SAMPLES / mc_samples)
+        )
     else:
         ok = abs(sim - closed) <= SIM_TOL and sim >= bound - EXACT_TOL
     return {

@@ -26,6 +26,7 @@ from entdist.serialize import (
     format_number,
     load_json,
 )
+from entdist.verify import MC_TOL, MC_TOL_SAMPLES
 from helpers import unmerged_subspace_measurement
 
 
@@ -328,6 +329,35 @@ def test_simulate_reduce_and_twirl(capsys):
     assert code == 0
     (row,) = json.loads(out)
     assert row["pass"] and row["bound"] < 1e-1
+
+
+def test_simulate_twirl_tolerance_scales_with_the_sample_count(capsys):
+    # deviations of 0.009-0.017 are ordinary noise for 50 samples; the fixed
+    # 1e-2 of 10^4 samples failed most of these rows
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--K", "3", "--Kprime", "3", "--protocol", "twirl",
+        "--F-grid", "0:1:0.1", "--mc-samples", "50", "--seed", "4", "--emit", "json",
+    )
+    rows = json.loads(out)
+    assert code == 0 and len(rows) == 11 and all(r["pass"] for r in rows)
+    assert max(r["bound"] for r in rows) > MC_TOL
+
+
+@pytest.mark.parametrize("samples", [10_000, 2_500])
+def test_simulate_twirl_still_fails_an_untwirled_state(capsys, monkeypatch, samples):
+    import entdist.protocols as pro
+
+    monkeypatch.setattr(pro, "monte_carlo_twirl", lambda rho, n, rng: rho.matrix)
+    for k in ("2", "3"):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--K", k, "--Kprime", k, "--protocol", "twirl",
+            "--F-grid", "0:1:0.1", "--mc-samples", str(samples), "--seed", "4", "--emit", "json",
+        )
+        rows = json.loads(out)
+        assert code == 1 and not any(r["pass"] for r in rows)
+        assert min(r["bound"] for r in rows) > MC_TOL * (MC_TOL_SAMPLES / samples) ** 0.5
 
 
 def test_simulate_rejects_k_above_limit_before_allocating(capsys, monkeypatch):

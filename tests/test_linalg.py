@@ -11,6 +11,7 @@ from entdist.linalg import (
     partial_transpose,
     random_density,
 )
+from entdist.operations import identity_operation
 from entdist.states import isotropic, max_entangled_projector
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -154,6 +155,39 @@ def test_haar_unitaries_draw_a_stack_of_unitaries(dim):
     assert np.allclose(u @ u.conj().transpose(0, 2, 1), np.eye(dim), rtol=0, atol=1e-12)
 
 
+def qr_haar_reference(dim, count, rng):
+    """Haar unitaries by LAPACK QR of the same Ginibre draws as haar_unitaries,
+    with the phases of R's diagonal moved into Q."""
+    shape = (count, dim, dim)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    phases = np.einsum("nii->ni", r).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
+
+
+@pytest.mark.parametrize("count", [1, 512])
+@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 16])
+def test_haar_unitaries_match_rephased_qr_on_the_same_draws(dim, count):
+    rng, ref_rng = np.random.default_rng([dim, count]), np.random.default_rng([dim, count])
+    u = haar_unitaries(dim, count, rng)
+    ref = qr_haar_reference(dim, count, ref_rng)
+    assert u.shape == ref.shape and u.dtype == ref.dtype
+    assert np.max(np.abs(u - ref)) <= 1e-13
+    assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(dim))) <= 1e-14
+    # both consumed the same draws, so the generators end in the same state
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_haar_unitaries_of_count_zero_and_dimension_one():
+    for dim in (1, 2, 3):
+        u = haar_unitaries(dim, 0, np.random.default_rng(0))
+        assert u.shape == (0, dim, dim) and u.dtype == np.complex128
+    u = haar_unitaries(1, 4, np.random.default_rng(0))
+    assert u.shape == (4, 1, 1) and u.dtype == np.complex128
+    assert np.max(np.abs(np.abs(u) - 1)) <= 1e-15
+
+
 def test_density_operator_validation():
     with pytest.raises(ValueError):
         DensityOperator(np.eye(2), 2)  # trace 2
@@ -214,3 +248,13 @@ def test_bipartite_label_takes_only_integer_dimensions(dims):
     # the decoder's rule for counts: bool is not an integer here
     with pytest.raises(ValueError, match="must be positive integers"):
         BipartiteLabel(*dims)
+
+
+@pytest.mark.parametrize("label", [2.5, True, 2.0, "2", 0])
+def test_plain_labels_take_only_positive_integers(label):
+    # the same rule as BipartiteLabel's: 2.5 would read as 2 and True as 1
+    with pytest.raises(ValueError, match="positive integer"):
+        identity_operation(label)
+    with pytest.raises(ValueError, match="positive integer"):
+        DensityOperator(np.eye(2) / 2, label)
+    assert identity_operation(np.int64(2)).dim_in == 2

@@ -149,8 +149,10 @@ def test_monte_carlo_twirl_approaches_exact():
 def dense_twirl_reference(rho, samples, rng):
     """The twirl as the mean of dense products w rho w^dagger, w = U (x) conj(U).
 
-    Draws its Haar unitaries exactly as monte_carlo_twirl does: in chunks of
-    512, QR with the phases of R's diagonal moved into Q.
+    Draws the same Ginibre matrices as monte_carlo_twirl, in chunks of 512,
+    but turns them into unitaries by LAPACK QR with the phases of R's diagonal
+    moved into Q, not by the package's Gram-Schmidt sampler, so the sampler
+    is checked here too.
     """
     d = rho.bipartite.dim_a
     acc = np.zeros((d * d, d * d), dtype=complex)

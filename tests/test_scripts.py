@@ -57,6 +57,8 @@ def test_bench_layer_rows(monkeypatch):
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
     monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0),))
     monkeypatch.setattr(bench, "DENSITY_KS", (4,))
+    monkeypatch.setattr(bench, "TWIRL_CASES", ((2, 600), (3, 10)))
+    monkeypatch.setattr(bench, "HAAR_DIMS", (2, 3))
     monkeypatch.setattr(bench, "COMPILE_KS", (100, 10**4))
     monkeypatch.setattr(bench, "COMPILE_BRANCHES", (2,))
     monkeypatch.setattr(bench, "RATES_STEPS", 3)
@@ -67,6 +69,9 @@ def test_bench_layer_rows(monkeypatch):
         "is_ppt_operation K=2", "classify K=2", "operation-algebra seed=7",
         "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
+        "monte_carlo_twirl K=2 samples=600", "monte_carlo_twirl K=3 samples=10",
+        "haar_unitaries d=2 count=512", "haar_unitaries d=2 count=1",
+        "haar_unitaries d=3 count=512", "haar_unitaries d=3 count=1",
         "compile k=100 branches=2", "compile k=10000 branches=2", "rates steps=3 branches=4",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
