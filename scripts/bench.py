@@ -20,8 +20,9 @@ that later calls skip):
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
 - `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and K = 4,
-  F = 0.8 (budget 400, seed 1), where the search is slowest to converge,
-  with its iterations, stop reason and gap to the exact `ef_isotropic`;
+  F = 0.8 and 0.95 (budget 400, seed 1), where the search is slowest to
+  converge, with its iterations, objective evaluations, stop reason and gap
+  to the exact `ef_isotropic`;
 - `DensityOperator` construction from `isotropic(K, 0.7)`'s matrix at
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
@@ -72,7 +73,7 @@ BENCH_SEED = 1
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
 EF_BUDGET = 400
 EF_SEED = 7
-EF_SEARCH_CASES = ((3, 0.95), (4, 0.8))
+EF_SEARCH_CASES = ((3, 0.95), (4, 0.8), (4, 0.95))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
 TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (8, 10**4), (16, 512))
@@ -187,7 +188,8 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         search = functools.partial(ef_numeric_search, rho, budget=EF_BUDGET, seed=EF_SEARCH_SEED)
         row = _timed(search, repeats)
         ef = search()
-        row.update(iterations=ef.iterations, stop=ef.stop, gap=ef.value - ef_isotropic(k, f))
+        row.update(iterations=ef.iterations, evaluations=ef.evaluations, stop=ef.stop,
+                   gap=ef.value - ef_isotropic(k, f))
         rows[f"ef_numeric_search K={k} F={f}"] = row
     for k in DENSITY_KS:
         rho = isotropic(k, 0.7)

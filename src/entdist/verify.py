@@ -47,6 +47,9 @@ SIM_TOL = 1e-9
 # Slack on relations between closed forms (bounds, identities) and on the
 # fidelity the exact twirl preserves.
 EXACT_TOL = 1e-12
+# Largest amount by which the numerical entanglement-of-formation estimate
+# may exceed the exact isotropic value.
+EF_GAP_TOL = 1e-6
 # Largest entry deviation of the Monte Carlo twirl from the exact twirl at
 # MC_TOL_SAMPLES samples; the sampling noise, and so the tolerance, scales
 # as 1/sqrt(samples).
@@ -167,8 +170,7 @@ def _suite_twirl(rng: np.random.Generator) -> SuiteResult:
         rec = simulate_point("twirl", k, k, 0.0, rng, 10_000)
         res.check(rec["pass"], f"K={k} n=10000 monte-carlo-deviation={rec['bound']:.3g}")
         tw = pro.exact_twirl(random_density(BipartiteLabel(k, k), rng))
-        for i in range(100):
-            (u,) = haar_unitaries(k, 1, rng)
+        for i, u in enumerate(haar_unitaries(k, 100, rng)):
             w = np.kron(u, u.conj())
             conj = w @ tw.matrix @ w.conj().T
             res.check(np.max(np.abs(conj - tw.matrix)) <= SIM_TOL, f"invariance K={k} sample={i}")
@@ -208,12 +210,13 @@ def _suite_lemma1(rng: np.random.Generator) -> SuiteResult:
                 fb.lower - EXACT_TOL <= ef <= fb.upper + EXACT_TOL,
                 f"exact-ef K={k} F={f} lower={fb.lower:.6f} ef={ef:.6f} upper={fb.upper:.6f}",
             )
+    # the numerical oracle is an upper estimate of the exact value
     ef_seed = int(rng.integers(2**32))
     for f in (0.5, 0.7, 0.9, 1.0):
-        fb = bnd.formation_bounds_isotropic(2, f)
+        exact = bnd.ef_isotropic(2, f)
         ef = bnd.ef_numeric_search(isotropic(2, f), seed=ef_seed)
         res.check(
-            fb.lower - 1e-6 <= ef.value <= fb.upper + 1e-4,
+            exact - EXACT_TOL <= ef.value <= exact + EF_GAP_TOL,
             f"ef-estimate K=2 F={f} est={ef.value:.6f} restarts={ef.restarts} "
             f"best={ef.best_restart} iterations={ef.iterations} "
             f"grad_norm={ef.grad_norm:.3g} evaluations={ef.evaluations} stop={ef.stop} "

@@ -665,6 +665,27 @@ def test_verify_ef_failure_says_how_the_search_stopped(monkeypatch):
     assert result.failures[0].endswith(" stop=no-descent restart_stop=budget")
 
 
+@pytest.mark.parametrize("shift,fails", [(1e-5, True), (-1e-9, True), (1e-7, False)])
+def test_verify_holds_ef_estimates_to_the_exact_value(monkeypatch, shift, fails):
+    # every shift stays within the formation bounds, less 1e-6 and plus 1e-4,
+    # at each F, so only the exact value catches the first two
+    import dataclasses
+
+    import entdist.bounds as bnd
+    from entdist.verify import run_suites
+
+    search = bnd.ef_numeric_search
+
+    def shifted(rho, seed):
+        ef = search(rho, budget=400, seed=seed)
+        return dataclasses.replace(ef, value=ef.value + shift)
+
+    monkeypatch.setattr(bnd, "ef_numeric_search", shifted)
+    (result,) = run_suites(seed=7, suites=["lemma1-chain"])
+    expect = [f"ef-estimate K=2 F={f}" for f in (0.5, 0.7, 0.9, 1.0)] if fails else []
+    assert [f.split(" est=")[0] for f in result.failures] == expect
+
+
 def test_simulate_exits_one_on_failing_rows(capsys, monkeypatch):
     import entdist.protocols as pro
 

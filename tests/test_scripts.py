@@ -80,6 +80,7 @@ def test_bench_layer_rows(monkeypatch):
     assert 1 > compiled[0]["failure_probability"] > compiled[1]["failure_probability"] > 0
     search = rows["ef_numeric_search K=3 F=1.0"]
     assert search["stop"] == "gradient" and abs(search["gap"]) <= 1e-12
+    assert search["evaluations"] >= search["iterations"] + 1
     # verify --seed 7 runs lemma1-chain's four EF searches; each stops on the restart rule
     searches = bench.lemma1_searches()
     assert [(s["restart_stop"], s["restarts"] < 20) for s in searches] == [("converged", True)] * 4
