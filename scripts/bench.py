@@ -16,6 +16,9 @@ that later calls skip):
   reports (cp, ppt, separable with the natural product witness) on the
   dense one-factor form of the same operation, the form `decode_operation`
   builds;
+- `is_ppt_operation` on two branches, each one K^2 x K^2 Kraus matrix cut
+  from a random isometry (the `classify` workload's random-K descriptors),
+  at K = 3, 4, 6: they are not p.p.t., so both verdicts are timed;
 - the `operation-algebra` suite of `verify` at seed 7;
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
@@ -67,6 +70,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LAYER_KS = (6, 8, 12, 16, 24, 32)
 PPT_KS = (2, 4, 6, 8)
+NON_PPT_KS = (3, 4, 6)
 REPEATS = 7
 BENCH_SEED = 1
 # the EF calls of the benchmark's verify workload (perfbench/workloads.py)
@@ -175,6 +179,16 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         # the dense branch has no party boundary; the factored one gives the same pairs
         witness = natural_product_witness(op)
         rows[f"classify K={k}"] = _timed(lambda: classify(dense, witness), repeats)
+    for k in NON_PPT_KS:
+        d, label = k * k, BipartiteLabel(k, k)
+        rng = np.random.default_rng(BENCH_SEED)
+        g = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+        q = np.linalg.qr(g)[0]
+        op = QuantumOperation((SubOperation(q[None, :d], label), SubOperation(q[None, d:], label)),
+                              label)
+        row = _timed(lambda: is_ppt_operation(op), repeats)
+        row.update(ppt=is_ppt_operation(op))
+        rows[f"is_ppt_operation isometry K={k}"] = row
     rows["operation-algebra seed=7"] = _timed(
         lambda: run_suites(seed=7, suites=["operation-algebra"]), repeats
     )

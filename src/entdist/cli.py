@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -64,9 +65,9 @@ MAX_BOUNDS_ROWS = 10_001
 MAX_SIMULATE_K = 32
 # Largest d_in * d_out of a branch that `classify` accepts, so memory stays
 # bounded: a branch's Choi matrix is (d_in d_out)^2 complex doubles, 16 MiB
-# at the limit.  subspace_measurement_op(8, 4), 64 x 16, sits at it; its one
-# Choi eigendecomposition, the p.p.t. test, took 0.56 s (median, BENCH_8.json:
-# 2-vCPU x86-64 VM, one BLAS thread).
+# at the limit.  subspace_measurement_op(8, 4), 64 x 16, sits at it; its
+# p.p.t. test, the Choi matrix and one Cholesky factorization, took 0.18 s
+# (median of 7, BENCH_19.json: 2-vCPU x86-64 VM, one BLAS thread).
 MAX_CHOI_DIM = 1024
 # Significant digits a report may ask for: 17 round-trips every double.
 PRECISIONS = range(1, 18)
@@ -255,7 +256,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="entdist",
         description="Entanglement distillation workbench: bounds, protocols, "
@@ -271,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F-grid", dest="F_grid", default="0:1:0.1", help="start:stop:step")
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
     p.add_argument("--precision", **precision)
-    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("simulate", help="protocol simulation against closed forms")
     p.add_argument("--K", type=int, required=True)
@@ -283,17 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
     p.add_argument("--precision", **precision)
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("classify", help="class predicates for an operation descriptor")
     p.add_argument("input", help="operation descriptor JSON")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("rates", help="rate accounting for a protocol trace")
     p.add_argument("input", help="protocol trace JSON")
     p.add_argument("--emit", choices=["csv", "json"], default="json")
     p.add_argument("--precision", **precision)
-    p.set_defaults(fn=cmd_rates)
 
     p = sub.add_parser("compile", help="tensor-power compilation of a trace")
     p.add_argument("input", help="protocol trace JSON")
@@ -304,13 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="R' as a fraction of each branch's rate slack")
     p.add_argument("--emit", choices=["csv", "json"], default="json")
     p.add_argument("--precision", **precision)
-    p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", choices=sorted(ver.SUITES), default=None)
     p.add_argument("--emit", choices=["text", "json"], default="text")
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.set_defaults(fn=cmd_verify)
     # every subcommand writes its report through _emit, which reads --out
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="write to a file instead of stdout")
@@ -318,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so a replaced module attribute (a tracer's wrapper) is called
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return command(args)
     except (SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -4,9 +4,9 @@ An operation is a family of sub-operations, each a Kraus family mapping the
 common input space to that sub-operation's own output space, jointly trace
 preserving.  Applying the operation yields one classical branch per
 sub-operation.  Class membership is decided from explicit structure:
-completeness sums (trace preserving), one Choi eigendecomposition per branch
-(p.p.t.) and separable witnesses.  A Kraus family is completely positive by
-construction.
+completeness sums (trace preserving), one Cholesky factorization of a
+shifted Choi matrix per branch (p.p.t.) and separable witnesses.  A Kraus
+family is completely positive by construction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .linalg import (
     BipartiteLabel,
     DensityOperator,
     Label,
-    min_eigenvalue,
     total_dim,
 )
 
@@ -301,8 +300,9 @@ def choi_matrix(sub: SubOperation) -> np.ndarray:
 
 
 def _choi_trace(sub: SubOperation) -> float:
-    """tr C = sum_j ||K_j||_F^2, a product over the factors.  eigvalsh rounds
-    to about eps ||C||_2 <= eps tr C, so tolerances relative to it are scale free."""
+    """tr C = sum_j ||K_j||_F^2, a product over the factors.  ||C||_2 <= tr C
+    bounds the rounding of the Choi tests, so tolerances relative to it are
+    scale free."""
     return math.prod(float(np.vdot(f, f).real) for f in sub.factors)
 
 
@@ -336,11 +336,32 @@ def ppt_choi(sub: SubOperation, in_label: Label) -> np.ndarray:
 def is_ppt_operation(op: QuantumOperation) -> bool:
     """True iff every sub-operation stays completely positive under
     conjugation by the partial transpose: its Choi matrix, partially
-    transposed on B_in (x) B_out, has no eigenvalue below -TAU_PPT tr C."""
+    transposed on B_in (x) B_out, has no eigenvalue below -TAU_PPT tr C.
+
+    A branch is decided by one Cholesky factorization of that matrix over
+    tr C, shifted by TAU_PPT I: it exists iff the least eigenvalue lies above
+    -TAU_PPT tr C, up to rounding of order n eps for a matrix of size n, and
+    LAPACK stops at the first negative pivot of a branch that fails.  A
+    branch with tr C = 0 is the zero map, which is p.p.t.; one whose tr C
+    overflows raises ValueError, since a factorization of NaNs reports no
+    failure."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
-    return all(
-        min_eigenvalue(ppt_choi(sub, lab_in)) >= -TAU_PPT * _choi_trace(sub) for sub in op.subops
-    )
+    for i, sub in enumerate(op.subops):
+        tr = _choi_trace(sub)
+        if tr == 0.0:
+            continue
+        if not math.isfinite(tr):
+            raise ValueError(f"sub-operation {i}: the Choi trace overflows")
+        shifted = ppt_choi(sub, lab_in)
+        # real divisions: a complex one by a subnormal tr C overflows
+        np.divide(shifted.real, tr, out=shifted.real)
+        np.divide(shifted.imag, tr, out=shifted.imag)
+        shifted.flat[:: len(shifted) + 1] += TAU_PPT
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

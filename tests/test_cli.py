@@ -12,6 +12,7 @@ from entdist.cli import (
     MAX_F_GRID_POINTS,
     MAX_SIMULATE_K,
     PRECISIONS,
+    build_parser,
     main,
     parse_f_grid,
 )
@@ -737,6 +738,34 @@ def test_verify_json_report(capsys, monkeypatch):
     assert code == 1
     (doc,) = json.loads(out)
     assert (doc["checks"], doc["failed"], doc["failures"]) == (30, 25, points[:20])
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_calls_the_subcommand_function_it_finds_at_call_time(
+    capsys, monkeypatch, trace_file
+):
+    import entdist.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "cmd_rates", lambda args: calls.append(args.input) or 0)
+    assert main(["rates", trace_file]) == 0
+    assert calls == [trace_file]
+    assert capsys.readouterr().out == ""
+
+
+def test_no_option_leaks_from_one_parse_to_the_next(monkeypatch):
+    import entdist.cli as cli
+
+    asked = []
+    monkeypatch.setattr(cli.ver, "run_suites", lambda seed, suites: asked.append(suites) or [])
+    monkeypatch.setattr(cli.ver, "render_text", lambda results: "")
+    assert main(["verify", "--suite", "twirl"]) == 0
+    assert main(["verify"]) == 0
+    assert asked == [["twirl"], None]
+    assert build_parser().parse_args(["verify"]).suite is None
 
 
 def test_missing_file_is_input_error(capsys):

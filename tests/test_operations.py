@@ -428,6 +428,49 @@ def test_ppt_cross_check_covers_both_verdicts():
     assert verdicts == {True, False}
 
 
+def test_a_branch_of_zero_kraus_matrices_is_ppt():
+    # tr C = 0: the zero map, whose Choi matrix over tr C would be 0 / 0
+    label = BipartiteLabel(2, 2)
+    zero = SubOperation(np.zeros((2, 4, 4)), label)
+    assert is_ppt_operation(QuantumOperation((zero,), label))
+    assert is_ppt_operation(QuantumOperation((identity_operation(label).subops[0], zero), label))
+
+
+def test_a_branch_whose_choi_trace_overflows_is_an_error():
+    op = scaled(entangled_pair_creation(), 1e160)
+    with pytest.raises(ValueError, match="sub-operation 0: the Choi trace overflows"):
+        is_ppt_operation(op)
+
+
+@pytest.mark.parametrize("s", [1e-155, 1e-160])
+def test_ppt_verdicts_hold_when_the_choi_trace_is_subnormal(s):
+    # tr C = 4 s^2 lies below the smallest normal double, and a complex
+    # division by it overflows
+    label = BipartiteLabel(2, 2)
+    assert is_ppt_operation(scaled(identity_operation(label), s))
+    assert not is_ppt_operation(scaled(entangled_pair_creation(), s))
+
+
+def creation_identity_mixture(w: float) -> QuantumOperation:
+    """Pair creation (trace, then emit a maximally entangled pair) with weight
+    w, mixed with the identity channel with weight 1 - w, on a qubit pair."""
+    label = BipartiteLabel(2, 2)
+    creation = entangled_pair_creation().subops[0].kraus
+    kraus = np.concatenate([np.sqrt(w) * creation, np.sqrt(1 - w) * np.eye(4)[None]])
+    return QuantumOperation((SubOperation(kraus, label),), label)
+
+
+@pytest.mark.parametrize("depth, verdict", [(0.5, True), (2.0, False)])
+def test_ppt_verdict_on_either_side_of_the_tolerance(depth, verdict):
+    # the least eigenvalue of ppt_choi / tr C is -w / 8, so weight 8 depth
+    # TAU_PPT puts it at -depth TAU_PPT
+    op = creation_identity_mixture(8 * depth * TAU_PPT)
+    choi = ppt_choi(op.subops[0], op.in_label)
+    least = np.linalg.eigvalsh(choi)[0] / np.trace(choi).real
+    assert least == pytest.approx(-depth * TAU_PPT, rel=1e-6)
+    assert is_ppt_operation(op) is verdict
+
+
 def scaled(op: QuantumOperation, s: float) -> QuantumOperation:
     """op with every Kraus matrix multiplied by s, through its first factor."""
     subs = tuple(

@@ -54,6 +54,7 @@ def test_bench_layer_rows(monkeypatch):
     spec.loader.exec_module(bench)
     monkeypatch.setattr(bench, "LAYER_KS", (6, 8))
     monkeypatch.setattr(bench, "PPT_KS", (2,))
+    monkeypatch.setattr(bench, "NON_PPT_KS", (3,))
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
     monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0),))
     monkeypatch.setattr(bench, "DENSITY_KS", (4,))
@@ -66,7 +67,8 @@ def test_bench_layer_rows(monkeypatch):
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
-        "is_ppt_operation K=2", "classify K=2", "operation-algebra seed=7",
+        "is_ppt_operation K=2", "classify K=2", "is_ppt_operation isometry K=3",
+        "operation-algebra seed=7",
         "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
         "monte_carlo_twirl K=2 samples=600", "monte_carlo_twirl K=3 samples=10",
@@ -75,6 +77,7 @@ def test_bench_layer_rows(monkeypatch):
         "compile k=100 branches=2", "compile k=10000 branches=2", "rates steps=3 branches=4",
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
+    assert rows["is_ppt_operation isometry K=3"]["ppt"] is False
     compiled = [rows[f"compile k={k} branches=2"] for k in (100, 10**4)]
     assert [row["failure_method"] for row in compiled] == ["exact", "chernoff"]
     assert 1 > compiled[0]["failure_probability"] > compiled[1]["failure_probability"] > 0
