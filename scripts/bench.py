@@ -22,10 +22,10 @@ that later calls skip):
 - the `operation-algebra` suite of `verify` at seed 7;
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
-- `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and K = 4,
-  F = 0.8 and 0.95 (budget 400, seed 1), where the search is slowest to
-  converge, with its iterations, objective evaluations, stop reason and gap
-  to the exact `ef_isotropic`;
+- `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and 0.99 and
+  K = 4, F = 0.8, 0.95 and 0.99 (budget 400, seed 1), where the search is
+  slowest to converge, with its iterations, objective evaluations, stop
+  reason and gap to the exact `ef_isotropic`;
 - `DensityOperator` construction from `isotropic(K, 0.7)`'s matrix at
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
@@ -77,7 +77,7 @@ BENCH_SEED = 1
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
 EF_BUDGET = 400
 EF_SEED = 7
-EF_SEARCH_CASES = ((3, 0.95), (4, 0.8), (4, 0.95))
+EF_SEARCH_CASES = ((3, 0.95), (3, 0.99), (4, 0.8), (4, 0.95), (4, 0.99))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
 TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (8, 10**4), (16, 512))

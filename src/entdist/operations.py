@@ -306,6 +306,18 @@ def _choi_trace(sub: SubOperation) -> float:
     return math.prod(float(np.vdot(f, f).real) for f in sub.factors)
 
 
+def _checked_choi_trace(sub: SubOperation, i: int) -> float:
+    """tr C of branch i, which the Choi tests divide by or scale a tolerance
+    with: ValueError unless it is a finite double, and nonzero where the
+    branch is not the zero map (no factor of it is all zeros)."""
+    tr = _choi_trace(sub)
+    if not math.isfinite(tr):
+        raise ValueError(f"sub-operation {i}: the Choi trace overflows")
+    if tr == 0.0 and all(f.any() for f in sub.factors):
+        raise ValueError(f"sub-operation {i}: the Choi trace underflows")
+    return tr
+
+
 # kept for the benchmark's tracer; it can go with the next benchmark change (ROADMAP item 5)
 def is_completely_positive(sub: SubOperation) -> bool:
     """Always true: a branch is a Kraus family, so its Choi matrix V^T conj(V)
@@ -342,16 +354,15 @@ def is_ppt_operation(op: QuantumOperation) -> bool:
     tr C, shifted by TAU_PPT I: it exists iff the least eigenvalue lies above
     -TAU_PPT tr C, up to rounding of order n eps for a matrix of size n, and
     LAPACK stops at the first negative pivot of a branch that fails.  A
-    branch with tr C = 0 is the zero map, which is p.p.t.; one whose tr C
-    overflows raises ValueError, since a factorization of NaNs reports no
-    failure."""
+    branch of zero Kraus matrices (tr C = 0) is the zero map, which is
+    p.p.t.; one whose tr C overflows, or underflows to 0, raises ValueError,
+    since a factorization of NaNs reports no failure and a zero trace
+    leaves no tolerance."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
     for i, sub in enumerate(op.subops):
-        tr = _choi_trace(sub)
+        tr = _checked_choi_trace(sub, i)
         if tr == 0.0:
             continue
-        if not math.isfinite(tr):
-            raise ValueError(f"sub-operation {i}: the Choi trace overflows")
         shifted = ppt_choi(sub, lab_in)
         # real divisions: a complex one by a subnormal tr C overflows
         np.divide(shifted.real, tr, out=shifted.real)
@@ -375,12 +386,14 @@ SeparableWitness = Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]
 def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bool:
     """Check that each sub-operation's action equals the product-Kraus action
     induced by its witness: their Choi matrices differ by at most
-    TAU_ACTION tr C in every entry."""
+    TAU_ACTION tr C in every entry.  A branch whose tr C overflows, or
+    underflows to 0 while the branch is not the zero map, raises
+    ValueError."""
     if len(witness) != len(op.subops):
         raise ValueError(
             f"witness has {len(witness)} entries for {len(op.subops)} sub-operations"
         )
-    for sub, pairs in zip(op.subops, witness):
+    for i, (sub, pairs) in enumerate(zip(op.subops, witness)):
         if not pairs:
             raise ValueError("witness entry must contain at least one (A, B) pair")
         a, b = (np.stack(side) for side in zip(*pairs))
@@ -392,7 +405,8 @@ def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bo
                 f"{(sub.dim_out, sub.dim_in)}"
             )
         induced = SubOperation(prods, sub.out_label)
-        if np.max(np.abs(choi_matrix(sub) - choi_matrix(induced))) > TAU_ACTION * _choi_trace(sub):
+        tol = TAU_ACTION * _checked_choi_trace(sub, i)
+        if np.max(np.abs(choi_matrix(sub) - choi_matrix(induced))) > tol:
             return False
     return True
 

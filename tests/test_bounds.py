@@ -11,6 +11,7 @@ from entdist.bounds import (
     _ensemble_grad,
     _ensemble_value,
     _polar_coisometry,
+    EF_LBFGS_MEMORY,
     EF_RESTART_PATIENCE,
     EF_RESTART_TOL,
     FLOAT_OVERFLOW,
@@ -25,7 +26,7 @@ from entdist.bounds import (
 )
 from entdist.linalg import BipartiteLabel, DensityOperator, random_density
 from entdist.states import isotropic, max_entangled_projector
-from entdist.verify import EXACT_TOL
+from entdist.verify import EF_GAP_TOL, EXACT_TOL
 
 F_GRID = [round(0.1 * i, 10) for i in range(11)]
 
@@ -243,33 +244,32 @@ def test_ef_estimate_rejects_large_dimension():
 
 @pytest.fixture(scope="module")
 def ef_k4_f095() -> EFSearch:
-    """The search at K = 4, F = 0.95, budget 400, seed 1, which runs all 400
-    iterations (about 1 s); run once for the tests that read it."""
+    """The search at K = 4, F = 0.95, budget 400, seed 1, which stops on
+    "no-descent" after about 290 iterations (about 0.7 s); run once for the
+    tests that read it."""
     return ef_numeric_search(isotropic(4, 0.95), budget=400, seed=1)
 
 
 def test_ef_search_reports_how_it_stopped(ef_k4_f095):
     # at budget 400 the three stop reasons each occur: K = 2 from seed 0 at
-    # F = 0.7 and 1.0, and K = 4, F = 0.95 from seed 1
+    # F = 0.7 and 1.0, and K = 3, F = 0.99 from seed 1
     stops = {}
-    for k, f, seed in ((2, 0.7, 0), (2, 1.0, 0), (4, 0.95, 1)):
-        if k == 4:
-            ef = ef_k4_f095
-        else:
-            ef = ef_numeric_search(isotropic(k, f), budget=400, seed=seed)
+    for k, f, seed in ((2, 0.7, 0), (2, 1.0, 0), (3, 0.99, 1)):
+        ef = ef_numeric_search(isotropic(k, f), budget=400, seed=seed)
         assert ef.value == ef_numeric_estimate(isotropic(k, f), budget=400, seed=seed)
         assert (ef.restarts, ef.best_restart) == (1, 0)
         assert 0 <= ef.iterations <= 400 and ef.grad_norm >= 0
         # one evaluation at the start, at least one per iteration
         assert ef.evaluations >= ef.iterations + 1
         stops[k, f] = ef.stop
-    assert stops == {(2, 0.7): "no-descent", (2, 1.0): "gradient", (4, 0.95): "budget"}
-    assert ef_k4_f095.iterations == 400 and ef_k4_f095.grad_norm >= 1e-14
-    # the separability point no longer exhausts the budget
-    ef = ef_numeric_search(isotropic(2, 0.5), budget=400, seed=0)
-    assert ef.stop == "no-descent" and ef.iterations < 400
+        if ef.stop == "budget":
+            assert ef.iterations == 400 and ef.grad_norm >= 1e-14
+    assert stops == {(2, 0.7): "no-descent", (2, 1.0): "gradient", (3, 0.99): "budget"}
+    # K = 4, F = 0.95 and the separability point no longer exhaust the budget
+    for ef in (ef_k4_f095, ef_numeric_search(isotropic(2, 0.5), budget=400, seed=0)):
+        assert ef.stop == "no-descent" and ef.iterations < 400
     best = [ef_numeric_search(isotropic(2, f), budget=1200, seed=3) for f in (0.5, 0.9)]
-    assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 1), (3, 2)]
+    assert [(ef.restarts, ef.best_restart) for ef in best] == [(3, 2), (3, 1)]
 
 
 def test_ef_search_stops_restarting_once_converged():
@@ -395,6 +395,21 @@ def test_ef_estimate_never_below_exact_two_qubit_value(state_seed, rank, seed):
     assert ef_numeric_estimate(rho, budget=400, seed=seed) >= exact - 1e-6
 
 
+def test_ef_estimate_within_gap_tolerance_of_exact_two_qubit_value():
+    # one restart holds random two-qubit states of every rank to the
+    # tolerance lemma1-chain applies to its isotropic points; seed 6 holds a
+    # state that a conjugate-gradient search left 8.6e-6 above it
+    rng = np.random.default_rng(6)
+    for i in range(60):
+        rank = i % 4 + 1
+        x = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        m = x @ x.conj().T
+        rho = DensityOperator((m + m.conj().T) / (2 * m.trace().real), BipartiteLabel(2, 2))
+        ef = ef_numeric_search(rho, budget=400, seed=int(rng.integers(2**16)))
+        gap = ef.value - _wootters_formation(rho.matrix)
+        assert gap <= EF_GAP_TOL, f"state {i}, rank {rank}: {gap:.3g} above exact ({ef})"
+
+
 def _eager_objective_grad(g, a, da, db):
     """The batched EF objective with its gradient on every call, member
     masks always applied: the reference for the value-only line search."""
@@ -431,6 +446,9 @@ def _eager_search(rho, budget, seed):
         sym = g @ x.conj().T
         return x - 0.5 * (sym + sym.conj().T) @ g
 
+    def inner(x, y):
+        return np.vdot(x, y).real
+
     best, evaluations, stale, restart_stop = None, 0, 0, "budget"
     for r in range(restarts):
         g0 = rng.standard_normal((rank, m_count)) + 1j * rng.standard_normal((rank, m_count))
@@ -438,6 +456,7 @@ def _eager_search(rho, budget, seed):
         value, grad = _eager_objective_grad(g, a, da, db)
         evaluations += 1
         xi = direction = tangent(g, grad)
+        pairs = []  # (s, y, 1/<s, y>), oldest first
         step, it = 1.0, 0
         while True:
             norm = float(np.linalg.norm(xi))
@@ -447,14 +466,13 @@ def _eager_search(rho, budget, seed):
             if it == 400:
                 stop = "budget"
                 break
-            step *= 2.0
-            slope = -2.0 * np.vdot(xi, direction).real
+            step = 1.0 if pairs else 2.0 * step
+            slope = -2.0 * inner(xi, direction)
             while step > 1e-14:
                 cand = _polar_coisometry(g - step * direction)
                 cand_value, cand_grad = _eager_objective_grad(cand, a, da, db)
                 evaluations += 1
-                if cand_value < value - 1e-15:
-                    g, value, grad = cand, cand_value, cand_grad
+                if cand_value < value - 1e-15 and cand_value <= value + 1e-4 * step * slope:
                     break
                 # the minimizer of the interpolating quadratic, within [0.1, 0.5] step
                 curvature = cand_value - value - slope * step
@@ -466,11 +484,23 @@ def _eager_search(rho, budget, seed):
                 stop = "no-descent"
                 break
             it += 1
-            moved, xi = tangent(g, xi), tangent(g, grad)
-            denom = np.vdot(moved, moved).real
-            beta = max(0.0, np.vdot(xi, xi - moved).real / denom) if denom > 0 else 0.0
-            direction = xi + beta * tangent(g, direction)
-            if np.vdot(xi, direction).real <= 0:
+            cand_xi = tangent(cand, cand_grad)
+            s, y = cand - g, cand_xi - xi
+            g, value, xi = cand, cand_value, cand_xi
+            if inner(s, y) > 0:
+                pairs = (pairs + [(s, y, 1.0 / inner(s, y))])[-EF_LBFGS_MEMORY:]
+            direction = xi
+            if pairs:
+                # the two-loop recursion, H0 = <s, y>/<y, y> I of the newest pair
+                q, alphas = xi.copy(), []
+                for s, y, rho_ in reversed(pairs):
+                    alphas.append(rho_ * inner(s, q))
+                    q -= alphas[-1] * y
+                q /= pairs[-1][2] * inner(pairs[-1][1], pairs[-1][1])
+                for (s, y, rho_), alpha in zip(pairs, reversed(alphas)):
+                    q += (alpha - rho_ * inner(y, q)) * s
+                direction = tangent(g, q)
+            if inner(xi, direction) <= 0:
                 direction = xi
         stale = 0 if best is None or value < best.value - EF_RESTART_TOL else stale + 1
         if best is None or value < best.value:
@@ -537,4 +567,5 @@ def test_ef_search_is_an_upper_estimate_of_the_exact_value(k, ef_k4_f095):
             ef = ef_numeric_search(isotropic(k, f), budget=400, seed=1)
         gap = ef.value - ef_isotropic(k, f)
         assert gap >= -1e-9, f"K={k} F={f}: estimate {ef.value!r} is {-gap:.3g} below exact"
-        assert gap <= 1e-9, f"K={k} F={f}: estimate {ef.value!r} is {gap:.3g} above exact ({ef})"
+        # 7.8e-12: the worst gap the README states for this grid
+        assert gap <= 7.8e-12, f"K={k} F={f}: estimate {ef.value!r} is {gap:.3g} above exact ({ef})"

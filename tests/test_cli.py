@@ -487,6 +487,17 @@ def test_classify_verdicts_hold_at_large_kraus_scale(capsys, tmp_path):
     assert json.loads(out) == {"tp": False, "cp": True, "ppt": True, "separable_verified": True}
 
 
+def test_classify_exits_2_where_the_choi_trace_underflows(capsys, tmp_path):
+    # the identity on a qubit pair at scale 1e-165: tr C = 4e-330 rounds to 0
+    label = BipartiteLabel(2, 2)
+    op = QuantumOperation((SubOperation(1e-165 * np.eye(4)[None], label),), label)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(encode_operation(op)))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert "sub-operation 0: the Choi trace underflows" in err
+
+
 def test_classify_schema_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"input": [2, 2], "subops": "nope"}))

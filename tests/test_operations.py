@@ -440,6 +440,10 @@ def test_a_branch_whose_choi_trace_overflows_is_an_error():
     op = scaled(entangled_pair_creation(), 1e160)
     with pytest.raises(ValueError, match="sub-operation 0: the Choi trace overflows"):
         is_ppt_operation(op)
+    # a tolerance of TAU_ACTION * inf would accept any witness
+    witness = [[(1e160 * a, b) for a, b in natural_product_witness(subspace_measurement_op(2, 2))[0]]]
+    with pytest.raises(ValueError, match="sub-operation 0: the Choi trace overflows"):
+        verify_separable_form(scaled(subspace_measurement_op(2, 2), 1e160), witness)
 
 
 @pytest.mark.parametrize("s", [1e-155, 1e-160])
@@ -449,6 +453,20 @@ def test_ppt_verdicts_hold_when_the_choi_trace_is_subnormal(s):
     label = BipartiteLabel(2, 2)
     assert is_ppt_operation(scaled(identity_operation(label), s))
     assert not is_ppt_operation(scaled(entangled_pair_creation(), s))
+
+
+def test_a_branch_whose_choi_trace_underflows_is_an_error():
+    # at scale 1e-165, tr C = 4e-330 rounds to 0 though no Kraus entry is 0:
+    # no tolerance relative to it can decide either predicate
+    op = scaled(entangled_pair_creation(), 1e-165)
+    kraus = op.subops[0].kraus
+    assert kraus.any() and np.vdot(kraus, kraus) == 0.0
+    with pytest.raises(ValueError, match="sub-operation 0: the Choi trace underflows"):
+        is_ppt_operation(op)
+    witness = [[(1e-165 * a, b) for a, b in natural_product_witness(subspace_measurement_op(2, 2))[0]]]
+    product = scaled(subspace_measurement_op(2, 2), 1e-165)
+    with pytest.raises(ValueError, match="sub-operation 0: the Choi trace underflows"):
+        verify_separable_form(product, witness)
 
 
 def creation_identity_mixture(w: float) -> QuantumOperation:

@@ -56,7 +56,8 @@ def test_bench_layer_rows(monkeypatch):
     monkeypatch.setattr(bench, "PPT_KS", (2,))
     monkeypatch.setattr(bench, "NON_PPT_KS", (3,))
     monkeypatch.setattr(bench, "EF_FIDELITIES", (1.0,))
-    monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0),))
+    assert {(3, 0.99), (4, 0.99)} <= set(bench.EF_SEARCH_CASES)
+    monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0), (3, 0.99)))
     monkeypatch.setattr(bench, "DENSITY_KS", (4,))
     monkeypatch.setattr(bench, "TWIRL_CASES", ((2, 600), (3, 10)))
     monkeypatch.setattr(bench, "HAAR_DIMS", (2, 3))
@@ -70,6 +71,7 @@ def test_bench_layer_rows(monkeypatch):
         "is_ppt_operation K=2", "classify K=2", "is_ppt_operation isometry K=3",
         "operation-algebra seed=7",
         "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
+        "ef_numeric_search K=3 F=0.99",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
         "monte_carlo_twirl K=2 samples=600", "monte_carlo_twirl K=3 samples=10",
         "haar_unitaries d=2 count=512", "haar_unitaries d=2 count=1",
@@ -84,6 +86,9 @@ def test_bench_layer_rows(monkeypatch):
     search = rows["ef_numeric_search K=3 F=1.0"]
     assert search["stop"] == "gradient" and abs(search["gap"]) <= 1e-12
     assert search["evaluations"] >= search["iterations"] + 1
+    # K = 3, F = 0.99 uses the whole budget of 400 iterations
+    search = rows["ef_numeric_search K=3 F=0.99"]
+    assert (search["stop"], search["iterations"]) == ("budget", 400) and abs(search["gap"]) <= 1e-9
     # verify --seed 7 runs lemma1-chain's four EF searches; each stops on the restart rule
     searches = bench.lemma1_searches()
     assert [(s["restart_stop"], s["restarts"] < 20) for s in searches] == [("converged", True)] * 4
