@@ -19,7 +19,10 @@ that later calls skip):
 - `is_ppt_operation` on two branches, each one K^2 x K^2 Kraus matrix cut
   from a random isometry (the `classify` workload's random-K descriptors),
   at K = 3, 4, 6: they are not p.p.t., so both verdicts are timed;
-- the `operation-algebra` suite of `verify` at seed 7;
+- the `protocol1-closed-form`, `protocol2-closed-form`, `twirl`,
+  `lemma2-bound` and `operation-algebra` suites of `verify` at seed 7;
+- `entdist simulate` of the composite reduction from K = 16 to 7 on the
+  11-point grid 0:1:0.1, in-process through `entdist.cli.main`;
 - `ef_numeric_estimate(isotropic(2, F))` at the benchmark's EF fidelities,
   budget and first oracle seed;
 - `ef_numeric_search(isotropic(K, F))` at K = 3, F = 0.95 and 0.99 and
@@ -86,6 +89,10 @@ HAAR_COUNTS = (512, 1)
 COMPILE_KS = (100, 1000, 4096, 10**4)
 COMPILE_BRANCHES = (2, 4, 8)
 RATES_STEPS = 20
+VERIFY_SUITES = ("protocol1-closed-form", "protocol2-closed-form", "twirl", "lemma2-bound",
+                 "operation-algebra")
+SIMULATE_ARGV = ("simulate", "--K", "16", "--Kprime", "7", "--protocol", "reduce",
+                 "--F-grid", "0:1:0.1")
 
 
 def _env(checkout: Path) -> dict[str, str]:
@@ -189,9 +196,9 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         row = _timed(lambda: is_ppt_operation(op), repeats)
         row.update(ppt=is_ppt_operation(op))
         rows[f"is_ppt_operation isometry K={k}"] = row
-    rows["operation-algebra seed=7"] = _timed(
-        lambda: run_suites(seed=7, suites=["operation-algebra"]), repeats
-    )
+    for suite in VERIFY_SUITES:
+        rows[f"{suite} seed=7"] = _timed(lambda: run_suites(seed=7, suites=[suite]), repeats)
+    rows[" ".join(SIMULATE_ARGV)] = _timed(lambda: _cli(*SIMULATE_ARGV), repeats)
     for f in EF_FIDELITIES:
         rho = isotropic(2, f)
         rows[f"ef_numeric_estimate K=2 F={f}"] = _timed(

@@ -4,9 +4,10 @@
 For a fixed input dimension, sweeps every target dimension and reports the
 closed-form output fidelity of the subspace measurement, of factor tracing
 (where applicable), and of the two-stage composite, against the guaranteed
-lower bound.  Every value comes from `verify.simulate_point`, the pass rule
-of `entdist simulate`: each closed form is cross-checked against brute-force
-simulation, and the script exits 1 when a point fails.
+lower bound.  Every value is a row of `verify.simulate_grid`, called once
+per (K, K') and protocol on the one-point grid [F]: the rows of `entdist
+simulate`, under its pass rule, so each closed form is cross-checked against
+brute-force simulation, and the script exits 1 when a point fails.
 
 Usage: python scripts/reduction_tradeoff.py [--K 6] [--F 0.9] [--out FILE]
 """
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from entdist.serialize import format_number
-from entdist.verify import simulate_point
+from entdist.verify import simulate_grid
 
 
 def main() -> int:
@@ -35,7 +36,7 @@ def main() -> int:
     failed = []
     for kp in range(1, k):
         recs = {
-            protocol: simulate_point(protocol, k, kp, f, rng)
+            protocol: simulate_grid(protocol, k, kp, [f], rng, 0)[0]
             for protocol in ("1", "2", "reduce")
             if protocol != "2" or k % kp == 0
         }

@@ -38,7 +38,8 @@ from . import bounds as bnd
 from . import distillation as dst
 from . import verify as ver
 from .operations import (
-    is_completely_positive, is_ppt_operation, is_trace_preserving, verify_separable_form,
+    _checked_choi_trace, is_completely_positive, is_ppt_operation, is_trace_preserving,
+    verify_separable_form,
 )
 from .serialize import (
     SchemaError,
@@ -161,11 +162,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SchemaError(
             f"--Kprime {args.Kprime} must equal --K {args.K}: the twirl keeps the dimension"
         )
-    rng = np.random.default_rng(args.seed)
-    records = [
-        ver.simulate_point(args.protocol, args.K, args.Kprime, f, rng, args.mc_samples)
-        for f in parse_f_grid(args.F_grid)
-    ]
+    rng, grid = np.random.default_rng(args.seed), parse_f_grid(args.F_grid)
+    records = ver.simulate_grid(args.protocol, args.K, args.Kprime, grid, rng, args.mc_samples)
     header = ["K", "Kprime", "F_in", "F_closed_form", "F_simulated", "bound", "pass"]
     _emit(args, records, records, header)
     return 0 if all(r["pass"] for r in records) else 1
@@ -179,6 +177,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"sub-operation {i}: d_in * d_out = {sub.dim_in} * {sub.dim_out} exceeds "
                 f"the Choi matrix limit MAX_CHOI_DIM = {MAX_CHOI_DIM}"
             )
+        _checked_choi_trace(sub, i)  # before any product that can overflow, with warnings
     report = {
         "tp": is_trace_preserving(op),
         "cp": all(is_completely_positive(sub) for sub in op.subops),

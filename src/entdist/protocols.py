@@ -36,9 +36,9 @@ TWIRL_CHUNK = 512
 # stay in a core's L2 cache (256 KiB to 1 MiB ran alike; 16 MiB was slower).
 TWIRL_BLOCK_BYTES = 256 * 1024
 # Protocol operations kept per constructor.  They are immutable (read-only
-# factor arrays), so every caller shares one: a grid sweeps one (K, K') pair
-# at many fidelities.  Each kept operation holds its cached superoperators,
-# up to 31 MiB at K = 32, so only a few are kept.
+# factor arrays), so every caller shares one, and a process that simulates a
+# (K, K') pair again builds it once.  Each kept operation holds its cached
+# superoperators, up to 31 MiB at K = 32, so only a few are kept.
 OP_CACHE_SIZE = 8
 
 
@@ -194,9 +194,11 @@ class ReductionPlan:
 
 
 @functools.lru_cache(maxsize=OP_CACHE_SIZE)
-def _staged(stage1: QuantumOperation, stage2: QuantumOperation) -> QuantumOperation:
-    """The one-branch composite of two shared protocol operations."""
-    return compose(stage1, {0: stage2})
+def _reduction_op(k: int, kp: int) -> QuantumOperation:
+    """The one-branch operation of `reduce_dimension` from k to kp."""
+    plan = ReductionPlan(k, kp)
+    stage1 = subspace_measurement_op(k, plan.stage1_target)
+    return compose(stage1, {0: factor_tracing_op(plan.stage1_target, kp)})
 
 
 def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
@@ -205,10 +207,7 @@ def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
     label = rho.bipartite
     if label.dim_a != label.dim_b:
         raise ValueError("reduction requires equal factor dimensions")
-    plan = ReductionPlan(label.dim_a, kp)
-    stage1 = subspace_measurement_op(plan.k, plan.stage1_target)
-    op = _staged(stage1, factor_tracing_op(plan.stage1_target, kp))
-    ((p, state),) = apply_operation(op, rho)
+    ((p, state),) = apply_operation(_reduction_op(label.dim_a, kp), rho)
     assert state is not None and abs(p - 1.0) < 1e-9
     return state
 

@@ -2,18 +2,19 @@
 bound identities on grids, operation-algebra properties, and the trace
 transforms on synthetic fixtures.
 
-Each check and its tolerance is written once, here.  `simulate_point` is the
-pass rule for one simulated grid point: `entdist simulate` prints its records,
-and the protocol suites check every grid point through it.  The acceptance
-tests run these suites instead of copying them.  Each suite returns per-check
-counts and names any failing grid point, so a red run is diagnosable from the
-report alone.  All randomness flows from one seeded generator per run, which
-every suite takes as its only argument.
+Each check and its tolerance is written once, here.  `simulate_grid` is the
+pass rule for the F grid of one (K, K') pair: `entdist simulate` prints its
+rows, and the protocol suites check every grid point through it.  The
+acceptance tests run these suites instead of copying them.  Each suite
+returns per-check counts and names any failing grid point, so a red run is
+diagnosable from the report alone.  All randomness flows from one seeded
+generator per run, which every suite takes as its only argument.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,65 +76,65 @@ class SuiteResult:
         return not self.failures
 
 
-def simulate_point(
-    protocol: str, k: int, kp: int, f: float, rng: np.random.Generator, mc_samples: int = 0
-) -> dict:
-    """One grid point of `entdist simulate`: simulation against closed form.
+def simulate_grid(
+    protocol: str, k: int, kp: int, grid: Sequence[float], rng: np.random.Generator, mc_samples: int
+) -> list[dict]:
+    """The rows of `entdist simulate` for one (K, K'), one per F of grid.
 
-    Protocols "1", "2" and "reduce" run on isotropic(k, f); the point passes
+    Protocols "1", "2" and "reduce" run on isotropic(k, f); a row passes
     when the simulated fidelity matches the closed form and is at least the
-    protocol's guaranteed bound.  "twirl" draws a random k x k state from rng
-    (f is only echoed) and passes when the exact twirl keeps its fidelity and,
-    with mc_samples > 0, the Monte Carlo twirl is within
-    MC_TOL * sqrt(MC_TOL_SAMPLES / mc_samples) of it; the bound column is
-    then that deviation.
+    protocol's guaranteed bound.  The operation is applied at the least and
+    the greatest f only: the isotropic family is affine in F, so between
+    them the branch's trace and its overlap with P+ are convex combinations
+    of their end values, and the fidelity is their ratio.  "twirl" draws a
+    random k x k state from rng per row (f is only echoed) and passes when
+    the exact twirl keeps its fidelity and, with mc_samples > 0, the Monte
+    Carlo twirl is within MC_TOL * sqrt(MC_TOL_SAMPLES / mc_samples) of it;
+    the bound column is then that deviation.
     """
-    if protocol == "1":
-        closed = pro.subspace_measurement_fidelity(k, kp, f)
-        ((_, state),) = apply_operation(pro.subspace_measurement_op(k, kp), isotropic(k, f))
-        sim, bound = fidelity(state), (kp / k) * f
-    elif protocol == "2":
-        closed = pro.factor_tracing_fidelity(k, kp, f)
-        ((_, state),) = apply_operation(pro.factor_tracing_op(k, kp), isotropic(k, f))
-        sim, bound = fidelity(state), f
-    elif protocol == "reduce":
-        closed = pro.reduce_dimension_fidelity(k, kp, f)
-        sim = fidelity(pro.reduce_dimension(isotropic(k, f), kp))
-        bound = pro.ReductionPlan(k, kp).guaranteed_fidelity_factor * f
-    elif protocol == "twirl":
-        rho = random_density(BipartiteLabel(k, k), rng)
-        tw = pro.exact_twirl(rho)
-        closed, sim, bound = fidelity(rho), fidelity(tw), None
-        if mc_samples > 0:
-            mc = pro.monte_carlo_twirl(rho, mc_samples, rng)
-            bound = float(np.max(np.abs(mc - tw.matrix)))
+    rows = []
+    if protocol == "twirl":
+        for f in grid:
+            rho = random_density(BipartiteLabel(k, k), rng)
+            tw = pro.exact_twirl(rho)
+            closed, sim, bound = fidelity(rho), fidelity(tw), None
+            if mc_samples > 0:
+                mc = pro.monte_carlo_twirl(rho, mc_samples, rng)
+                bound = float(np.max(np.abs(mc - tw.matrix)))
+            mc_ok = bound is None or bound <= MC_TOL * math.sqrt(MC_TOL_SAMPLES / mc_samples)
+            rows.append((f, closed, sim, bound, abs(sim - closed) <= EXACT_TOL and mc_ok))
+    elif protocol in ("1", "2", "reduce"):
+        closed_form, build = {
+            "1": (pro.subspace_measurement_fidelity, pro.subspace_measurement_op),
+            "2": (pro.factor_tracing_fidelity, pro.factor_tracing_op),
+            "reduce": (pro.reduce_dimension_fidelity, pro._reduction_op),
+        }[protocol]
+        # the closed forms check the arguments before any operation is built
+        closed = [closed_form(k, kp, f) for f in grid]
+        op, plan = build(k, kp), pro.ReductionPlan(k, kp)
+        factor = {"1": kp / k, "2": 1, "reduce": plan.guaranteed_fidelity_factor}[protocol]
+        lo, hi = min(grid), max(grid)
+        ends = {f: apply_operation(op, isotropic(k, f))[0] for f in {lo, hi}}  # f -> (p, state)
+        (p_lo, sim_lo), (p_hi, sim_hi) = ((p, fidelity(out)) for p, out in (ends[lo], ends[hi]))
+        for f, c in zip(grid, closed):
+            t = (f - lo) / (hi - lo) if lo < f < hi else 0.0
+            between = ((1 - t) * p_lo * sim_lo + t * p_hi * sim_hi) / ((1 - t) * p_lo + t * p_hi)
+            sim = sim_lo if f == lo else sim_hi if f == hi else between
+            bound = factor * f
+            rows.append((f, c, sim, bound, abs(sim - c) <= SIM_TOL and sim >= bound - EXACT_TOL))
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "twirl":
-        ok = abs(sim - closed) <= EXACT_TOL and (
-            bound is None or bound <= MC_TOL * math.sqrt(MC_TOL_SAMPLES / mc_samples)
-        )
-    else:
-        ok = abs(sim - closed) <= SIM_TOL and sim >= bound - EXACT_TOL
-    return {
-        "K": k,
-        "Kprime": kp,
-        "F_in": f,
-        "F_closed_form": closed,
-        "F_simulated": sim,
-        "bound": bound,
-        "pass": ok,
-    }
+    keys = ("F_in", "F_closed_form", "F_simulated", "bound", "pass")
+    return [{"K": k, "Kprime": kp, **dict(zip(keys, row))} for row in rows]
 
 
 def _closed_form_grid(
     res: SuiteResult, rng: np.random.Generator, protocol: str, pairs: list[tuple[int, int]]
 ) -> None:
-    """Every (K, K') pair at every grid F through simulate_point, plus the
+    """Every (K, K') pair at every grid F through simulate_grid, plus the
     closed form's own guarantee: it is at least the point's bound."""
     for k, kp in pairs:
-        for f in F_GRID:
-            rec = simulate_point(protocol, k, kp, f, rng)
+        for f, rec in zip(F_GRID, simulate_grid(protocol, k, kp, F_GRID, rng, 0)):
             res.check(rec["pass"], f"K={k} Kprime={kp} F={f}")
             res.check(
                 rec["F_closed_form"] >= rec["bound"] - EXACT_TOL,
@@ -167,13 +168,14 @@ def _suite_protocol2(rng: np.random.Generator) -> SuiteResult:
 def _suite_twirl(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("twirl")
     for k in (2, 3):
-        rec = simulate_point("twirl", k, k, 0.0, rng, 10_000)
+        (rec,) = simulate_grid("twirl", k, k, [0.0], rng, 10_000)
         res.check(rec["pass"], f"K={k} n=10000 monte-carlo-deviation={rec['bound']:.3g}")
         tw = pro.exact_twirl(random_density(BipartiteLabel(k, k), rng))
-        for i, u in enumerate(haar_unitaries(k, 100, rng)):
-            w = np.kron(u, u.conj())
-            conj = w @ tw.matrix @ w.conj().T
-            res.check(np.max(np.abs(conj - tw.matrix)) <= SIM_TOL, f"invariance K={k} sample={i}")
+        u = haar_unitaries(k, 100, rng)
+        w = np.einsum("sij,skl->sikjl", u, u.conj()).reshape(len(u), k * k, k * k)
+        conj = w @ tw.matrix @ w.conj().transpose(0, 2, 1)
+        for i, dev in enumerate(np.max(np.abs(conj - tw.matrix), axis=(1, 2))):
+            res.check(dev <= SIM_TOL, f"invariance K={k} sample={i}")
     return res
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -367,9 +368,9 @@ def test_simulate_rejects_k_above_limit_before_allocating(capsys, monkeypatch):
     import entdist.verify as ver
 
     def never(*args, **kwargs):
-        raise AssertionError("simulate_point called for a rejected K")
+        raise AssertionError("simulate_grid called for a rejected K")
 
-    monkeypatch.setattr(ver, "simulate_point", never)
+    monkeypatch.setattr(ver, "simulate_grid", never)
     k = str(MAX_SIMULATE_K + 1)
     tracemalloc.start()
     try:
@@ -390,6 +391,43 @@ def test_simulate_rejects_factor_tracing_below_dimension_two(capsys):
     code, out, err = run_cli(capsys, "simulate", "--K", "1", "--Kprime", "1", "--protocol", "2")
     assert code == 2 and out == ""
     assert "input dimension must be at least 2, got 1" in err
+
+
+def test_simulate_grid_equals_the_simulation_at_every_point(monkeypatch):
+    import entdist.verify as ver
+    from entdist.operations import apply_operation
+    from entdist.protocols import _reduction_op, factor_tracing_op, subspace_measurement_op
+    from entdist.states import fidelity, isotropic
+
+    applied = []
+
+    def counted(op, rho):
+        applied.append(rho)
+        return apply_operation(op, rho)
+
+    monkeypatch.setattr(ver, "apply_operation", counted)
+    ops = {"1": subspace_measurement_op, "2": factor_tracing_op, "reduce": _reduction_op}
+    rng = np.random.default_rng(21)
+    for k in range(2, 9):
+        for protocol, kp in [(p, kp) for p in ops for kp in range(1, k + 1)]:
+            if protocol == "2" and k % kp:
+                continue
+            drawn = np.round(rng.random(int(rng.integers(1, 12))), 12).tolist()
+            # sorted as the CLI's grids, as drawn, and with equal ends
+            for grid in (sorted(drawn), drawn, [drawn[0], *drawn, drawn[0]]):
+                applied.clear()
+                draws = np.random.default_rng(0)
+                state0 = draws.bit_generator.state
+                rows = ver.simulate_grid(protocol, k, kp, grid, draws, 0)
+                assert len(applied) == min(len(set(grid)), 2)
+                assert draws.bit_generator.state == state0
+                assert [r["F_in"] for r in rows] == grid and all(r["pass"] for r in rows)
+                for f, row in zip(grid, rows):
+                    ((_, state),) = apply_operation(ops[protocol](k, kp), isotropic(k, f))
+                    if f in (min(grid), max(grid)):
+                        assert row["F_simulated"] == fidelity(state)
+                    else:
+                        assert abs(row["F_simulated"] - fidelity(state)) <= 1e-14
 
 
 def test_simulate_twirl_rejects_a_kprime_other_than_k(capsys):
@@ -496,6 +534,23 @@ def test_classify_exits_2_where_the_choi_trace_underflows(capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert "sub-operation 0: the Choi trace underflows" in err
+
+
+@pytest.mark.parametrize("scale,what", [(1e160, "overflows"), (1e-165, "underflows")])
+def test_classify_prints_only_the_error_line_where_the_choi_trace_is_not_finite_and_nonzero(
+    capsys, tmp_path, scale, what
+):
+    # the identity on a qubit pair: at 1e160, tr C = 4e320 overflows, and so
+    # would the Gram product of is_trace_preserving, with numpy warnings
+    label = BipartiteLabel(2, 2)
+    op = QuantumOperation((SubOperation(scale * np.eye(4)[None], label),), label)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(encode_operation(op)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", f"error: sub-operation 0: the Choi trace {what}\n")
+    assert caught == []
 
 
 def test_classify_schema_error_exit_code(capsys, tmp_path):

@@ -694,7 +694,7 @@ def test_trace_preservation_is_summed_once_per_operation(monkeypatch):
 
 
 def test_protocol_constructors_share_read_only_operations():
-    from entdist.protocols import _staged
+    from entdist.protocols import _reduction_op
 
     for make, args in ((subspace_measurement_op, (6, 3)), (factor_tracing_op, (6, 2))):
         op = make(*args)
@@ -704,9 +704,8 @@ def test_protocol_constructors_share_read_only_operations():
                 assert not f.flags.writeable
                 with pytest.raises(ValueError):
                     f[0, 0, 0] = 1.0
-    stage1, stage2 = subspace_measurement_op(7, 6), factor_tracing_op(6, 3)
-    assert _staged(stage1, stage2) is _staged(stage1, stage2)
-    (sub,) = _staged(stage1, stage2).subops
+    assert _reduction_op(7, 3) is _reduction_op(7, 3)
+    (sub,) = _reduction_op(7, 3).subops
     assert all(not f.flags.writeable for f in sub.factors)
     assert all(s is None or not s.flags.writeable for s in sub._superoperators)
 

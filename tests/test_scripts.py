@@ -69,7 +69,9 @@ def test_bench_layer_rows(monkeypatch):
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
         "is_ppt_operation K=2", "classify K=2", "is_ppt_operation isometry K=3",
-        "operation-algebra seed=7",
+        "protocol1-closed-form seed=7", "protocol2-closed-form seed=7", "twirl seed=7",
+        "lemma2-bound seed=7", "operation-algebra seed=7",
+        "simulate --K 16 --Kprime 7 --protocol reduce --F-grid 0:1:0.1",
         "ef_numeric_estimate K=2 F=1.0", "ef_numeric_search K=3 F=1.0",
         "ef_numeric_search K=3 F=0.99",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
