@@ -32,7 +32,7 @@ that later calls skip):
 - `DensityOperator` construction from `isotropic(K, 0.7)`'s matrix at
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
-  does not (where the checkout has it), next to `isotropic(K, 0.7)` itself;
+  does not, next to `isotropic(K, 0.7)` itself;
 - `monte_carlo_twirl` of a random K x K state at K = 2, 3, 4, 6, 8 with
   10^4 samples and at K = 16 with 512, each call from the same generator
   seed, and `haar_unitaries` at d = 2, 3, 4, 6, 8, 16 for stacks of 512 (one
@@ -44,14 +44,20 @@ that later calls skip):
   branches.  Both run in-process through `entdist.cli.main`.
 
 It also records the EF searches of `lemma1-chain` in one in-process
-`verify --seed 7` run (value, restarts run, why they stopped, time),
-`entdist verify --seed 7` in REPEATS fresh processes, and the wall time of
-the checkout's tier-1 test suite (one run).  The record names the machine,
-the repeat count and the line count of `src/entdist`, and is merged under
---label into --out, so one file holds the records of several checkouts
-measured on one machine.
+`verify --seed 7` run (value, restarts run, why they stopped, time); the
+verify workload's 16 one-restart EF calls (K = 2 at the EF fidelities,
+oracle seeds 7-10, budget 400) as their total objective evaluations and
+worst gap to `ef_isotropic`; `entdist verify --seed 7` in REPEATS fresh
+processes; the wall time of the checkout's tier-1 test suite (one run); and
+the checkout's sizes: the line count of each file in `src/entdist` and
+`scripts`, the public names of `entdist`, the defaulted parameters of the
+public functions and the options of each subcommand.  The record names the
+machine and the repeat count, and is merged under --label into --out, so
+one file holds the records of several checkouts measured on one machine.
+CI runs the gates only (tier-1, `verify --seed 7`, the benchmark's oracle
+smoke runs) and prints no numbers: they are kept here.
 
-Usage: python scripts/bench.py --out BENCH_12.json --label change [--checkout DIR]
+Usage: python scripts/bench.py --out BENCH_<pr>.json --label parent|change [--checkout DIR]
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import inspect
 import io
 import json
 import os
@@ -80,6 +87,7 @@ BENCH_SEED = 1
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
 EF_BUDGET = 400
 EF_SEED = 7
+EF_WORKLOAD_SEEDS = (7, 8, 9, 10)
 EF_SEARCH_CASES = ((3, 0.95), (3, 0.99), (4, 0.8), (4, 0.95), (4, 0.99))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
@@ -217,10 +225,9 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         m, label = rho.matrix, rho.label
         rows[f"isotropic K={k}"] = _timed(lambda: isotropic(k, 0.7), repeats)
         rows[f"DensityOperator K={k}"] = _timed(lambda: DensityOperator(m, label), repeats)
-        if hasattr(DensityOperator, "_by_construction"):
-            rows[f"DensityOperator._by_construction K={k}"] = _timed(
-                lambda: DensityOperator._by_construction(m, label), repeats
-            )
+        rows[f"DensityOperator._by_construction K={k}"] = _timed(
+            lambda: DensityOperator._by_construction(m, label), repeats
+        )
     for k, samples in TWIRL_CASES:
         rho = random_density(BipartiteLabel(k, k), np.random.default_rng(k))
         rows[f"monte_carlo_twirl K={k} samples={samples}"] = _timed(
@@ -246,7 +253,7 @@ def lemma1_searches() -> list[dict]:
         ef = search(rho, *args, **kwargs)
         found.append({"value": repr(ef.value), "restarts": ef.restarts,
                       "best_restart": ef.best_restart,
-                      "restart_stop": getattr(ef, "restart_stop", "budget"),
+                      "restart_stop": ef.restart_stop,
                       "evaluations": ef.evaluations, "s": time.perf_counter() - start})
         return ef
 
@@ -257,6 +264,52 @@ def lemma1_searches() -> list[dict]:
     finally:
         bnd.ef_numeric_search = search
     return found
+
+
+def ef_workload() -> dict:
+    """The verify workload's 16 one-restart EF calls, in this process."""
+    from entdist.bounds import ef_isotropic, ef_numeric_search
+    from entdist.states import isotropic
+
+    calls = [(f, ef_numeric_search(isotropic(2, f), budget=EF_BUDGET, seed=s))
+             for f in EF_FIDELITIES for s in EF_WORKLOAD_SEEDS]
+    return {"calls": len(calls), "evaluations": sum(ef.evaluations for _, ef in calls),
+            "worst_gap": max(ef.value - ef_isotropic(2, f) for f, ef in calls)}
+
+
+def sizes() -> dict:
+    """Line counts, public names, defaulted parameters and subcommand options
+    of the entdist on sys.path and of the checkout it lies in."""
+    import entdist
+    import entdist.serialize
+    import entdist.verify
+    from entdist.cli import build_parser
+
+    checkout = Path(entdist.__file__).resolve().parents[2]
+    lines = {str(p.relative_to(checkout)): len(p.read_text(encoding="utf-8").splitlines())
+             for pattern in ("src/entdist/*.py", "scripts/*.py")
+             for p in sorted(checkout.glob(pattern))}
+    names = [n for n, v in vars(entdist).items()
+             if not n.startswith("_") and not inspect.ismodule(v)]
+    # the knobs: defaulted parameters of the public functions of entdist and of
+    # those defined in entdist.verify and entdist.serialize; inspect.signature
+    # sees through lru_cache
+    knobs = []
+    for mod in (entdist, entdist.verify, entdist.serialize):
+        for n, v in vars(mod).items():
+            if n.startswith("_") or inspect.isclass(v) or not callable(v):
+                continue
+            if mod is not entdist and getattr(v, "__module__", None) != mod.__name__:
+                continue
+            params = inspect.signature(v).parameters.values()
+            knobs += [f"{mod.__name__}.{n}({p.name}=)" for p in params if p.default is not p.empty]
+    # the options each subcommand accepts, positionals included
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: [a.option_strings[0] if a.option_strings else a.dest
+                      for a in p._actions if not isinstance(a, argparse._HelpAction)]
+               for name, p in sub.choices.items()}
+    return {"lines": lines, "public_names": names, "defaulted_parameters": knobs,
+            "subcommand_options": options}
 
 
 def _perfbench(checkout: Path, workload: str, seconds: float) -> dict:
@@ -311,21 +364,22 @@ def main() -> int:
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     end_to_end = {w["name"]: _perfbench(checkout, w["name"], bench["run_seconds"])
                   for w in bench["workloads"]}
-    # the layer rows run in a fresh process that imports the checkout's entdist
+    # these run in a fresh process that imports the checkout's entdist
     code = (f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-            "import bench; print(json.dumps({'layers': bench.layer_rows(bench.REPEATS), "
-            "'lemma1_chain_seed7': bench.lemma1_searches()}))")
+            "import bench; print(json.dumps({'sizes': bench.sizes(), "
+            "'layers': bench.layer_rows(bench.REPEATS), "
+            "'lemma1_chain_seed7': bench.lemma1_searches(), "
+            "'ef_verify_workload': bench.ef_workload()}))")
     proc = subprocess.run([sys.executable, "-c", code], env=_env(checkout),
                           capture_output=True, text=True, check=True)
+    fresh = json.loads(proc.stdout.splitlines()[-1])
     record = {
-        "src_entdist_lines": sum(
-            len(p.read_text(encoding="utf-8").splitlines())
-            for p in (checkout / "src" / "entdist").glob("*.py")
-        ),
+        "src_entdist_lines": sum(n for path, n in fresh["sizes"]["lines"].items()
+                                 if path.startswith("src/entdist/")),
         "end_to_end": end_to_end,
         "tier1": _tier1(checkout),
         "verify_seed7_fresh_process": _verify_seed7(checkout, REPEATS),
-        **json.loads(proc.stdout.splitlines()[-1]),
+        **fresh,
     }
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}

@@ -62,15 +62,6 @@ def _log2_dim(k: int) -> Number:
     return math.log2(k)
 
 
-def _log2_big(n: int) -> float:
-    """float log2 of a positive integer of arbitrary size."""
-    bl = n.bit_length()
-    if bl <= 53:
-        return math.log2(n)
-    top = n >> (bl - 53)
-    return (bl - 53) + math.log2(top)
-
-
 @dataclass(frozen=True)
 class BranchOutcome:
     """One classical branch of a step: probability, output local dimension,
@@ -393,7 +384,7 @@ def _floor_pow2_log2(exponent: Number) -> tuple[int | None, float]:
         return None, exponent  # floor correction below representable precision
     mant = int(2.0 ** frac * (1 << 52))  # 52-bit floor of the mantissa
     value = mant << (fe - 52) if fe >= 52 else mant >> (52 - fe)
-    return value, _log2_big(value) if value > 0 else 0.0
+    return value, math.log2(value) if value > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -299,18 +299,13 @@ def choi_matrix(sub: SubOperation) -> np.ndarray:
     return v.T @ v.conj()
 
 
-def _choi_trace(sub: SubOperation) -> float:
-    """tr C = sum_j ||K_j||_F^2, a product over the factors.  ||C||_2 <= tr C
-    bounds the rounding of the Choi tests, so tolerances relative to it are
-    scale free."""
-    return math.prod(float(np.vdot(f, f).real) for f in sub.factors)
-
-
 def _checked_choi_trace(sub: SubOperation, i: int) -> float:
-    """tr C of branch i, which the Choi tests divide by or scale a tolerance
-    with: ValueError unless it is a finite double, and nonzero where the
-    branch is not the zero map (no factor of it is all zeros)."""
-    tr = _choi_trace(sub)
+    """tr C = sum_j ||K_j||_F^2 of branch i, a product over the factors, which
+    the Choi tests divide by or scale a tolerance with: ||C||_2 <= tr C bounds
+    their rounding, so tolerances relative to it are scale free.  ValueError
+    unless it is a finite double, and nonzero where the branch is not the zero
+    map (no factor of it is all zeros)."""
+    tr = math.prod(float(np.vdot(f, f).real) for f in sub.factors)
     if not math.isfinite(tr):
         raise ValueError(f"sub-operation {i}: the Choi trace overflows")
     if tr == 0.0 and all(f.any() for f in sub.factors):

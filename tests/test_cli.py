@@ -682,6 +682,61 @@ def test_compile_rejects_fractions_outside_the_unit_interval(capsys, trace_file,
     assert "must lie in (0, 1)" in err
 
 
+def classify_subspace_8_4(tmp_path):
+    """The dense K = 8 subspace measurement with its natural witness: one
+    branch at the largest Choi matrix `classify` accepts."""
+    from entdist.operations import natural_product_witness
+    from entdist.protocols import subspace_measurement_op
+
+    op = subspace_measurement_op(8, 4)
+    (sub,) = op.subops
+    assert sub.dim_in * sub.dim_out == MAX_CHOI_DIM
+    doc = encode_operation(op)
+    doc["witness"] = [
+        [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]
+        for pairs in natural_product_witness(op)
+    ]
+    path = tmp_path / "subspace-8-4.json"
+    path.write_text(json.dumps(doc))
+    return ["classify", str(path)]
+
+
+def compile_four_branches(tmp_path):
+    branches = [{"p": p, "K": 1024, "F": 0.99} for p in (0.3, 0.25, 0.2, 0.15)]
+    return ["compile", write_trace(tmp_path, [*branches, {"p": 0.1, "K": 1, "F": 1}]),
+            "--k-list", "4096"]
+
+
+def csv_rows_pass(out, count):
+    header, *rows = out.splitlines()
+    return header.endswith(",pass") and len(rows) == count and all(
+        row.endswith(",true") for row in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "make_argv, check",
+    [
+        (classify_subspace_8_4, lambda out: json.loads(out) == {
+            "tp": True, "cp": True, "ppt": True, "separable_verified": True}),
+        (compile_four_branches, lambda out: [
+            (d["failure_method"], d["failure_probability"]) for d in json.loads(out)
+        ] == [("exact", 0.00328181642116)]),
+        (lambda _: ["simulate", "--K", "16", "--Kprime", "16", "--protocol", "twirl",
+                    "--mc-samples", "64", "--F-grid", "0:0:0.1"],
+         lambda out: csv_rows_pass(out, 1)),
+        (lambda _: ["simulate", "--K", "16", "--Kprime", "7", "--protocol", "reduce",
+                    "--F-grid", "0:1:0.1"],
+         lambda out: csv_rows_pass(out, 11)),
+    ],
+    ids=["classify-subspace-8-4", "compile-four-branches-4096", "twirl-16", "reduce-16-to-7"],
+)
+def test_the_largest_commands_print_their_expected_results(capsys, tmp_path, make_argv, check):
+    code, out, err = run_cli(capsys, *make_argv(tmp_path))
+    assert code == 0, err
+    assert check(out), out
+
+
 def test_verify_suite_filter_and_determinism(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--seed", "7", "--suite", "lemma3-identity")
     code2, out2, _ = run_cli(capsys, "verify", "--seed", "7", "--suite", "lemma3-identity")

@@ -94,3 +94,30 @@ def test_bench_layer_rows(monkeypatch):
     # verify --seed 7 runs lemma1-chain's four EF searches; each stops on the restart rule
     searches = bench.lemma1_searches()
     assert [(s["restart_stop"], s["restarts"] < 20) for s in searches] == [("converged", True)] * 4
+    # the verify workload's EF calls, here at F = 1.0 only: oracle seeds 7-10
+    ef = bench.ef_workload()
+    assert list(ef) == ["calls", "evaluations", "worst_gap"] and ef["calls"] == 4
+    assert isinstance(ef["evaluations"], int) and ef["evaluations"] >= 4
+    assert isinstance(ef["worst_gap"], float) and abs(ef["worst_gap"]) <= 1e-9
+
+    sizes = bench.sizes()
+    assert list(sizes) == ["lines", "public_names", "defaulted_parameters", "subcommand_options"]
+    assert {"src/entdist/cli.py", "scripts/bench.py"} <= set(sizes["lines"])
+    assert all(isinstance(n, int) and n > 0 for n in sizes["lines"].values())
+    assert all(path.startswith(("src/entdist/", "scripts/")) for path in sizes["lines"])
+    assert {"tensor_power_compile", "ef_numeric_search"} <= set(sizes["public_names"])
+    assert all(isinstance(name, str) for name in sizes["public_names"])
+    assert sizes["defaulted_parameters"] == [
+        "entdist.ef_numeric_estimate(budget=)", "entdist.ef_numeric_estimate(seed=)",
+        "entdist.ef_numeric_search(budget=)", "entdist.ef_numeric_search(seed=)",
+        "entdist.partial_transpose(side=)",
+        "entdist.verify.run_suites(seed=)", "entdist.verify.run_suites(suites=)",
+        "entdist.serialize.format_number(precision=)",
+        "entdist.serialize.round_for_report(precision=)",
+        "entdist.serialize.dump_report(precision=)",
+        "entdist.serialize.decode_matrix(where=)", "entdist.serialize.load_json(exact=)",
+    ]
+    options = sizes["subcommand_options"]
+    assert list(options) == ["bounds", "simulate", "classify", "rates", "compile", "verify"]
+    assert options["classify"] == ["input", "--out"]
+    assert all(isinstance(o, str) for opts in options.values() for o in opts)
