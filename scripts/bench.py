@@ -11,6 +11,10 @@ that later calls skip):
 - `apply_operation` and `is_trace_preserving` on
   `subspace_measurement_op(K, K/2)` at K = 6, 8, 12, 16, 24, 32;
 - `reduce_dimension` to 7 (to 3 at K = 6) at the same K;
+- `apply_operation` on a fresh operation each call, as `verify`'s
+  `operation-algebra` suite meets them: two branches on d_in = 3, cut from
+  a random 6 x 3 isometry, built, checked by `is_trace_preserving` and
+  applied once, the median over FRESH_OPS operations;
 - `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2, 4, 6, 8
   (its Choi matrix is K^4/4 x K^4/4), and the three predicates `classify`
   reports (cp, ppt, separable with the natural product witness) on the
@@ -82,6 +86,7 @@ LAYER_KS = (6, 8, 12, 16, 24, 32)
 PPT_KS = (2, 4, 6, 8)
 NON_PPT_KS = (3, 4, 6)
 REPEATS = 7
+FRESH_OPS = 200
 BENCH_SEED = 1
 # the EF calls of the benchmark's verify workload (perfbench/workloads.py)
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
@@ -185,6 +190,18 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         rows[f"reduce_dimension K={k} Kprime={kp}"] = _timed(
             lambda: reduce_dimension(rho, kp), repeats
         )
+    rng = np.random.default_rng(BENCH_SEED)
+    g = rng.standard_normal((FRESH_OPS + 1, 6, 3)) + 1j * rng.standard_normal((FRESH_OPS + 1, 6, 3))
+    isometries, rho = iter(np.linalg.qr(g)[0]), random_density(3, rng)
+
+    def fresh():
+        q = next(isometries)
+        op = QuantumOperation((SubOperation(q[:4].reshape(2, 2, 3), 2),
+                               SubOperation(q[4:].reshape(1, 2, 3), 2)), 3)
+        is_trace_preserving(op)  # computes the deviation that apply_operation reads again
+        return apply_operation(op, rho)
+
+    rows["apply_operation fresh d_in=3"] = _timed(fresh, FRESH_OPS)
     for k in PPT_KS:
         op = subspace_measurement_op(k, k // 2)
         rows[f"is_ppt_operation K={k}"] = _timed(lambda: is_ppt_operation(op), repeats)

@@ -74,7 +74,7 @@ def _checked(m: np.ndarray, label: Label) -> np.ndarray:
     d = total_dim(label)
     if m.shape[0] != d:
         raise ValueError(f"matrix dimension {m.shape[0]} does not match label total {d}")
-    if np.max(np.abs(m - m.conj().T)) > TAU_HERM:
+    if abs(m - m.conj().T).max() > TAU_HERM:
         raise ValueError("density operator is not Hermitian within tolerance")
     tr = m.trace()
     if abs(tr - 1.0) > TAU_TRACE:
@@ -97,7 +97,8 @@ class DensityOperator:
       K^2-1 times, and it bounds F to [0, 1];
     - `operations.apply_operation`, each branch output sum_j K_j rho K_j^dagger / p:
       a Kraus image of a checked state;
-    - `random_density`: a normalized Gram matrix G G^dagger;
+    - `random_density` and `verify._random_states` (one stack per dimension):
+      a normalized Gram matrix G G^dagger;
     - `partial_trace` of a checked state;
     - in `verify`, a tensor product of two checked states: its spectrum is the products of theirs.
 
@@ -194,11 +195,15 @@ def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     return z
 
 
+def _normalized_grams(g: np.ndarray) -> np.ndarray:
+    """G G^dagger over its trace, symmetrized, for each G of a stack."""
+    m = g @ g.conj().transpose(0, 2, 1)
+    m /= np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return (m + m.conj().transpose(0, 2, 1)) / 2
+
+
 def random_density(label: Label, rng: np.random.Generator) -> DensityOperator:
     """Random full-rank density operator (Hilbert-Schmidt-ish measure)."""
     d = total_dim(label)
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    m = g @ g.conj().T
-    m /= m.trace().real
-    m = (m + m.conj().T) / 2
-    return DensityOperator._by_construction(m, label)
+    g = rng.standard_normal((1, d, d)) + 1j * rng.standard_normal((1, d, d))
+    return DensityOperator._by_construction(_normalized_grams(g)[0], label)

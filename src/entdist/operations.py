@@ -31,6 +31,23 @@ TAU_ACTION = 1e-9
 ZERO_BRANCH_PROB = 1e-12
 
 
+@functools.cache
+def _axis_orders(n: int) -> tuple[tuple[int, ...], ...]:
+    """The transposes `SubOperation.apply_raw` makes of the state tensor of a
+    branch with n factors, whose axes are the factors' row axes 0..n-1 and
+    column axes n..2n-1.
+
+    Before factor p the tensor is laid out as (p, n + p, the other axes in
+    order); entry p carries it there from the layout before factor p - 1
+    (the plain order before factor 0), and the last entry back to the
+    plain order.
+    """
+    plain = list(range(2 * n))
+    layouts = [[p, n + p] + [a for a in plain if a not in (p, n + p)] for p in range(n)]
+    layouts = [plain] + layouts + [plain]
+    return tuple(tuple(prev.index(a) for a in nxt) for prev, nxt in zip(layouts, layouts[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class SubOperation:
     """One classical branch: a Kraus family sharing an output space.
@@ -108,24 +125,6 @@ class SubOperation:
                 maps.append(None)
         return tuple(maps)
 
-    @functools.cached_property
-    def _axis_orders(self) -> tuple[tuple[int, ...], ...]:
-        """The transposes `apply_raw` makes of the state tensor, whose axes
-        are the factors' row axes 0..n-1 and column axes n..2n-1.
-
-        Before factor p the tensor is laid out as (p, n + p, the other axes in
-        order); entry p carries it there from the layout before factor p - 1
-        (the plain order before factor 0), and the last entry back to the
-        plain order.
-        """
-        n = len(self.factors)
-        plain = list(range(2 * n))
-        layouts = [[p, n + p] + [a for a in plain if a not in (p, n + p)] for p in range(n)]
-        layouts = [plain] + layouts + [plain]
-        return tuple(
-            tuple(prev.index(a) for a in nxt) for prev, nxt in zip(layouts, layouts[1:])
-        )
-
     def apply_raw(self, m: np.ndarray) -> np.ndarray:
         """Unnormalized branch output sum_j K_j m K_j^dagger, one factor at a time.
 
@@ -136,7 +135,7 @@ class SubOperation:
         """
         dims = [f.shape[2] for f in self.factors]
         t = np.asarray(m, dtype=complex).reshape(dims + dims)
-        orders = self._axis_orders
+        orders = _axis_orders(len(self.factors))
         for f, superop, order in zip(self.factors, self._superoperators, orders):
             count, d_out, d_in = f.shape
             front = t.transpose(order)
@@ -181,7 +180,7 @@ class QuantumOperation:
     @functools.cached_property
     def completeness_deviation(self) -> float:
         """Largest entry of |sum K^dagger K - I|, computed once per operation."""
-        return float(np.max(np.abs(self.completeness_sum() - np.eye(self.dim_in))))
+        return float(abs(self.completeness_sum() - np.eye(self.dim_in)).max())
 
 
 BranchOutcomes = list[tuple[float, DensityOperator | None]]

@@ -8,13 +8,16 @@ rows, and the protocol suites check every grid point through it.  The
 acceptance tests run these suites instead of copying them.  Each suite
 returns per-check counts and names any failing grid point, so a red run is
 diagnosable from the report alone.  All randomness flows from one seeded
-generator per run, which every suite takes as its only argument.
+generator per run, which every suite takes as its only argument.  The
+random operations and states of `operation-algebra` are drawn in stacks
+(one batched QR per shape), and each case is then checked on its own
+through the library function under test.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,7 +26,14 @@ import numpy as np
 from . import bounds as bnd
 from . import distillation as dst
 from . import protocols as pro
-from .linalg import BipartiteLabel, DensityOperator, haar_unitaries, min_eigenvalue, random_density
+from .linalg import (
+    BipartiteLabel,
+    DensityOperator,
+    _normalized_grams,
+    haar_unitaries,
+    min_eigenvalue,
+    random_density,
+)
 from .operations import (
     QuantumOperation,
     SubOperation,
@@ -246,48 +256,77 @@ def _suite_lemma3(rng: np.random.Generator) -> SuiteResult:
     return res
 
 
-def _random_operation(
-    rng: np.random.Generator, d_in: int, out_dims: list[int]
-) -> QuantumOperation:
-    """Random trace-preserving measuring operation via a sliced isometry."""
-    kraus_counts = [rng.integers(1, 3) for _ in out_dims]
-    ends = np.cumsum([0] + [d * c for d, c in zip(out_dims, kraus_counts)])
-    rows = max(ends[-1], d_in)
-    g = rng.standard_normal((rows, d_in)) + 1j * rng.standard_normal((rows, d_in))
-    q, _ = np.linalg.qr(g)
-    subs = [
-        SubOperation(q[a:b].reshape(-1, d, d_in), d)
-        for a, b, d in zip(ends, ends[1:], out_dims)
-    ]
-    # any leftover isometry rows join the last branch, zero-padded, to keep completeness
-    d_last, extra = out_dims[-1], q[ends[-1] :]
-    if len(extra):
-        extra = np.concatenate([extra, np.zeros((-len(extra) % d_last, d_in))])
-        extra = extra.reshape(-1, d_last, d_in)
-        subs[-1] = SubOperation(np.concatenate([subs[-1].kraus, extra]), d_last)
-    return QuantumOperation(tuple(subs), d_in)
+def _stacked(
+    rng: np.random.Generator,
+    shapes: Sequence[tuple[int, int]],
+    f: Callable[[np.ndarray], np.ndarray],
+) -> list[np.ndarray]:
+    """f applied to one complex Ginibre matrix per (rows, cols) in shapes; the
+    matrices are drawn, and f is applied, as one stack per distinct shape,
+    taken in order of first appearance."""
+    groups: dict = {}
+    for i, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(i)
+    out: list = [None] * len(shapes)
+    for shape, idx in groups.items():
+        size = (len(idx), *shape)
+        for i, m in zip(idx, f(rng.standard_normal(size) + 1j * rng.standard_normal(size))):
+            out[i] = m
+    return out
+
+
+def _random_operations(
+    rng: np.random.Generator, shapes: Sequence[tuple[int, Sequence[int]]]
+) -> list[QuantumOperation]:
+    """One random trace-preserving measuring operation per (d_in, branch
+    output dims) shape, each sliced from a random isometry.
+
+    Each branch takes 1 or 2 Kraus matrices; the isometry has
+    max(sum of d * count, d_in) rows, and any leftover rows join the last
+    branch, zero-padded, to keep completeness.  The isometries are the Q
+    factors of Ginibre matrices, one batched QR per stack of equal shape.
+    """
+    widths = [len(dims) for _, dims in shapes]
+    counts = np.split(rng.integers(1, 3, size=sum(widths)), np.cumsum(widths)[:-1])
+    ends = [np.cumsum([0, *(np.array(dims) * n)]) for (_, dims), n in zip(shapes, counts)]
+    sizes = [(max(int(e[-1]), d_in), d_in) for e, (d_in, _) in zip(ends, shapes)]
+    ops = []
+    for (d_in, dims), e, q in zip(shapes, ends, _stacked(rng, sizes, lambda g: np.linalg.qr(g)[0])):
+        q = np.concatenate([q, np.zeros((-(len(q) - e[-2]) % dims[-1], d_in))])
+        cuts = zip(e, [*e[1:-1], len(q)], dims)
+        subs = tuple(SubOperation(q[a:b].reshape(-1, d, d_in), d) for a, b, d in cuts)
+        ops.append(QuantumOperation(subs, d_in))
+    return ops
+
+
+def _random_states(rng: np.random.Generator, dims: Sequence[int]) -> list[DensityOperator]:
+    """One random full-rank state per dimension, drawn as `random_density`
+    draws one, as one stack per dimension."""
+    grams = _stacked(rng, [(d, d) for d in dims], _normalized_grams)
+    return [DensityOperator._by_construction(m, d) for d, m in zip(dims, grams)]
 
 
 def _suite_operations(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("operation-algebra")
     # probability conservation on 200 randomized cases
-    for i in range(200):
-        d_in = int(rng.integers(2, 5))
-        out_dims = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
-        op = _random_operation(rng, d_in, out_dims)
+    d_ins = rng.integers(2, 5, size=200).tolist()
+    widths = rng.integers(1, 4, size=200)
+    out_dims = np.split(rng.integers(1, 4, size=widths.sum()), np.cumsum(widths)[:-1])
+    ops = _random_operations(rng, [(d, dims.tolist()) for d, dims in zip(d_ins, out_dims)])
+    for i, (op, rho) in enumerate(zip(ops, _random_states(rng, d_ins))):
         res.check(is_trace_preserving(op), f"completeness case={i}")
-        rho = random_density(d_in, rng)
         total = sum(p for p, _ in apply_operation(op, rho))
         res.check(abs(total - 1) <= SIM_TOL, f"probability-sum case={i}")
     # compose/apply commutation and tensor product rule on smaller batches
-    for i in range(40):
-        d_mid = int(rng.integers(2, 4))
-        first = _random_operation(rng, int(rng.integers(2, 4)), [d_mid, d_mid])
-        follow = {
-            j: _random_operation(rng, d_mid, [int(rng.integers(1, 4))])
-            for j in range(len(first.subops))
-        }
-        rho = random_density(first.dim_in, rng)
+    d_mids = rng.integers(2, 4, size=40).tolist()
+    d_ins = rng.integers(2, 4, size=40).tolist()
+    follow_dims = rng.integers(1, 4, size=(40, 2)).tolist()
+    firsts = _random_operations(rng, [(d, [m, m]) for d, m in zip(d_ins, d_mids)])
+    follows = _random_operations(
+        rng, [(m, [o]) for m, pair in zip(d_mids, follow_dims) for o in pair]
+    )
+    for i, (first, rho) in enumerate(zip(firsts, _random_states(rng, d_ins))):
+        follow = dict(enumerate(follows[2 * i : 2 * i + 2]))
         composed = apply_operation(compose(first, follow), rho)
         staged = []
         for j, (p, state) in enumerate(apply_operation(first, rho)):
@@ -303,11 +342,13 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
                 res.check(
                     np.max(np.abs(sc.matrix - ss.matrix)) <= SIM_TOL, f"compose-state case={i}"
                 )
-    for i in range(40):
-        s = _random_operation(rng, 2, [int(rng.integers(1, 3)) for _ in range(2)])
-        t = _random_operation(rng, int(rng.integers(2, 4)), [int(rng.integers(1, 3))])
-        rho_s = random_density(s.dim_in, rng)
-        rho_t = random_density(t.dim_in, rng)
+    s_dims = rng.integers(1, 3, size=(40, 2)).tolist()
+    t_ins = rng.integers(2, 4, size=40).tolist()
+    t_dims = rng.integers(1, 3, size=40).tolist()
+    s_ops = _random_operations(rng, [(2, dims) for dims in s_dims])
+    t_ops = _random_operations(rng, [(d, [o]) for d, o in zip(t_ins, t_dims)])
+    s_states, t_states = _random_states(rng, [2] * 40), _random_states(rng, t_ins)
+    for i, (s, t, rho_s, rho_t) in enumerate(zip(s_ops, t_ops, s_states, t_states)):
         # a tensor product of two states is PSD by construction
         joint = DensityOperator._by_construction(
             np.kron(rho_s.matrix, rho_t.matrix), s.dim_in * t.dim_in
@@ -320,19 +361,19 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
         for (g, _), w in zip(got, want):
             res.check(abs(g - w) <= SIM_TOL, f"tensor-product-rule case={i}")
     # forget yields the probability-weighted mixture
-    for i in range(20):
-        op = _random_operation(rng, 3, [2, 2])
-        rho = random_density(3, rng)
+    ops = _random_operations(rng, [(3, [2, 2])] * 20)
+    for i, (op, rho) in enumerate(zip(ops, _random_states(rng, [3] * 20))):
         outcomes = apply_operation(op, rho)
         merged = apply_operation(forget(op, [0, 1]), rho)
         mix = sum(p * s.matrix for p, s in outcomes if s is not None)
         res.check(abs(merged[0][0] - 1) <= SIM_TOL, f"forget-prob case={i}")
         res.check(np.max(np.abs(merged[0][1].matrix - mix)) <= SIM_TOL, f"forget-mix case={i}")
     # Kraus images of states are positive (CP holds by construction)
-    for i in range(20):
-        sub = _random_operation(rng, 3, [3]).subops[0]
-        for _ in range(5):
-            out = sub.apply_raw(random_density(3, rng).matrix)
+    ops = _random_operations(rng, [(3, [3])] * 20)
+    states = _random_states(rng, [3] * 100)
+    for i, op in enumerate(ops):
+        for rho in states[5 * i : 5 * i + 5]:
+            out = op.subops[0].apply_raw(rho.matrix)
             res.check(min_eigenvalue(out) >= -SIM_TOL, f"cp-output case={i}")
     # creation of a maximally entangled pair (trace and replace) is not p.p.t.
     label = BipartiteLabel(2, 2)

@@ -16,11 +16,12 @@ from entdist.verify import run_suites
 SEED = 7
 
 
-def _accept(number, name, suite, budget_s, seeds=(SEED,)):
+def _accept(number, name, suite, budget_s, seeds=(SEED,), checks=None):
     start = time.time()
     for seed in seeds:
         (result,) = run_suites(seed, [suite])
         assert result.passed, f"{suite} seed={seed}: {result.failures}"
+        assert checks is None or result.checks == checks, f"{suite} seed={seed}: {result.checks}"
     elapsed = time.time() - start
     assert elapsed < budget_s, f"runtime {elapsed:.1f}s exceeds {budget_s}s"
     print(f"ACCEPTANCE {number:2d} {name}: PASS")
@@ -52,8 +53,8 @@ def test_criterion_06_hashing_identity():
 
 def test_criterion_07_operation_algebra():
     # One run draws 40 compose, 40 tensor and 20 forget cases; ten seeds
-    # give at least 200 of each.
-    _accept(7, "operation algebra", "operation-algebra", 60, seeds=range(10))
+    # give at least 200 of each.  Every seed runs all 868 checks.
+    _accept(7, "operation algebra", "operation-algebra", 60, seeds=range(10), checks=868)
 
 
 def test_criterion_08_power_of_two_transform():

@@ -13,6 +13,7 @@ from entdist.linalg import (
 )
 from entdist.operations import identity_operation
 from entdist.states import isotropic, max_entangled_projector
+from entdist.verify import _random_states
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -205,8 +206,9 @@ def test_density_operator_validation():
 
 
 def test_states_built_in_package_are_positive_semidefinite():
-    # isotropic, random_density, partial_trace and tensor products skip the
-    # eigendecomposition that the public constructor runs; this is the proof it gave
+    # isotropic, random_density, partial_trace, verify's stacked states and tensor
+    # products skip the eigendecomposition that the public constructor runs; this
+    # is the proof it gave
     rng = np.random.default_rng(11)
     for k in range(2, 10):
         for f in sorted({0.0, 1 / k**2, 1 / k, 0.25, 0.5, 0.75, 0.9, 1.0}):
@@ -221,6 +223,13 @@ def test_states_built_in_package_are_positive_semidefinite():
             for state in states:
                 assert min_eigenvalue(state.matrix) >= -TAU_PSD
                 assert abs(np.trace(state.matrix) - 1) <= 1e-12
+    # verify's stacked draws normalize and symmetrize Gram matrices as random_density does
+    dims = [1, 2, 3, 4] * 5 + [4, 3, 2]
+    for d, state in zip(dims, _random_states(rng, dims)):
+        assert state.dim == d and np.array_equal(state.matrix, state.matrix.conj().T)
+        assert abs(np.trace(state.matrix) - 1) <= 1e-12
+        assert min_eigenvalue(state.matrix) >= -TAU_PSD
+        assert not state.matrix.flags.writeable
     # verify's tensor-product rule joins two checked states the same way
     for da, db in ((2, 2), (2, 3), (3, 4)):
         joint = np.kron(random_density(da, rng).matrix, random_density(db, rng).matrix)

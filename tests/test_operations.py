@@ -11,6 +11,7 @@ from entdist.linalg import (
 )
 from entdist.operations import (
     TAU_PPT,
+    TAU_TP,
     QuantumOperation,
     SubOperation,
     apply_operation,
@@ -29,7 +30,7 @@ from entdist.operations import (
 )
 from entdist.protocols import factor_tracing_op, reduce_dimension, subspace_measurement_op
 from entdist.states import fidelity, isotropic, max_entangled_ket
-from entdist.verify import F_GRID, _random_operation
+from entdist.verify import F_GRID, _random_operations, run_suites
 from helpers import unmerged_subspace_measurement
 
 
@@ -724,11 +725,12 @@ def test_branch_outputs_are_positive_semidefinite():
     # of the public constructor; a Kraus image of a state is PSD, and this is
     # the proof the skipped test gave
     rng = np.random.default_rng(31)
+    shapes = [
+        (int(rng.integers(1, 5)), rng.integers(1, 5, size=rng.integers(1, 4)).tolist())
+        for _ in range(100)
+    ]
     outputs = []
-    for _ in range(100):
-        d_in = int(rng.integers(1, 5))
-        out_dims = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4)))]
-        op = _random_operation(rng, d_in, out_dims)
+    for (d_in, _), op in zip(shapes, _random_operations(rng, shapes)):
         outputs += apply_operation(op, random_density(d_in, rng))
     for k in range(2, 9):
         for f in F_GRID:
@@ -743,3 +745,47 @@ def test_branch_outputs_are_positive_semidefinite():
     for state in states:
         assert min_eigenvalue(state.matrix) >= -TAU_PSD
         assert not state.matrix.flags.writeable
+
+
+def test_stacked_random_operations_have_the_requested_shapes():
+    rng = np.random.default_rng(5)
+    padded = 0
+    for d_in in range(1, 5):
+        shapes = [(d_in, rng.integers(1, 4, size=rng.integers(1, 4)).tolist()) for _ in range(50)]
+        for (_, dims), op in zip(shapes, _random_operations(rng, shapes)):
+            assert is_trace_preserving(op) and op.dim_in == d_in
+            assert [sub.dim_out for sub in op.subops] == dims
+            counts = [len(sub.kraus) for sub in op.subops]
+            assert set(counts[:-1]) <= {1, 2}
+            # the isometry's rows, branch by branch, then the zero rows that
+            # complete the last branch's final Kraus matrix
+            rows = np.concatenate([sub.kraus.reshape(-1, d_in) for sub in op.subops])
+            used = np.flatnonzero(abs(rows).max(axis=1))[-1] + 1
+            drawn = sum(c * d for c, d in zip(counts, dims[:-1]))
+            # the last branch draws 1 or 2 Kraus matrices and takes any leftover rows
+            assert any(used == max(drawn + c * dims[-1], d_in) for c in (1, 2))
+            assert len(rows) - used < dims[-1]
+            padded += len(rows) > used
+    assert padded > 0
+
+
+def test_operation_algebra_checks_go_through_the_library(monkeypatch):
+    (clean,) = run_suites(7, ["operation-algebra"])
+    assert clean.passed and clean.checks == 868
+    apply_raw = SubOperation.apply_raw
+    with monkeypatch.context() as m:
+        m.setattr(SubOperation, "apply_raw", lambda self, rho: 1.01 * apply_raw(self, rho))
+        (res,) = run_suites(7, ["operation-algebra"])
+    assert sum(f.startswith("probability-sum ") for f in res.failures) == 200
+    # apply_operation refuses an operation that is not trace preserving, so
+    # its guard keeps the true deviation while the suite's check reads the
+    # forced one
+    true_deviation = QuantumOperation.completeness_deviation.func
+    forced = property(lambda op: 2 * TAU_TP)
+    monkeypatch.setattr(QuantumOperation, "completeness_deviation", forced)
+    monkeypatch.setattr(
+        "entdist.operations.is_trace_preserving", lambda op: true_deviation(op) <= TAU_TP
+    )
+    (res,) = run_suites(7, ["operation-algebra"])
+    assert res.checks == 868
+    assert sum(f.startswith("completeness ") for f in res.failures) == 200

@@ -68,6 +68,7 @@ def test_bench_layer_rows(monkeypatch):
     assert list(rows) == [
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
+        "apply_operation fresh d_in=3",
         "is_ppt_operation K=2", "classify K=2", "is_ppt_operation isometry K=3",
         "protocol1-closed-form seed=7", "protocol2-closed-form seed=7", "twirl seed=7",
         "lemma2-bound seed=7", "operation-algebra seed=7",
