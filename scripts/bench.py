@@ -37,9 +37,10 @@ that later calls skip):
   K = 4, 8, 12, 16: the public constructor, which proves positivity by an
   eigendecomposition, and the in-package path `_by_construction`, which
   does not, next to `isotropic(K, 0.7)` itself;
-- `monte_carlo_twirl` of a random K x K state at K = 2, 3, 4, 6, 8 with
+- `monte_carlo_twirl` of a random K x K state at K = 2, 3, 4, 6, 7, 8 with
   10^4 samples and at K = 16 with 512, each call from the same generator
-  seed, and `haar_unitaries` at d = 2, 3, 4, 6, 8, 16 for stacks of 512 (one
+  seed (K = 7 is the last K of its real form, K = 8 the first of its complex
+  one), and `haar_unitaries` at d = 2, 3, 4, 6, 8, 16 for stacks of 512 (one
   twirl chunk) and of 1 (the single draws of `verify`'s invariance checks);
 - `entdist compile` at k = 100, 1000, 4096, 10^4 on one step with 2, 4 and
   8 constrained branches (K = 1024, F = 0.99, probability 0.8 shared
@@ -96,7 +97,8 @@ EF_WORKLOAD_SEEDS = (7, 8, 9, 10)
 EF_SEARCH_CASES = ((3, 0.95), (3, 0.99), (4, 0.8), (4, 0.95), (4, 0.99))
 EF_SEARCH_SEED = 1
 DENSITY_KS = (4, 8, 12, 16)
-TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (8, 10**4), (16, 512))
+TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (7, 10**4), (8, 10**4),
+               (16, 512))
 HAAR_DIMS = (2, 3, 4, 6, 8, 16)
 HAAR_COUNTS = (512, 1)
 COMPILE_KS = (100, 1000, 4096, 10**4)

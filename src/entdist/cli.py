@@ -61,7 +61,7 @@ MAX_F_GRID_POINTS = 100_001
 MAX_BOUNDS_ROWS = 10_001
 # Largest K that `simulate` accepts, so memory stays bounded.  A K x K state
 # is a K^2 x K^2 dense matrix; the costliest row at K = 32, a twirl with 512
-# Monte Carlo samples, peaked at 161 MiB RSS in 31 s (2-vCPU x86-64 VM, one
+# Monte Carlo samples, peaked at 136 MiB RSS in 14-21 s (2-vCPU x86-64 VM, one
 # BLAS thread), and every dense array grows 16-fold when K doubles.
 MAX_SIMULATE_K = 32
 # Largest d_in * d_out of a branch that `classify` accepts, so memory stays

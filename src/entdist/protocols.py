@@ -9,6 +9,7 @@ density-operator simulation in the test suite.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,16 @@ __all__ = [
 
 # Haar samples per batch of the Monte Carlo twirl.
 TWIRL_CHUNK = 512
-# Bytes of one sub-block's intermediate in the Monte Carlo twirl; sized to
-# stay in a core's L2 cache (256 KiB to 1 MiB ran alike; 16 MiB was slower).
-TWIRL_BLOCK_BYTES = 256 * 1024
+# Bytes of one sub-block's m d^4 complex products in the Monte Carlo twirl,
+# in either form.  On a 2-vCPU x86-64 VM with one BLAS thread, the real form
+# (d = 6, 7) ran 10-15 % slower at 256 KiB, where its GEMMs are narrow, and
+# alike from 512 KiB to 2 MiB; the complex form (d = 8) ran best at 512 KiB,
+# 5 % faster than at 256 KiB, and slower from 1 MiB up.
+TWIRL_BLOCK_BYTES = 512 * 1024
+# Factor dimensions below this run the Monte Carlo twirl in real coordinates,
+# 2 d^6 real multiply-adds per sample against 16 d^5 in complex form: the
+# counts meet at d = 8.
+TWIRL_REAL_BELOW = 8
 # Protocol operations kept per constructor.  They are immutable (read-only
 # factor arrays), so every caller shares one, and a process that simulates a
 # (K, K') pair again builds it once.  Each kept operation holds its cached
@@ -129,44 +137,114 @@ def monte_carlo_twirl(
     Returns the averaged matrix (not validated as a DensityOperator, since a
     finite-sample mean carries statistical noise).
 
-    The d^2 x d^2 conjugation is never formed.  With rho read as a tensor
-    rho[i, j, k, l], a sample maps it to
+    The d^2 x d^2 conjugation is never formed.  Unitaries are drawn in
+    chunks of TWIRL_CHUNK, each chunk one `haar_unitaries` stack (batched
+    Gram-Schmidt, no per-matrix QR call), and applied in sub-blocks of m
+    samples, m d^4 complex products within TWIRL_BLOCK_BYTES (m >= 1), so
+    beyond one chunk of unitaries (and rho and the result) the memory is a
+    few arrays of max(TWIRL_BLOCK_BYTES, 16 d^4) bytes.  Sub-blocking only
+    splits the arithmetic: the draws, and so the random stream, are the same
+    for any block size and either form below.
+
+    Below d = TWIRL_REAL_BELOW the twirl runs in real coordinates
+    (`_twirl_real`): per sample one d^2 x d^2 real matrix is built and
+    applied on both sides, 2 d^6 real multiply-adds.  From there on it runs
+    in complex form (`_twirl_complex`): rho is read as a tensor and
+    conjugated one index at a time, four (d^3, d) @ (d, d) complex products,
+    16 d^5 real multiply-adds.  The two counts meet at d = 8.
+    """
+    label = rho.bipartite
+    d = label.dim_a
+    if label.dim_b != d:
+        raise ValueError("twirl requires equal factor dimensions")
+    chunks = (
+        haar_unitaries(d, min(TWIRL_CHUNK, samples - done), rng)
+        for done in range(0, samples, TWIRL_CHUNK)
+    )
+    block = max(1, TWIRL_BLOCK_BYTES // (16 * d**4))
+    twirl = _twirl_real if d < TWIRL_REAL_BELOW else _twirl_complex
+    return twirl(rho.matrix, d, chunks, block) / samples
+
+
+def _twirl_complex(
+    rho: np.ndarray, d: int, chunks: Iterable[np.ndarray], block: int
+) -> np.ndarray:
+    """Sum over the chunks' samples of (U (x) conj(U)) rho (U (x) conj(U))^dagger.
+
+    With rho read as a tensor rho[i, j, k, l], a sample maps it to
 
         sum U[a, i] conj(U)[b, j] rho[i, j, k, l] conj(U)[c, k] U[e, l],
 
     applied one index at a time: each contraction is a (d^3, d) @ (d, d)
     product per sample that drops the leading index and appends the new
     one, and the last is fused with the sum over samples into one
-    (d^3, m d) @ (m d, d) product.  That costs O(samples d^5) instead of
-    O(samples d^6).  Unitaries are drawn in chunks of TWIRL_CHUNK, each
-    chunk one `haar_unitaries` stack (batched Gram-Schmidt, no per-matrix
-    QR call), and applied in sub-blocks of m samples, m d^4 16 bytes within
-    TWIRL_BLOCK_BYTES (m >= 1), so beyond one chunk of unitaries (and rho
-    and the result) the memory is a few arrays of max(TWIRL_BLOCK_BYTES,
-    16 d^4) bytes.  Sub-blocking only splits the arithmetic: the draws, and
-    so the random stream, are the same for any block size.
+    (d^3, m d) @ (m d, d) product; each intermediate holds the sub-block's
+    m d^4 complex products.
     """
-    label = rho.bipartite
-    d = label.dim_a
-    if label.dim_b != d:
-        raise ValueError("twirl requires equal factor dimensions")
     d3 = d**3
-    block = max(1, TWIRL_BLOCK_BYTES // (16 * d3 * d))
-    rho_t = rho.matrix.reshape(d, d3).T  # [(j, k, l), i]
+    rho_t = rho.reshape(d, d3).T  # [(j, k, l), i]
     acc = np.zeros((d3, d), dtype=complex)  # [(a, b, c), e]
-    done = 0
-    while done < samples:
-        n = min(TWIRL_CHUNK, samples - done)
-        u_t = haar_unitaries(d, n, rng).transpose(0, 2, 1)  # [s, old, new]
+    for u in chunks:
+        u_t = u.transpose(0, 2, 1)  # [s, old, new]
         ub_t = u_t.conj()
-        for lo in range(0, n, block):
-            m = min(block, n - lo)
+        for lo in range(0, len(u), block):
+            m = min(block, len(u) - lo)
             x = rho_t @ u_t[lo : lo + m]  # [s, (j, k, l), a]
             x = x.reshape(m, d, d3).transpose(0, 2, 1) @ ub_t[lo : lo + m]  # [s, (k, l, a), b]
             x = x.reshape(m, d, d3).transpose(0, 2, 1) @ ub_t[lo : lo + m]  # [s, (l, a, b), c]
             acc += x.reshape(m * d, d3).T @ u_t[lo : lo + m].reshape(m * d, d)
-        done += n
-    return acc.reshape(d * d, d * d) / samples
+    return acc.reshape(d * d, d * d)
+
+
+def _twirl_real(
+    rho: np.ndarray, d: int, chunks: Iterable[np.ndarray], block: int
+) -> np.ndarray:
+    """`_twirl_complex` in the real coordinates phi(X) = Re X + Im X of
+    Hermitian d x d matrices.
+
+    phi maps Herm(d) isometrically onto the real d x d matrices; its inverse
+    on vecs is T = ((1 + i) I + (1 - i) S) / 2, where S swaps the two
+    indices of a vec (phi of a transpose is the transpose).  Realigned as
+    R[(i, k), (j, l)] = rho[(i, j), (k, l)], rho is a sum of vec(A) vec(B)^T
+    over Hermitian A and B with real weights, so c = T^dagger R conj(T) is
+    real.  A sample conjugates A by U and B by conj(U), which in these
+    coordinates are the real orthogonal O and S O S with
+
+        O[(a, c), (i, k)] = Re(U[a, i] conj(U)[c, k]) - Im(U[c, i] conj(U)[a, k]),
+
+    so the sum is T (sum_s O_s (c S) O_s^T S) T^T, realigned back.  A
+    sub-block of m samples builds O in layout [a, c, i, k, s] from its m d^4
+    complex products U[a, i] conj(U)[c, k], then takes one batched
+    (c S)^T @ O and one (d^2, d^2 m) @ (d^2 m, d^2) product.  The result is
+    formed from permutations of one real sum, so it is exactly Hermitian.
+    """
+    d2, d4 = d * d, d**4
+    swap = np.arange(d2).reshape(d, d).T.ravel()  # S as an index permutation
+    r = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+    rs = r[:, swap]
+    c = ((rs + r[swap]).real + (r - rs[swap]).imag) / 2  # Re(T^dagger R conj(T))
+    cs_t = np.ascontiguousarray(c[:, swap].T)  # (c S)^T
+    block = min(block, TWIRL_CHUNK)
+    # flat buffers, so a short last block is a contiguous prefix
+    w_buf = np.empty(d4 * block, dtype=complex)
+    o_buf = np.empty(d4 * block)
+    g = np.zeros((d2, d2))
+    for u in chunks:
+        u_t = np.ascontiguousarray(u.transpose(1, 2, 0))  # [a, i, s]
+        ub_t = u_t.conj()
+        for lo in range(0, len(u), block):
+            m = min(block, len(u) - lo)
+            w = w_buf[: d4 * m].reshape(d, d, d, d, m)  # U[a, i] conj(U)[c, k]
+            o = o_buf[: d4 * m].reshape(d2, d2, m)
+            s = slice(lo, lo + m)
+            np.multiply(u_t[:, None, :, None, s], ub_t[None, :, None, :, s], out=w)
+            np.subtract(w.real, w.imag.transpose(1, 0, 2, 3, 4), out=o.reshape(d, d, d, d, m))
+            z = w_buf.view(float)[: d4 * m].reshape(d2, d2, m)  # w is spent once o is formed
+            np.matmul(cs_t, o, out=z)  # z[x] = (c S)^T @ o[x]: [(a, c), q, s]
+            g += z.reshape(d2, d2 * m) @ o.reshape(d2, d2 * m).T
+    # T (g S) T^T = ((g + S g S) + i (g S - S g)) / 2, realigned back
+    out = ((g + g[swap][:, swap]) + 1j * (g[:, swap] - g[swap])) / 2
+    return out.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
 
 
 @dataclass(frozen=True)

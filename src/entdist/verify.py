@@ -469,13 +469,24 @@ SUITES = {
 
 def run_suites(seed: int = 0, suites: list[str] | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default), in order, on one generator
-    seeded with seed."""
+    seeded with seed.  A suite that raises ValueError reports it as one
+    failing check, `error: <type>: <message>`, and the run goes on."""
     names = suites if suites is not None else list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     rng = np.random.default_rng(seed)
-    return [SUITES[name](rng) for name in names]
+    return [_run_suite(name, rng) for name in names]
+
+
+def _run_suite(name: str, rng: np.random.Generator) -> SuiteResult:
+    """SUITES[name](rng), with a ValueError turned into one failing check."""
+    try:
+        return SUITES[name](rng)
+    except ValueError as exc:
+        res = SuiteResult(name)
+        res.check(False, f"error: {type(exc).__name__}: {exc}")
+        return res
 
 
 def render_text(results: list[SuiteResult]) -> str:

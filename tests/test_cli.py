@@ -861,6 +861,33 @@ def test_verify_json_report(capsys, monkeypatch):
     assert (doc["checks"], doc["failed"], doc["failures"]) == (30, 25, points[:20])
 
 
+def test_verify_reports_a_suite_that_raises_and_runs_the_others(capsys, monkeypatch):
+    import entdist.cli as cli
+
+    def raising(rng):
+        raise ValueError("apply_operation requires a trace-preserving operation")
+
+    monkeypatch.setitem(cli.ver.SUITES, "twirl", raising)
+    error = "error: ValueError: apply_operation requires a trace-preserving operation"
+    argv = ("verify", "--seed", "7", "--suite", "lemma3-identity", "--suite", "twirl",
+            "--suite", "theorem2-transform")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("[PASS] lemma3-identity: ")
+    assert lines[1:3] == ["[FAIL] twirl: 0/1 checks", f"    failed: {error}"]
+    assert lines[3].startswith("[PASS] theorem2-transform: ")
+    assert lines[4] == "TOTAL: 3 suites, 2 passed, 1 failed, 1 failing checks"
+
+    code, out, err = run_cli(capsys, *argv, "--emit", "json")
+    assert (code, err) == (1, "")
+    docs = json.loads(out)
+    assert [(d["suite"], d["failed"]) for d in docs] == [
+        ("lemma3-identity", 0), ("twirl", 1), ("theorem2-transform", 0)
+    ]
+    assert docs[1] == {"suite": "twirl", "checks": 1, "failed": 1, "failures": [error]}
+
+
 def test_the_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -172,8 +172,12 @@ def dense_twirl_reference(rho, samples, rng):
 
 # 511-513 straddle one Haar chunk and 1500 ends in a partial one; for K >= 3
 # a chunk spans several sub-blocks, and most of these counts end in a short one.
-@pytest.mark.parametrize("samples", [1, 511, 512, 513, 1500])
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+# K = 7 is the largest K of the real form and K = 8 the first of the complex one.
+@pytest.mark.parametrize(
+    "k, samples",
+    [(k, n) for k in (2, 3, 4, 5) for n in (1, 511, 512, 513, 1500)]
+    + [(k, n) for k in (7, 8) for n in (1, 513)],
+)
 def test_monte_carlo_twirl_matches_dense_reference_on_the_same_draws(k, samples):
     rho = random_density(BipartiteLabel(k, k), np.random.default_rng([k, samples]))
     rng, ref_rng = np.random.default_rng(samples), np.random.default_rng(samples)
@@ -184,10 +188,11 @@ def test_monte_carlo_twirl_matches_dense_reference_on_the_same_draws(k, samples)
     assert rng.random() == ref_rng.random()
 
 
-@pytest.mark.parametrize("k, samples", [(16, 64), (12, 256)])
+@pytest.mark.parametrize("k, samples", [(16, 64), (12, 256), (7, 512)])
 def test_monte_carlo_twirl_memory_is_bounded(k, samples):
     # Forming the (n, d^2, d^2) products w rho w^dagger takes 258 MiB at K = 16
-    # and 327 MiB at K = 12 (dense_twirl_reference).
+    # and 327 MiB at K = 12 (dense_twirl_reference).  K = 7 is the largest K
+    # of the real form, and 512 samples fill one Haar chunk.
     rho = random_density(BipartiteLabel(k, k), np.random.default_rng(k))
     tracemalloc.start()
     try:

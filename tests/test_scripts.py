@@ -59,7 +59,9 @@ def test_bench_layer_rows(monkeypatch):
     assert {(3, 0.99), (4, 0.99)} <= set(bench.EF_SEARCH_CASES)
     monkeypatch.setattr(bench, "EF_SEARCH_CASES", ((3, 1.0), (3, 0.99)))
     monkeypatch.setattr(bench, "DENSITY_KS", (4,))
-    monkeypatch.setattr(bench, "TWIRL_CASES", ((2, 600), (3, 10)))
+    # K = 7 and 8 sit on either side of the twirl's switch from real to complex form
+    assert {(7, 10**4), (8, 10**4)} <= set(bench.TWIRL_CASES)
+    monkeypatch.setattr(bench, "TWIRL_CASES", ((2, 600), (3, 10), (7, 10)))
     monkeypatch.setattr(bench, "HAAR_DIMS", (2, 3))
     monkeypatch.setattr(bench, "COMPILE_KS", (100, 10**4))
     monkeypatch.setattr(bench, "COMPILE_BRANCHES", (2,))
@@ -77,6 +79,7 @@ def test_bench_layer_rows(monkeypatch):
         "ef_numeric_search K=3 F=0.99",
         "isotropic K=4", "DensityOperator K=4", "DensityOperator._by_construction K=4",
         "monte_carlo_twirl K=2 samples=600", "monte_carlo_twirl K=3 samples=10",
+        "monte_carlo_twirl K=7 samples=10",
         "haar_unitaries d=2 count=512", "haar_unitaries d=2 count=1",
         "haar_unitaries d=3 count=512", "haar_unitaries d=3 count=1",
         "compile k=100 branches=2", "compile k=10000 branches=2", "rates steps=3 branches=4",
