@@ -52,8 +52,9 @@ It also records the EF searches of `lemma1-chain` in one in-process
 `verify --seed 7` run (value, restarts run, why they stopped, time); the
 verify workload's 16 one-restart EF calls (K = 2 at the EF fidelities,
 oracle seeds 7-10, budget 400) as their total objective evaluations and
-worst gap to `ef_isotropic`; `entdist verify --seed 7` in REPEATS fresh
-processes; the wall time of the checkout's tier-1 test suite (one run); and
+worst gap to `ef_isotropic`, and per F the evaluations and each seed's
+stop reason; `entdist verify --seed 7` in REPEATS fresh processes; the
+wall time of the checkout's tier-1 test suite (one run); and
 the checkout's sizes: the line count of each file in `src/entdist` and
 `scripts`, the public names of `entdist`, the defaulted parameters of the
 public functions and the options of each subcommand.  The record names the
@@ -292,8 +293,12 @@ def ef_workload() -> dict:
 
     calls = [(f, ef_numeric_search(isotropic(2, f), budget=EF_BUDGET, seed=s))
              for f in EF_FIDELITIES for s in EF_WORKLOAD_SEEDS]
+    per_f = {str(f): {"evaluations": sum(ef.evaluations for g, ef in calls if g == f),
+                      "stops": [ef.stop for g, ef in calls if g == f]}
+             for f in EF_FIDELITIES}
     return {"calls": len(calls), "evaluations": sum(ef.evaluations for _, ef in calls),
-            "worst_gap": max(ef.value - ef_isotropic(2, f) for f, ef in calls)}
+            "worst_gap": max(ef.value - ef_isotropic(2, f) for f, ef in calls),
+            "per_fidelity": per_f}
 
 
 def sizes() -> dict:

@@ -165,9 +165,16 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # twice the last accepted step; after a rejected trial t the next is the
 # minimizer of the quadratic through phi(0), phi'(0) = -2 Re<xi, d> and
 # phi(t), clamped to [0.1 t, 0.5 t].  A candidate is accepted when it lies
-# below the value by more than 1e-15 and meets Armijo's condition with
-# c1 = 1e-4.  Each candidate g - t d is retracted to its polar factor
-# (X X^dag)^(-1/2) X from one eigh of the r x r Gram matrix; d is tangent
+# below the value by more than EF_DECREASE_MARGIN and meets Armijo's
+# condition with c1 = EF_ARMIJO_C1.  The search gives up ("no-descent")
+# when the next trial would fall to EF_STEP_FLOOR, or at once after a
+# rejected trial t with -phi'(0) t <= EF_DECREASE_MARGIN: from there on
+# Armijo's condition holds for any candidate that meets the margin, so the
+# rejection says phi(t) - phi(0) >= -margin, and the quadratic through
+# phi(0), phi'(0) and phi(t) stays above phi'(0) tau >= -margin on [0, t]
+# when convex and above min(0, phi(t) - phi(0)) when concave: no shorter
+# step can be accepted.  Each candidate g - t d is retracted to its polar
+# factor (X X^dag)^(-1/2) X from one eigh of the r x r Gram matrix; d is tangent
 # at g, so X X^dag = I + t^2 d d^dag >= I and the inverse square root is
 # well conditioned.  The result is an upper estimate of E_f, never asserted
 # exact.  Measured against the exact isotropic value (ef_isotropic), budget
@@ -175,7 +182,7 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # 0.95, and 4.2e-13 and 7.9e-10 above it at K = 3 and 4, F = 0.99; one
 # restart at K = 2, F = 0.5 stops at most 1.9e-13 above it from seeds 7..10,
 # and the 16 one-restart calls at K = 2, F = 0.5, 0.7, 0.9, 1.0 from those
-# seeds make 814 objective evaluations.
+# seeds make 578 objective evaluations.
 # One objective evaluation treats all M members at once: one batched product
 # forms their reduced matrices, members of trace below 1e-15 are masked out,
 # one stacked eigh diagonalizes the rest, and one batched product builds the
@@ -194,23 +201,31 @@ _EIG_FLOOR = 1e-300
 EF_RESTART_PATIENCE = 3
 EF_RESTART_TOL = 1e-9
 # The search keeps the EF_LBFGS_MEMORY newest (s, y) pairs.  The 16
-# one-restart calls of the benchmark's verify workload make 1 184 objective
-# evaluations with memory 3, 843 with 5, 814 with 8 and 795 with 12, and
+# one-restart calls of the benchmark's verify workload make 962 objective
+# evaluations with memory 3, 596 with 5, 578 with 8 and 548 with 12, and
 # stop at most 7.7e-11, 3.9e-11, 1.9e-13 and 1.0e-12 above the exact value.
 EF_LBFGS_MEMORY = 8
+# The line search's acceptance test and a restart's stops, as the comment
+# block above describes them.
+EF_DECREASE_MARGIN = 1e-15
+EF_ARMIJO_C1 = 1e-4
+EF_STEP_FLOOR = 1e-14
+EF_GRAD_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
 class EFSearch:
     """Outcome of the numerical EF search and how its best restart stopped.
 
-    stop is "gradient" (projected-gradient norm below 1e-14), "no-descent"
-    (the line search fell below step 1e-14) or "budget" (iterations used up).
+    stop is "gradient" (projected-gradient norm below EF_GRAD_FLOOR),
+    "no-descent" (the line search found no step to accept: its trial fell
+    to EF_STEP_FLOOR, or its own quadratic model ruled out the decrease
+    margin) or "budget" (iterations used up).
     evaluations counts the objective evaluations of the whole search: every
-    restart, rejected line-search candidates included: 814 over the
-    benchmark's 16 one-restart calls at K = 2, and 327 at K = 4, F = 0.95,
-    budget 400, seed 1, which stops on "no-descent" after 292 iterations,
-    7.6e-15 above the exact value.  restarts counts the
+    restart, rejected line-search candidates included: 578 over the
+    benchmark's 16 one-restart calls at K = 2, and 304 at K = 4, F = 0.95,
+    budget 400, seed 1, which stops on "no-descent" after 289 iterations,
+    1.5e-14 above the exact value.  restarts counts the
     restarts run, and restart_stop says why no more ran: "converged" (the
     restart rule of `ef_numeric_search`) or "budget" (all it allows ran).
     """
@@ -310,20 +325,23 @@ def _minimize_from(
     it = 0
     while True:
         norm = float(np.linalg.norm(xi))
-        if norm < 1e-14:
+        if norm < EF_GRAD_FLOOR:
             return value, it, norm, evaluations, "gradient"
         if it == iterations:
             return value, it, norm, evaluations, "budget"
         # a quasi-Newton direction carries its own scale; the gradient does not
         step = 1.0 if pairs else 2.0 * step
         slope = -2.0 * np.vdot(xi, direction).real  # phi'(0) of phi(t) = f(R(g - t d))
-        while step > 1e-14:
+        while step > EF_STEP_FLOOR:
             # value only: the gradient is built for the accepted candidate alone
             cand = _polar_coisometry(g - step * direction)
             cand_value, parts = _ensemble_value(cand, a, da, db)
             evaluations += 1
-            if cand_value < value - 1e-15 and cand_value <= value + 1e-4 * step * slope:
+            if (cand_value < value - EF_DECREASE_MARGIN
+                    and cand_value <= value + EF_ARMIJO_C1 * step * slope):
                 break
+            if -slope * step <= EF_DECREASE_MARGIN:  # no shorter step can pass
+                return value, it, norm, evaluations, "no-descent"
             step = _backtrack(step, value, slope, cand_value)
         else:
             return value, it, norm, evaluations, "no-descent"

@@ -250,6 +250,20 @@ class CompilerConfig:
 
 
 EXACT_TAIL_LIMIT = 4096
+# log i! for i = 0, 1, ..., len - 1: one read-only table per process, grown on
+# demand to at most EXACT_TAIL_LIMIT + 1 entries (32 KiB)
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(k: int) -> np.ndarray:
+    """log i! for i = 0..k, a read-only view of the shared table."""
+    global _LOG_FACTORIALS
+    have = len(_LOG_FACTORIALS)
+    if have <= k:
+        more = [math.lgamma(i + 1) for i in range(have, k + 1)]
+        _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, more])
+        _LOG_FACTORIALS.flags.writeable = False
+    return _LOG_FACTORIALS[: k + 1]
 
 
 def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple[float, str]:
@@ -283,7 +297,7 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
                 kl = (a * math.log(a / p) if a else 0.0) + (1 - a) * math.log1p((p - a) / (1 - p))
                 bound += math.exp(-k * kl)
         return min(1.0, bound), "chernoff"
-    lf = np.array([math.lgamma(i + 1) for i in range(k + 1)])
+    lf = _log_factorials(k)
     lf_wrap = np.concatenate([lf, np.full(k, np.inf)])  # +inf at -1..-k: no term has c > n
     rows = (1 << 18) // (k + 1)  # states per block: 2 MiB of float64
     # scratch for one block; fresh arrays of this size would each cost page faults

@@ -518,6 +518,21 @@ def test_cut_failure_probability_without_floors_is_zero():
         assert got == (0.0, "exact")
 
 
+def test_failure_probability_does_not_depend_on_which_k_came_first():
+    # the log-factorial table is shared and grown on demand: a short table
+    # extended later holds the same values as one built long at once
+    cases = {512: ([0.4, 0.4], [190, 190]), 4096: ([0.4, 0.4], [1580, 1580])}
+    results = []
+    for order in ((512, 4096), (4096, 512)):
+        with mock.patch.object(distillation, "_LOG_FACTORIALS", np.zeros(1)):
+            results.append({k: distillation._failure_probability(k, *cases[k]) for k in order})
+            table = distillation._LOG_FACTORIALS
+        assert len(table) == 4097 and not table.flags.writeable
+        assert table.tolist() == [math.lgamma(i + 1) for i in range(4097)]
+    assert results[0] == results[1]
+    assert all(method == "exact" and 0 < p < 1 for p, method in results[0].values())
+
+
 @given(
     k=st.integers(1, 600),
     weights=st.lists(st.integers(1, 20), min_size=1, max_size=4),

@@ -100,7 +100,8 @@ def test_bench_layer_rows(monkeypatch):
     assert [(s["restart_stop"], s["restarts"] < 20) for s in searches] == [("converged", True)] * 4
     # the verify workload's EF calls, here at F = 1.0 only: oracle seeds 7-10
     ef = bench.ef_workload()
-    assert list(ef) == ["calls", "evaluations", "worst_gap"] and ef["calls"] == 4
+    assert list(ef) == ["calls", "evaluations", "worst_gap", "per_fidelity"] and ef["calls"] == 4
+    assert ef["per_fidelity"] == {"1.0": {"evaluations": ef["evaluations"], "stops": ["gradient"] * 4}}
     assert isinstance(ef["evaluations"], int) and ef["evaluations"] >= 4
     assert isinstance(ef["worst_gap"], float) and abs(ef["worst_gap"]) <= 1e-9
 
