@@ -279,7 +279,7 @@ def lemma1_searches() -> list[dict]:
 
     bnd.ef_numeric_search = recorded
     try:
-        if not all(r.passed for r in run_suites(seed=7)):
+        if not all(r.passed for r in run_suites(seed=7, suites=None)):
             raise RuntimeError("verify --seed 7 failed")
     finally:
         bnd.ef_numeric_search = search

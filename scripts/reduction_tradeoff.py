@@ -44,7 +44,7 @@ def main() -> int:
         trc = recs["2"]["F_closed_form"] if "2" in recs else None
         comp = recs["reduce"]
         cells = [kp, recs["1"]["F_closed_form"], trc, comp["F_closed_form"], comp["bound"]]
-        lines.append(",".join("" if c is None else format_number(c) for c in cells))
+        lines.append(",".join("" if c is None else format_number(c, 12) for c in cells))
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -24,7 +24,6 @@ from .distillation import (
     ProtocolTrace,
     RateReport,
     TraceStep,
-    discard_padding,
     dims_are_powers_of_two,
     floor_dims_to_powers_of_two,
     power_of_two_transform,
@@ -37,7 +36,6 @@ from .linalg import (
     DensityOperator,
     haar_unitaries,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     random_density,
 )
@@ -74,7 +72,6 @@ from .states import (
     fidelity,
     isotropic,
     max_entangled_ket,
-    max_entangled_projector,
 )
 
 __version__ = "0.1.0"

@@ -191,7 +191,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_rates(args: argparse.Namespace) -> int:
-    report = dst.rate_report(decode_trace(load_json(args.input)))
+    report = dst.rate_report(decode_trace(load_json(args.input, exact=True)))
     per_step = [dataclasses.asdict(row) for row in report.per_step]
     last = report.per_step[-1]
     doc = {
@@ -208,7 +208,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    trace = decode_trace(load_json(args.input))
+    trace = decode_trace(load_json(args.input, exact=True))
     if not dst.dims_are_powers_of_two(trace):
         trace = dst.floor_dims_to_powers_of_two(trace)
     p_frac = Fraction(args.p_fraction)

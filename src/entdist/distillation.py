@@ -37,8 +37,6 @@ __all__ = [
     "CompilerConfig",
     "CompileResult",
     "tensor_power_compile",
-    "DiscardResult",
-    "discard_padding",
     "StepRates",
     "RateReport",
     "rate_report",
@@ -407,7 +405,6 @@ class StepCompilation:
 
     n: int
     k: int
-    output_dim: int | None  # None when too large to materialize
     log2_output_dim: float
     achieved_rate: float
     failure_probability: float
@@ -471,9 +468,7 @@ def tensor_power_compile(trace: ProtocolTrace, cfg: CompilerConfig) -> CompileRe
         ) / step.n
         achieved = log2_dim_total / (step.n * cfg.k)
         out_steps.append(
-            StepCompilation(
-                step.n, cfg.k, dim_total, log2_dim_total, achieved, fail, method, bound
-            )
+            StepCompilation(step.n, cfg.k, log2_dim_total, achieved, fail, method, bound)
         )
         if dim_total is None:
             def1_steps = None
@@ -486,37 +481,6 @@ def tensor_power_compile(trace: ProtocolTrace, cfg: CompilerConfig) -> CompileRe
             def1_steps.append(TraceStep(step.n * cfg.k, (branch,)))
     def1_trace = ProtocolTrace(tuple(def1_steps)) if def1_steps is not None else None
     return CompileResult(tuple(out_steps), def1_trace)
-
-
-# ---------------------------------------------------------------------------
-# Input-size padding.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscardResult:
-    trace: ProtocolTrace
-    discard_fractions: tuple[Number, ...]
-
-
-def discard_padding(trace: ProtocolTrace, up_to: int) -> DiscardResult:
-    """A trace defined for every input count 1..up_to: surplus copies are
-    discarded and the largest applicable step is reused.  Below the smallest
-    step everything is discarded and the output is the dimension-1 state."""
-    if up_to < 1:
-        raise ValueError(f"schedule length must be positive, got {up_to}")
-    steps = []
-    fractions = []
-    for m in range(1, up_to + 1):
-        usable = [s for s in trace.steps if s.n <= m]
-        if not usable:
-            steps.append(TraceStep(m, (BranchOutcome(Fraction(1), 1, Fraction(1)),)))
-            fractions.append(Fraction(1))
-            continue
-        base = usable[-1]
-        steps.append(TraceStep(m, base.branches))
-        fractions.append(Fraction(m - base.n, m))
-    return DiscardResult(ProtocolTrace(tuple(steps)), tuple(fractions))
 
 
 # ---------------------------------------------------------------------------

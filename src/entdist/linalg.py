@@ -99,7 +99,6 @@ class DensityOperator:
       a Kraus image of a checked state;
     - `random_density` and `verify._random_states` (one stack per dimension):
       a normalized Gram matrix G G^dagger;
-    - `partial_trace` of a checked state;
     - in `verify`, a tensor product of two checked states: its spectrum is the products of theirs.
 
     tests/test_linalg.py and tests/test_operations.py check the least
@@ -136,20 +135,6 @@ class DensityOperator:
         if not isinstance(self.label, BipartiteLabel):
             raise ValueError("operation requires a bipartite label")
         return self.label
-
-
-def partial_trace(rho: DensityOperator, keep: Literal["A", "B"]) -> DensityOperator:
-    """Trace out one factor of a bipartite density operator."""
-    label = rho.bipartite
-    da, db = label.dim_a, label.dim_b
-    m = rho.matrix.reshape(da, db, da, db)
-    if keep == "A":
-        reduced = np.einsum("ajbj->ab", m)
-        return DensityOperator._by_construction(reduced, da)
-    if keep == "B":
-        reduced = np.einsum("jajb->ab", m)
-        return DensityOperator._by_construction(reduced, db)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def partial_transpose(

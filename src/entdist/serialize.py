@@ -9,13 +9,12 @@ round trip.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
@@ -28,14 +27,14 @@ class SchemaError(ValueError):
     """Malformed input document; the message names the offending field."""
 
 
-def format_number(x: Any, precision: int = 12) -> str:
+def format_number(x: Any, precision: int) -> str:
     """Shortest round-trip decimal of x at the given significant precision."""
     if isinstance(x, bool):
         return "true" if x else "false"
     return str(round_for_report(x, precision))
 
 
-def round_for_report(obj: Any, precision: int = 12) -> Any:
+def round_for_report(obj: Any, precision: int) -> Any:
     """Recursively round floats (and exact fractions) for serialization."""
     if isinstance(obj, int) or obj is None:  # bool is an int
         return obj
@@ -48,7 +47,7 @@ def round_for_report(obj: Any, precision: int = 12) -> Any:
     return obj
 
 
-def dump_report(obj: Any, precision: int = 12) -> str:
+def dump_report(obj: Any, precision: int) -> str:
     """Deterministic JSON text: sorted keys, rounded numbers, trailing newline."""
     return json.dumps(round_for_report(obj, precision), sort_keys=True, indent=2) + "\n"
 
@@ -58,16 +57,16 @@ def dump_report(obj: Any, precision: int = 12) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Entry types that the fast path of decode_matrix converts as the walker does.
+# Entry types that the fast path of decode_matrix converts in one numpy call.
 _PLAIN_NUMBERS = {int, float, Fraction}
 
 
-def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
+def decode_matrix(data: Any, where: str) -> np.ndarray:
     """Complex matrix from rows of [re, im] pairs; SchemaError names a bad entry.
 
-    A regular list of lists of [re, im] lists of plain numbers converts in
-    one numpy call; any other input goes through the entry-by-entry walker,
-    which either decodes it the same way or raises.
+    A regular list of lists of [re, im] lists of plain numbers, all finite,
+    converts in one numpy call; any other input is refused by
+    _raise_bad_entry, which names the first entry that breaks the rule.
     """
     if (
         type(data) is list
@@ -82,37 +81,29 @@ def decode_matrix(data: Any, where: str = "matrix") -> np.ndarray:
         else:
             if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
                 return pairs.view(complex)[..., 0]
-    return _walk_matrix(data, where)
+    _raise_bad_entry(data, where)
 
 
-def _walk_matrix(data: Any, where: str) -> np.ndarray:
-    if not isinstance(data, list) or not data:
+def _raise_bad_entry(data: Any, where: str) -> NoReturn:
+    if type(data) is not list or not data:
         raise SchemaError(f"{where}: expected a non-empty list of rows")
-    rows = []
     for i, row in enumerate(data):
-        if not isinstance(row, list) or not row:
+        if type(row) is not list or not row:
             raise SchemaError(f"{where}[{i}]: expected a non-empty row")
         if len(row) != len(data[0]):  # row 0 passed the check above
             raise SchemaError(f"{where}[{i}]: row length {len(row)} != {len(data[0])}")
-        entries = []
         for j, z in enumerate(row):
-            if (
-                not isinstance(z, list)
-                or len(z) != 2
-                or not all(isinstance(c, (int, float, Fraction)) for c in z)
-            ):
+            if type(z) is not list or len(z) != 2 or not {*map(type, z)} <= _PLAIN_NUMBERS | {bool}:
                 raise SchemaError(f"{where}[{i}][{j}]: complex entries are [re, im] pairs")
-            if any(isinstance(c, bool) for c in z):
+            if bool in map(type, z):
                 raise SchemaError(f"{where}[{i}][{j}]: entry is a boolean, not a number")
             try:
-                entry = complex(float(z[0]), float(z[1]))
+                finite = math.isfinite(float(z[0])) and math.isfinite(float(z[1]))
             except OverflowError:  # an int or Fraction beyond the double range
-                entry = complex(math.inf)
-            if not cmath.isfinite(entry):
+                finite = False
+            if not finite:
                 raise SchemaError(f"{where}[{i}][{j}]: entry is not a finite number")
-            entries.append(entry)
-        rows.append(entries)
-    return np.array(rows, dtype=complex)
+    raise AssertionError(f"{where}: the fast path declined a matrix with no bad entry")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +235,7 @@ def encode_trace(trace: ProtocolTrace) -> dict:
     }
 
 
-def load_json(path: str, exact: bool = True) -> Any:
+def load_json(path: str, exact: bool) -> Any:
     """Load a JSON document; decimal literals parse as exact fractions if exact, else floats."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_float=Fraction if exact else float)

@@ -23,11 +23,6 @@ def max_entangled_ket(dim: int) -> np.ndarray:
     return v
 
 
-def max_entangled_projector(dim: int) -> np.ndarray:
-    v = max_entangled_ket(dim)
-    return np.outer(v, v.conj())
-
-
 def fidelity(rho: DensityOperator) -> float:
     """Overlap of a state on V (x) V with the fixed maximally entangled state."""
     label = rho.bipartite
@@ -50,5 +45,6 @@ def isotropic(K: int, F: float) -> DensityOperator:
         raise ValueError("dimension 1 forces fidelity 1")
     k2 = K * K
     a = 1.0 if K == 1 else (F * k2 - 1) / (k2 - 1)
-    m = a * max_entangled_projector(K) + (1 - a) * np.eye(k2) / k2
+    v = max_entangled_ket(K)
+    m = a * np.outer(v, v.conj()) + (1 - a) * np.eye(k2) / k2
     return DensityOperator._by_construction(m, BipartiteLabel(K, K))

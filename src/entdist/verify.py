@@ -467,8 +467,8 @@ SUITES = {
 }
 
 
-def run_suites(seed: int = 0, suites: list[str] | None = None) -> list[SuiteResult]:
-    """Run the named suites (all by default), in order, on one generator
+def run_suites(seed: int, suites: list[str] | None) -> list[SuiteResult]:
+    """Run the named suites (all if suites is None), in order, on one generator
     seeded with seed.  A suite that raises ValueError reports it as one
     failing check, `error: <type>: <message>`, and the run goes on."""
     names = suites if suites is not None else list(SUITES)

@@ -29,8 +29,9 @@ from entdist.bounds import (
     ppt_bound_isotropic,
 )
 from entdist.linalg import BipartiteLabel, DensityOperator, random_density
-from entdist.states import isotropic, max_entangled_projector
+from entdist.states import isotropic
 from entdist.verify import EF_GAP_TOL, EXACT_TOL
+from helpers import max_entangled_projector
 
 F_GRID = [round(0.1 * i, 10) for i in range(11)]
 

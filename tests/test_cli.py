@@ -89,21 +89,21 @@ def run_cli(capsys, *argv):
 def test_matrix_roundtrip():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(decode_matrix(encode_matrix(m)), m, atol=1e-15)
-    assert decode_matrix(encode_matrix(m)).tobytes() == m.tobytes()
+    assert np.allclose(decode_matrix(encode_matrix(m), "matrix"), m, atol=1e-15)
+    assert decode_matrix(encode_matrix(m), "matrix").tobytes() == m.tobytes()
 
 
 def test_matrix_decode_diagnostics_name_the_field():
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]"):
-        decode_matrix([[[1, 0], 5]])
+        decode_matrix([[[1, 0], 5]], "matrix")
     with pytest.raises(SchemaError, match=r"matrix\[1\]"):
-        decode_matrix([[[1, 0]], [[1, 0], [0, 0]]])
+        decode_matrix([[[1, 0]], [[1, 0], [0, 0]]], "matrix")
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[0\]: entry is a boolean"):
-        decode_matrix([[[True, False]]])
+        decode_matrix([[[True, False]]], "matrix")
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is a boolean"):
-        decode_matrix([[[1, 0], [0.5, False]]])
+        decode_matrix([[[1, 0], [0.5, False]]], "matrix")
     with pytest.raises(SchemaError, match=r"matrix\[0\]\[1\]: entry is not a finite number"):
-        decode_matrix([[[1, 0], [0.5, float("nan")]]])
+        decode_matrix([[[1, 0], [0.5, float("nan")]]], "matrix")
 
 
 # One input per kind of bad matrix, with the exact message it must produce.
@@ -120,13 +120,18 @@ BAD_MATRICES = [
     ([[[1, 0], [0.5, float("nan")]]], "matrix[0][1]: entry is not a finite number"),
     ([[[1, 0]], [[float("inf"), 0]]], "matrix[1][0]: entry is not a finite number"),
     ([[[1, 0], [0, 10**400]]], "matrix[0][1]: entry is not a finite number"),
+    # a boolean beside a non-number is a malformed pair, not a boolean entry
+    ([[[1, 0], [False, "1"]]], "matrix[0][1]: complex entries are [re, im] pairs"),
+    # JSON never yields a numpy scalar; a Python caller's np.float64, a float
+    # subclass, is refused like any type other than int, float and Fraction
+    ([[[1, 0], [0, np.float64(0.5)]]], "matrix[0][1]: complex entries are [re, im] pairs"),
 ]
 
 
 @pytest.mark.parametrize("data, message", BAD_MATRICES)
 def test_matrix_decode_messages_are_pinned(data, message):
     with pytest.raises(SchemaError) as info:
-        decode_matrix(data)
+        decode_matrix(data, "matrix")
     assert str(info.value) == message
 
 
@@ -137,8 +142,8 @@ def test_matrix_decode_reads_json_literals_as_either_parse():
             decode_matrix(json.loads(text, parse_float=parse_float), "k")
         assert str(info.value) == "k[0][0]: entry is not a finite number"
     text = '[[[0.1, -2], [1, 2.5e-3]], [[-3, 0.7], [0, 1e300]]]'
-    as_float = decode_matrix(json.loads(text))
-    as_fraction = decode_matrix(json.loads(text, parse_float=Fraction))
+    as_float = decode_matrix(json.loads(text), "k")
+    as_fraction = decode_matrix(json.loads(text, parse_float=Fraction), "k")
     expect = np.array([[0.1 - 2j, 1 + 2.5e-3j], [-3 + 0.7j, 1e300j]])
     assert as_float.tobytes() == as_fraction.tobytes() == expect.tobytes()
     assert as_float.dtype == complex and as_float.shape == (2, 2)
@@ -166,7 +171,7 @@ def test_operation_decode_diagnostics():
 def test_trace_roundtrip_and_exactness(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(TRACE_DOC))
-    trace = decode_trace(load_json(str(path)))
+    trace = decode_trace(load_json(str(path), exact=True))
     from fractions import Fraction
 
     assert trace.steps[0].branches[0].p == Fraction(1, 2)
@@ -190,9 +195,9 @@ def test_trace_decode_diagnostics():
 
 
 def test_format_number_shortest_roundtrip():
-    assert format_number(0.39) == "0.39"
-    assert format_number(1 / 3, precision=6) == "0.333333"
-    assert format_number(7) == "7"
+    assert format_number(0.39, 12) == "0.39"
+    assert format_number(1 / 3, 6) == "0.333333"
+    assert format_number(7, 12) == "7"
 
 
 def test_parse_f_grid():

@@ -16,7 +16,6 @@ from entdist.distillation import (
     ProtocolTrace,
     TraceStep,
     dims_are_powers_of_two,
-    discard_padding,
     fidelity_condition_holds,
     floor_dims_to_powers_of_two,
     power_of_two_transform,
@@ -586,53 +585,6 @@ def test_chernoff_bound_is_at_least_the_exact_value(k, weights, rest, fractions)
     # slack for the rounding of the exact sum and of the KL divergence only
     assert bound >= exact * (1 - 1e-12)
     assert bound <= min(1.0, hoeffding) * (1 + 1e-12)
-
-
-# -- discard padding ---------------------------------------------------------
-
-
-def test_discard_padding_reuses_largest_step():
-    base = ProtocolTrace(
-        (
-            TraceStep(10, (BranchOutcome(1, 2**10, 0.9),)),
-            TraceStep(20, (BranchOutcome(1, 2**20, 0.95),)),
-            TraceStep(40, (BranchOutcome(1, 2**40, 0.99),)),
-        )
-    )
-    out = discard_padding(base, 25)
-    step25 = out.trace.steps[24]
-    assert step25.n == 25
-    assert step25.branches[0].K == 2**20
-    assert out.discard_fractions[24] == Fraction(1, 5)
-    # scaled rate: reusing n=20 at n=25 costs the discard fraction
-    assert rate_report(out.trace).per_step[24].rate == Fraction(20, 25)
-
-
-def test_discard_padding_exact_step_unchanged():
-    base = ProtocolTrace((TraceStep(10, (BranchOutcome(1, 2**10, 0.9),)),))
-    out = discard_padding(base, 12)
-    assert out.discard_fractions[9] == 0
-    assert out.trace.steps[9].branches == base.steps[0].branches
-
-
-def test_discard_padding_below_smallest():
-    base = ProtocolTrace((TraceStep(10, (BranchOutcome(1, 2**10, 0.9),)),))
-    out = discard_padding(base, 12)
-    for i in range(9):
-        assert out.trace.steps[i].branches[0].K == 1
-        assert out.discard_fractions[i] == 1
-
-
-@given(st.integers(1, 60))
-@settings(max_examples=40, deadline=None)
-def test_discard_padding_schedule_is_dense(up_to):
-    base = ProtocolTrace((TraceStep(7, (BranchOutcome(1, 128, 0.9),)),))
-    out = discard_padding(base, up_to)
-    assert [s.n for s in out.trace.steps] == list(range(1, up_to + 1))
-    for s, frac in zip(out.trace.steps, out.discard_fractions):
-        assert 0 <= frac <= 1
-        if s.n >= 7:
-            assert frac == Fraction(s.n - 7, s.n)
 
 
 # -- summary report ----------------------------------------------------------

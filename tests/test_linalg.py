@@ -7,30 +7,15 @@ from entdist.linalg import (
     DensityOperator,
     haar_unitaries,
     min_eigenvalue,
-    partial_trace,
     partial_transpose,
     random_density,
 )
 from entdist.operations import identity_operation
-from entdist.states import isotropic, max_entangled_projector
+from entdist.states import isotropic
 from entdist.verify import _random_states
+from helpers import max_entangled_projector
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def naive_partial_trace(m, da, db, keep):
-    """Direct index-summation oracle, independent of the reshape path."""
-    if keep == "A":
-        out = np.zeros((da, da), dtype=complex)
-        for a in range(da):
-            for c in range(da):
-                out[a, c] = sum(m[a * db + j, c * db + j] for j in range(db))
-    else:
-        out = np.zeros((db, db), dtype=complex)
-        for b in range(db):
-            for d in range(db):
-                out[b, d] = sum(m[j * db + b, j * db + d] for j in range(da))
-    return out
 
 
 def test_tensor_identity():
@@ -50,43 +35,6 @@ def test_tensor_bit_flip_pair():
     expected = np.zeros(4)
     expected[3] = 1
     assert np.array_equal(out, expected)
-
-
-def test_partial_trace_maximally_entangled_marginals():
-    rho = DensityOperator(max_entangled_projector(2), BipartiteLabel(2, 2))
-    for keep in ("A", "B"):
-        reduced = partial_trace(rho, keep)
-        assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(5)
-    rho_a = random_density(3, rng)
-    rho_b = random_density(2, rng)
-    joint = DensityOperator(np.kron(rho_a.matrix, rho_b.matrix), BipartiteLabel(3, 2))
-    assert np.allclose(partial_trace(joint, "A").matrix, rho_a.matrix, atol=1e-12)
-    assert np.allclose(partial_trace(joint, "B").matrix, rho_b.matrix, atol=1e-12)
-
-
-def test_partial_trace_isotropic_against_summation_oracle():
-    rho = isotropic(3, 1 / 9)
-    oracle = naive_partial_trace(rho.matrix, 3, 3, "B")
-    got = partial_trace(rho, "B")
-    assert np.allclose(got.matrix, oracle, atol=1e-12)
-    assert np.allclose(got.matrix, np.eye(3) / 3, atol=1e-12)
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(11)
-    for da, db in [(2, 2), (2, 3), (3, 2), (3, 3)]:
-        rho = random_density(BipartiteLabel(da, db), rng)
-        assert abs(partial_trace(rho, "A").matrix.trace() - 1) < 1e-9
-
-
-def test_partial_trace_requires_bipartite():
-    rho = random_density(4, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        partial_trace(rho, "A")
 
 
 def test_partial_transpose_diagonal_invariant():
@@ -206,8 +154,7 @@ def test_density_operator_validation():
 
 
 def test_states_built_in_package_are_positive_semidefinite():
-    # isotropic, random_density, partial_trace, verify's stacked states and tensor
-    # products skip the eigendecomposition that the public constructor runs; this
+    # isotropic, random_density, verify's stacked states and tensor products skip the eigendecomposition that the public constructor runs; this
     # is the proof it gave
     rng = np.random.default_rng(11)
     for k in range(2, 10):
@@ -217,12 +164,8 @@ def test_states_built_in_package_are_positive_semidefinite():
             assert not rho.matrix.flags.writeable
         for label in (k, BipartiteLabel(k, 2), BipartiteLabel(2, k)):
             rho = random_density(label, rng)
-            states = [rho]
-            if isinstance(label, BipartiteLabel):
-                states += [partial_trace(rho, "A"), partial_trace(rho, "B")]
-            for state in states:
-                assert min_eigenvalue(state.matrix) >= -TAU_PSD
-                assert abs(np.trace(state.matrix) - 1) <= 1e-12
+            assert min_eigenvalue(rho.matrix) >= -TAU_PSD
+            assert abs(np.trace(rho.matrix) - 1) <= 1e-12
     # verify's stacked draws normalize and symmetrize Gram matrices as random_density does
     dims = [1, 2, 3, 4] * 5 + [4, 3, 2]
     for d, state in zip(dims, _random_states(rng, dims)):

@@ -110,17 +110,27 @@ def test_bench_layer_rows(monkeypatch):
     assert {"src/entdist/cli.py", "scripts/bench.py"} <= set(sizes["lines"])
     assert all(isinstance(n, int) and n > 0 for n in sizes["lines"].values())
     assert all(path.startswith(("src/entdist/", "scripts/")) for path in sizes["lines"])
-    assert {"tensor_power_compile", "ef_numeric_search"} <= set(sizes["public_names"])
-    assert all(isinstance(name, str) for name in sizes["public_names"])
+    assert sizes["public_names"] == [
+        "EFSearch", "FormationBounds", "HashingRate", "binary_entropy", "ef_numeric_estimate",
+        "ef_numeric_search", "formation_bounds_isotropic", "hashing_rate", "ppt_bound_isotropic",
+        "BranchOutcome", "CompilerConfig", "CompileResult", "ProtocolTrace", "RateReport",
+        "TraceStep", "dims_are_powers_of_two", "floor_dims_to_powers_of_two",
+        "power_of_two_transform", "rate_report", "single_branch_rate", "tensor_power_compile",
+        "BipartiteLabel", "DensityOperator", "haar_unitaries", "min_eigenvalue",
+        "partial_transpose", "random_density",
+        "QuantumOperation", "SeparableWitness", "SubOperation", "apply_operation", "choi_matrix",
+        "compose", "forget", "identity_operation", "is_completely_positive", "is_ppt_operation",
+        "is_trace_preserving", "make_local", "natural_product_witness", "ppt_choi",
+        "tensor_operations", "verify_separable_form",
+        "ReductionPlan", "exact_twirl", "factor_tracing_fidelity", "factor_tracing_op",
+        "monte_carlo_twirl", "reduce_dimension", "reduce_dimension_fidelity",
+        "subspace_measurement_fidelity", "subspace_measurement_op",
+        "fidelity", "isotropic", "max_entangled_ket",
+    ]
     assert sizes["defaulted_parameters"] == [
         "entdist.ef_numeric_estimate(budget=)", "entdist.ef_numeric_estimate(seed=)",
         "entdist.ef_numeric_search(budget=)", "entdist.ef_numeric_search(seed=)",
         "entdist.partial_transpose(side=)",
-        "entdist.verify.run_suites(seed=)", "entdist.verify.run_suites(suites=)",
-        "entdist.serialize.format_number(precision=)",
-        "entdist.serialize.round_for_report(precision=)",
-        "entdist.serialize.dump_report(precision=)",
-        "entdist.serialize.decode_matrix(where=)", "entdist.serialize.load_json(exact=)",
     ]
     options = sizes["subcommand_options"]
     assert list(options) == ["bounds", "simulate", "classify", "rates", "compile", "verify"]

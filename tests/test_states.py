@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries
-from entdist.states import (
-    fidelity,
-    isotropic,
-    max_entangled_ket,
-    max_entangled_projector,
-)
+from entdist.states import fidelity, isotropic, max_entangled_ket
+from helpers import max_entangled_projector
 
 F_GRID = [round(0.1 * i, 10) for i in range(11)]
 
