@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BipartiteLabel, DensityOperator, haar_unitaries
+from .linalg import BipartiteLabel, DensityOperator, _haar_columns, haar_unitaries
 from .operations import QuantumOperation, SubOperation, apply_operation, compose
 from .states import fidelity, isotropic
 
@@ -138,31 +138,36 @@ def monte_carlo_twirl(
     finite-sample mean carries statistical noise).
 
     The d^2 x d^2 conjugation is never formed.  Unitaries are drawn in
-    chunks of TWIRL_CHUNK, each chunk one `haar_unitaries` stack (batched
-    Gram-Schmidt, no per-matrix QR call), and applied in sub-blocks of m
-    samples, m d^4 complex products within TWIRL_BLOCK_BYTES (m >= 1), so
-    beyond one chunk of unitaries (and rho and the result) the memory is a
-    few arrays of max(TWIRL_BLOCK_BYTES, 16 d^4) bytes.  Sub-blocking only
-    splits the arithmetic: the draws, and so the random stream, are the same
-    for any block size and either form below.
+    chunks of TWIRL_CHUNK by batched Gram-Schmidt (no per-matrix QR call)
+    and applied in sub-blocks of m samples, m d^4 complex products within
+    TWIRL_BLOCK_BYTES (m >= 1), so beyond one chunk of unitaries (and rho
+    and the result) the memory is a few arrays of max(TWIRL_BLOCK_BYTES,
+    16 d^4) bytes.  Sub-blocking only splits the arithmetic: the draws, and
+    so the random stream, are the same for any block size and either form
+    below.
 
     Below d = TWIRL_REAL_BELOW the twirl runs in real coordinates
     (`_twirl_real`): per sample one d^2 x d^2 real matrix is built and
-    applied on both sides, 2 d^6 real multiply-adds.  From there on it runs
-    in complex form (`_twirl_complex`): rho is read as a tensor and
+    applied on both sides, 2 d^6 real multiply-adds.  Its chunks come from
+    `_haar_columns`, sample index last, the layout it reads.  From there on
+    it runs in complex form (`_twirl_complex`): rho is read as a tensor and
     conjugated one index at a time, four (d^3, d) @ (d, d) complex products,
-    16 d^5 real multiply-adds.  The two counts meet at d = 8.
+    16 d^5 real multiply-adds.  The two counts meet at d = 8.  Its chunks
+    are `haar_unitaries` stacks, sample index first, which draw faster
+    there.
     """
     label = rho.bipartite
     d = label.dim_a
     if label.dim_b != d:
         raise ValueError("twirl requires equal factor dimensions")
+    if d < TWIRL_REAL_BELOW:
+        draw, twirl = _haar_columns, _twirl_real
+    else:
+        draw, twirl = haar_unitaries, _twirl_complex
     chunks = (
-        haar_unitaries(d, min(TWIRL_CHUNK, samples - done), rng)
-        for done in range(0, samples, TWIRL_CHUNK)
+        draw(d, min(TWIRL_CHUNK, samples - done), rng) for done in range(0, samples, TWIRL_CHUNK)
     )
     block = max(1, TWIRL_BLOCK_BYTES // (16 * d**4))
-    twirl = _twirl_real if d < TWIRL_REAL_BELOW else _twirl_complex
     return twirl(rho.matrix, d, chunks, block) / samples
 
 
@@ -212,11 +217,13 @@ def _twirl_real(
 
         O[(a, c), (i, k)] = Re(U[a, i] conj(U)[c, k]) - Im(U[c, i] conj(U)[a, k]),
 
-    so the sum is T (sum_s O_s (c S) O_s^T S) T^T, realigned back.  A
-    sub-block of m samples builds O in layout [a, c, i, k, s] from its m d^4
-    complex products U[a, i] conj(U)[c, k], then takes one batched
-    (c S)^T @ O and one (d^2, d^2 m) @ (d^2 m, d^2) product.  The result is
-    formed from permutations of one real sum, so it is exactly Hermitian.
+    so the sum is T (sum_s O_s (c S) O_s^T S) T^T, realigned back.  Each
+    chunk comes from `_haar_columns` as U[a, i, s], and a sub-block of m
+    samples builds O in layout [a, c, i, k, s] from its m d^4 complex
+    products U[a, i] conj(U)[c, k], read straight off the chunk, then takes
+    one batched (c S)^T @ O and one (d^2, d^2 m) @ (d^2 m, d^2) product.
+    The result is formed from permutations of one real sum, so it is exactly
+    Hermitian.
     """
     d2, d4 = d * d, d**4
     swap = np.arange(d2).reshape(d, d).T.ravel()  # S as an index permutation
@@ -229,15 +236,14 @@ def _twirl_real(
     w_buf = np.empty(d4 * block, dtype=complex)
     o_buf = np.empty(d4 * block)
     g = np.zeros((d2, d2))
-    for u in chunks:
-        u_t = np.ascontiguousarray(u.transpose(1, 2, 0))  # [a, i, s]
-        ub_t = u_t.conj()
-        for lo in range(0, len(u), block):
-            m = min(block, len(u) - lo)
+    for u in chunks:  # [a, i, s]
+        ub = u.conj()
+        for lo in range(0, u.shape[2], block):
+            m = min(block, u.shape[2] - lo)
             w = w_buf[: d4 * m].reshape(d, d, d, d, m)  # U[a, i] conj(U)[c, k]
             o = o_buf[: d4 * m].reshape(d2, d2, m)
             s = slice(lo, lo + m)
-            np.multiply(u_t[:, None, :, None, s], ub_t[None, :, None, :, s], out=w)
+            np.multiply(u[:, None, :, None, s], ub[None, :, None, :, s], out=w)
             np.subtract(w.real, w.imag.transpose(1, 0, 2, 3, 4), out=o.reshape(d, d, d, d, m))
             z = w_buf.view(float)[: d4 * m].reshape(d2, d2, m)  # w is spent once o is formed
             np.matmul(cs_t, o, out=z)  # z[x] = (c S)^T @ o[x]: [(a, c), q, s]

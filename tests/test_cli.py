@@ -678,6 +678,24 @@ def test_compile_names_the_hashing_requirement(capsys, tmp_path):
     assert "explicit margins" not in err
 
 
+def test_compile_refuses_a_converging_trace_that_rates_accepts(capsys, tmp_path):
+    # n = i, K = 2^(3i), F = 1 - 1/(i+1): only the first step (K = 8, F = 0.5)
+    # has (2F-1) log2 K <= 1, and that one branch stops the whole compile
+    steps = [
+        {"n": i, "branches": [{"p": 1, "K": 2 ** (3 * i), "F": 1 - 1 / (i + 1)}]}
+        for i in range(1, 12)
+    ]
+    path = tmp_path / "trace.json"
+    path.write_text(json.dumps({"steps": steps}))
+    code, out, err = run_cli(capsys, "rates", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["rate"] == 3.0 and len(doc["per_step"]) == 11
+    code, out, err = run_cli(capsys, "compile", str(path), "--k-list", "10")
+    assert (code, out) == (2, "")
+    assert "K=8, F=0.5" in err and "(2F-1)*log2 K > 1" in err
+
+
 @pytest.mark.parametrize(
     "option, value", [("--p-fraction", "1.5"), ("--p-fraction", "0"), ("--rate-fraction", "1")]
 )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entdist.linalg import (
+    _haar_columns,
     TAU_PSD,
     BipartiteLabel,
     DensityOperator,
@@ -115,15 +116,33 @@ def qr_haar_reference(dim, count, rng):
     return q * phases[:, None, :]
 
 
-@pytest.mark.parametrize("count", [1, 512])
-@pytest.mark.parametrize("dim", [1, 2, 3, 6, 8, 16])
-def test_haar_unitaries_match_rephased_qr_on_the_same_draws(dim, count):
+def columns_as_stack(dim, count, rng):
+    """The real-form twirl's draw, `_haar_columns`, in `haar_unitaries`'s layout."""
+    return _haar_columns(dim, count, rng).transpose(2, 0, 1)
+
+
+# the stacked draw's ids are dim-count; the column draw covers every dim of
+# the real-form twirl, with 513 spilling one sample past a twirl chunk
+@pytest.mark.parametrize(
+    "draw, dim, count",
+    [
+        pytest.param(haar_unitaries, d, n, id=f"{d}-{n}")
+        for n in (1, 512)
+        for d in (1, 2, 3, 6, 8, 16)
+    ]
+    + [
+        pytest.param(columns_as_stack, d, n, id=f"columns-{d}-{n}")
+        for d in range(1, 8)
+        for n in (0, 1, 512, 513)
+    ],
+)
+def test_haar_unitaries_match_rephased_qr_on_the_same_draws(draw, dim, count):
     rng, ref_rng = np.random.default_rng([dim, count]), np.random.default_rng([dim, count])
-    u = haar_unitaries(dim, count, rng)
+    u = draw(dim, count, rng)
     ref = qr_haar_reference(dim, count, ref_rng)
     assert u.shape == ref.shape and u.dtype == ref.dtype
-    assert np.max(np.abs(u - ref)) <= 1e-13
-    assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(dim))) <= 1e-14
+    assert np.max(np.abs(u - ref), initial=0) <= 1e-13
+    assert np.max(np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(dim)), initial=0) <= 1e-14
     # both consumed the same draws, so the generators end in the same state
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -172,11 +172,12 @@ def dense_twirl_reference(rho, samples, rng):
 
 # 511-513 straddle one Haar chunk and 1500 ends in a partial one; for K >= 3
 # a chunk spans several sub-blocks, and most of these counts end in a short one.
-# K = 7 is the largest K of the real form and K = 8 the first of the complex one.
+# K = 6 is the benchmark's largest twirl, K = 7 the largest K of the real form
+# and K = 8 the first of the complex one.
 @pytest.mark.parametrize(
     "k, samples",
     [(k, n) for k in (2, 3, 4, 5) for n in (1, 511, 512, 513, 1500)]
-    + [(k, n) for k in (7, 8) for n in (1, 513)],
+    + [(k, n) for k in (6, 7, 8) for n in (1, 513)],
 )
 def test_monte_carlo_twirl_matches_dense_reference_on_the_same_draws(k, samples):
     rho = random_density(BipartiteLabel(k, k), np.random.default_rng([k, samples]))
