@@ -54,7 +54,6 @@ from .operations import (
     make_local,
     natural_product_witness,
     ppt_choi,
-    tensor_operations,
     verify_separable_form,
 )
 from .protocols import (

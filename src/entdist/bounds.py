@@ -17,20 +17,6 @@ import numpy as np
 
 from .linalg import DensityOperator
 
-__all__ = [
-    "binary_entropy",
-    "FormationBounds",
-    "formation_bounds_isotropic",
-    "ef_isotropic",
-    "ppt_bound_isotropic",
-    "HashingRate",
-    "hashing_rate",
-    "EFSearch",
-    "ef_numeric_search",
-    "ef_numeric_estimate",
-]
-
-
 # The smallest integer that float() cannot convert (it rounds to 2**1024).
 # Below it the bounds keep their float formulas; from it on they use forms
 # that never convert a dimension to float.
@@ -50,13 +36,11 @@ def binary_entropy(f: float) -> float:
 
 @dataclass(frozen=True)
 class FormationBounds:
-    """Bits of entanglement of formation bracketed for an isotropic state."""
+    """Bits of entanglement of formation bracketed for an isotropic state;
+    the partial-transpose bound is `ppt_bound_isotropic`."""
 
-    K: int
-    F: float
     lower: float
     upper: float
-    ppt_bound: float
 
 
 def ppt_bound_isotropic(k: int, f: float) -> float:
@@ -81,7 +65,7 @@ def formation_bounds_isotropic(k: int, f: float) -> FormationBounds:
     if not 0.0 <= f <= 1.0:
         raise ValueError(f"fidelity {f} outside [0, 1]")
     if k == 1:
-        return FormationBounds(1, f, 0.0, 0.0, 0.0)
+        return FormationBounds(0.0, 0.0)
     log2k = math.log2(k)
     lower = max(0.0, f * log2k - binary_entropy(f))
     if k < FLOAT_OVERFLOW:
@@ -89,7 +73,7 @@ def formation_bounds_isotropic(k: int, f: float) -> FormationBounds:
     else:  # in exact arithmetic
         fk = Fraction(f) * k
         upper = 0.0 if fk <= 1 else min(f * log2k, float((fk - 1) / (k - 1)) * log2k)
-    return FormationBounds(k, f, lower, upper, ppt_bound_isotropic(k, f))
+    return FormationBounds(lower, upper)
 
 
 def ef_isotropic(k: int, f: float) -> float:
@@ -119,8 +103,6 @@ def ef_isotropic(k: int, f: float) -> float:
 class HashingRate:
     """Hashing-protocol rate for an isotropic state, raw and clamped at zero."""
 
-    K: int
-    F: float
     raw: float
     clamped: float
     dimension_is_power_of_two: bool
@@ -142,7 +124,7 @@ def hashing_rate(k: int, f: float) -> HashingRate:
             raw += (1.0 - f) * math.log2((1.0 - f) / (k * k - 1))
         else:
             raw += (1.0 - f) * (math.log2(1.0 - f) - math.log2(k * k - 1))
-    return HashingRate(k, f, raw, max(0.0, raw), k & (k - 1) == 0)
+    return HashingRate(raw, max(0.0, raw), k & (k - 1) == 0)
 
 
 # ---------------------------------------------------------------------------

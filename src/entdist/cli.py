@@ -142,7 +142,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
                     "F": f,
                     "ef_lower": fb.lower,
                     "ef_upper": fb.upper,
-                    "ppt_bound": fb.ppt_bound,
+                    "ppt_bound": bnd.ppt_bound_isotropic(k, f),
                     "hashing_raw": hr.raw,
                     "hashing_clamped": hr.clamped,
                     "hashing_established": hr.dimension_is_power_of_two,
@@ -207,12 +207,30 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fraction(text: str, option: str) -> Fraction:
+    """The value of --p-fraction or --rate-fraction, which may be a ratio."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise SchemaError(f"{option} {text!r} has a zero denominator") from None
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
-    trace = decode_trace(load_json(args.input, exact=True))
+    given = trace = decode_trace(load_json(args.input, exact=True))
     if not dst.dims_are_powers_of_two(trace):
         trace = dst.floor_dims_to_powers_of_two(trace)
-    p_frac = Fraction(args.p_fraction)
-    r_frac = Fraction(args.rate_fraction)
+    p_frac = _fraction(args.p_fraction, "--p-fraction")
+    r_frac = _fraction(args.rate_fraction, "--rate-fraction")
+    # a branch the compiler refuses, named as the input gives it: the rule
+    # reads the floored K and F, which no k changes
+    cfg = dst.CompilerConfig(args.k_list[0], p_frac, r_frac)
+    for i, (step, floored) in enumerate(zip(given.steps, trace.steps)):
+        for j, (b, c) in enumerate(zip(step.branches, floored.branches)):
+            try:
+                cfg.margins(c)
+            except ValueError as exc:
+                was = "" if trace is given else f"K={b.K}, F={float(b.F):g}, floored to "
+                raise ValueError(f"step {i}, branch {j}: {was}{exc}") from None
     out_docs = []
     for k in args.k_list:
         result = dst.tensor_power_compile(trace, dst.CompilerConfig(k, p_frac, r_frac))

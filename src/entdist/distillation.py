@@ -25,23 +25,6 @@ from numpy.lib.stride_tricks import as_strided
 
 from .bounds import formation_bounds_isotropic
 
-__all__ = [
-    "BranchOutcome",
-    "TraceStep",
-    "ProtocolTrace",
-    "single_branch_rate",
-    "dims_are_powers_of_two",
-    "Theorem2Result",
-    "power_of_two_transform",
-    "floor_dims_to_powers_of_two",
-    "CompilerConfig",
-    "CompileResult",
-    "tensor_power_compile",
-    "StepRates",
-    "RateReport",
-    "rate_report",
-]
-
 Number = float | Fraction
 
 TREND_WINDOW = 4
@@ -241,7 +224,7 @@ class CompilerConfig:
         hashing = (2 * b.F - 1) * _log2_dim(b.K)
         if hashing <= 1:
             raise ValueError(
-                f"branch K={b.K}, F={float(b.F):g}: the compiler needs "
+                f"K={b.K}, F={float(b.F):g}: the compiler needs "
                 f"(2F-1)*log2 K > 1, got {float(hashing):g}"
             )
         return self.p_fraction * b.p, self.rate_fraction * (hashing - 1)
@@ -403,8 +386,6 @@ def _floor_pow2_log2(exponent: Number) -> tuple[int | None, float]:
 class StepCompilation:
     """Per-step outcome of the tensor-power compiler."""
 
-    n: int
-    k: int
     log2_output_dim: float
     achieved_rate: float
     failure_probability: float
@@ -467,9 +448,7 @@ def tensor_power_compile(trace: ProtocolTrace, cfg: CompilerConfig) -> CompileRe
             - 1
         ) / step.n
         achieved = log2_dim_total / (step.n * cfg.k)
-        out_steps.append(
-            StepCompilation(step.n, cfg.k, log2_dim_total, achieved, fail, method, bound)
-        )
+        out_steps.append(StepCompilation(log2_dim_total, achieved, fail, method, bound))
         if dim_total is None:
             def1_steps = None
         elif def1_steps is not None:

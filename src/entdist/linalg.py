@@ -9,7 +9,7 @@ products under this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,6 +43,12 @@ class BipartiteLabel:
 
 # Plain int labels a unipartite space of that dimension.
 Label = Union[BipartiteLabel, int]
+
+
+def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
+    if not isinstance(label, BipartiteLabel):
+        raise ValueError(f"{what} requires a bipartite label")
+    return label
 
 
 def total_dim(label: Label) -> int:
@@ -132,33 +138,21 @@ class DensityOperator:
 
     @property
     def bipartite(self) -> BipartiteLabel:
-        if not isinstance(self.label, BipartiteLabel):
-            raise ValueError("operation requires a bipartite label")
-        return self.label
+        return _require_bipartite(self.label, "operation")
 
 
-def partial_transpose(
-    m: np.ndarray, label: BipartiteLabel, side: Literal["A", "B"] = "B"
-) -> np.ndarray:
-    """Transpose one tensor factor of a bipartite operator.
+def partial_transpose(m: np.ndarray, label: BipartiteLabel) -> np.ndarray:
+    """Transpose the B factor of a bipartite operator.
 
     The result is Hermitian and trace-preserving for Hermitian input but may
     fail to be positive semidefinite; it is returned as a plain matrix.
     """
-    if not isinstance(label, BipartiteLabel):
-        raise ValueError("partial transpose requires a bipartite label")
+    _require_bipartite(label, "partial transpose")
     m = as_square_matrix(m)
     da, db = label.dim_a, label.dim_b
     if m.shape[0] != label.total:
         raise ValueError(f"matrix dimension {m.shape[0]} does not match label total {label.total}")
-    t = m.reshape(da, db, da, db)
-    if side == "B":
-        t = t.transpose(0, 3, 2, 1)
-    elif side == "A":
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return t.reshape(label.total, label.total)
+    return m.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(label.total, label.total)
 
 
 def haar_unitaries(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -22,6 +22,7 @@ from .linalg import (
     BipartiteLabel,
     DensityOperator,
     Label,
+    _require_bipartite,
     total_dim,
 )
 
@@ -90,12 +91,6 @@ class SubOperation:
     @property
     def dim_out(self) -> int:
         return math.prod(f.shape[1] for f in self.factors)
-
-    def completeness_term(self) -> np.ndarray:
-        """Sum of K^dagger K over the branch: the Kronecker product of the
-        factors' sums."""
-        flat = (f.reshape(-1, f.shape[2]) for f in self.factors)
-        return functools.reduce(np.kron, (g.conj().T @ g for g in flat))
 
     @functools.cached_property
     def _superoperators(self) -> tuple[np.ndarray | None, ...]:
@@ -175,7 +170,10 @@ class QuantumOperation:
         return total_dim(self.in_label)
 
     def completeness_sum(self) -> np.ndarray:
-        return sum(sub.completeness_term() for sub in self.subops)
+        """Sum of K^dagger K over the branches: per branch, the Kronecker
+        product of its factors' sums."""
+        flat = ([f.reshape(-1, f.shape[2]) for f in sub.factors] for sub in self.subops)
+        return sum(functools.reduce(np.kron, (g.conj().T @ g for g in gs)) for gs in flat)
 
     @functools.cached_property
     def completeness_deviation(self) -> float:
@@ -252,21 +250,6 @@ def _then(second: SubOperation, first: SubOperation) -> SubOperation:
     return SubOperation(factors, second.out_label)
 
 
-def tensor_operations(s: QuantumOperation, t: QuantumOperation) -> QuantumOperation:
-    """Joint operation with branches indexed by pairs of the factors' branches.
-
-    The output labels are plain total dimensions: the Kronecker convention
-    interleaves the factors' parties, so any bipartite structure of the joint
-    space must be reattached explicitly by the caller.
-    """
-    subs = [
-        SubOperation(ssub.factors + tsub.factors, ssub.dim_out * tsub.dim_out)
-        for ssub in s.subops
-        for tsub in t.subops
-    ]
-    return QuantumOperation(tuple(subs), s.dim_in * t.dim_in)
-
-
 def forget(op: QuantumOperation, merge: Iterable[int]) -> QuantumOperation:
     """Merge the given branches into one, discarding which of them occurred."""
     merge = sorted(set(merge))
@@ -317,12 +300,6 @@ def is_completely_positive(sub: SubOperation) -> bool:
     """Always true: a branch is a Kraus family, so its Choi matrix V^T conj(V)
     (see `choi_matrix`) is a Gram matrix and positive semidefinite."""
     return True
-
-
-def _require_bipartite(label: Label, what: str) -> BipartiteLabel:
-    if not isinstance(label, BipartiteLabel):
-        raise ValueError(f"{what} requires a bipartite label")
-    return label
 
 
 def ppt_choi(sub: SubOperation, in_label: Label) -> np.ndarray:
@@ -408,8 +385,9 @@ def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bo
 def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperation:
     """Product operation S_A (x) S_B of two single-party operations, either
     of which may measure: its branches are the pairs of the parties'
-    branches, A major, as in `tensor_operations`, with bipartite labels.
-    Tensoring with `identity_operation(d)` leaves the other party alone."""
+    branches, A major, each keeping the parties' Kronecker factors, with
+    bipartite labels.  Tensoring with `identity_operation(d)` leaves the
+    other party alone."""
     subs = tuple(
         SubOperation(sub_a.factors + sub_b.factors, BipartiteLabel(sub_a.dim_out, sub_b.dim_out))
         for sub_a in op_a.subops

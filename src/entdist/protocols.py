@@ -18,19 +18,6 @@ from .linalg import BipartiteLabel, DensityOperator, _haar_columns, haar_unitari
 from .operations import QuantumOperation, SubOperation, apply_operation, compose
 from .states import fidelity, isotropic
 
-__all__ = [
-    "ReductionPlan",
-    "subspace_measurement_op",
-    "subspace_measurement_fidelity",
-    "factor_tracing_op",
-    "factor_tracing_fidelity",
-    "exact_twirl",
-    "monte_carlo_twirl",
-    "reduce_dimension",
-    "reduce_dimension_fidelity",
-]
-
-
 # Haar samples per batch of the Monte Carlo twirl.
 TWIRL_CHUNK = 512
 # Bytes of one sub-block's m d^4 complex products in the Monte Carlo twirl,
@@ -160,6 +147,8 @@ def monte_carlo_twirl(
     d = label.dim_a
     if label.dim_b != d:
         raise ValueError("twirl requires equal factor dimensions")
+    if samples < 1:
+        raise ValueError(f"the Monte Carlo twirl needs at least 1 sample, got {samples}")
     if d < TWIRL_REAL_BELOW:
         draw, twirl = _haar_columns, _twirl_real
     else:

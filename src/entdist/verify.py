@@ -43,9 +43,9 @@ from .operations import (
     identity_operation,
     is_ppt_operation,
     is_trace_preserving,
+    make_local,
     natural_product_witness,
     ppt_choi,
-    tensor_operations,
     verify_separable_form,
 )
 from .states import fidelity, isotropic, max_entangled_ket
@@ -353,7 +353,7 @@ def _suite_operations(rng: np.random.Generator) -> SuiteResult:
         joint = DensityOperator._by_construction(
             np.kron(rho_s.matrix, rho_t.matrix), s.dim_in * t.dim_in
         )
-        got = apply_operation(tensor_operations(s, t), joint)
+        got = apply_operation(make_local(s, t), joint)
         ps = [p for p, _ in apply_operation(s, rho_s)]
         pt = [p for p, _ in apply_operation(t, rho_t)]
         want = [a * b for a in ps for b in pt]

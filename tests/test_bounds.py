@@ -99,7 +99,9 @@ def test_formation_bounds_worked_value():
 
 def test_formation_bounds_dimension_one():
     fb = formation_bounds_isotropic(1, 1.0)
-    assert (fb.lower, fb.upper, fb.ppt_bound) == (0.0, 0.0, 0.0)
+    assert (fb.lower, fb.upper) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        ppt_bound_isotropic(1, 1.0)
 
 
 def test_formation_bounds_ordered_on_grid():
@@ -199,9 +201,10 @@ def test_bounds_at_k_beyond_double_range_meet_their_large_k_limits(f):
     k, log2k = 2**1100, 1100.0
     assert k > FLOAT_OVERFLOW
     fb = formation_bounds_isotropic(k, f)
-    assert fb.lower == max(0.0, f * log2k - binary_entropy(f))
+    limit = f * log2k - binary_entropy(f)  # of the lower and the p.p.t. bound
+    assert fb.lower == max(0.0, limit)
     assert fb.upper == pytest.approx(f * log2k, rel=1e-15)
-    assert fb.ppt_bound == pytest.approx(f * log2k - binary_entropy(f), rel=1e-15, abs=1e-12)
+    assert ppt_bound_isotropic(k, f) == pytest.approx(limit, rel=1e-15, abs=1e-12)
     want = (2 * f - 1) * log2k - binary_entropy(f)
     assert hashing_rate(k, f).raw == pytest.approx(want, rel=1e-15)
 
@@ -303,6 +306,16 @@ def test_ef_search_stops_restarting_once_converged():
         assert ef.best_restart < ef.restarts
         gap = ef.value - ef_isotropic(2, f)
         assert -EF_RESTART_TOL <= gap <= EF_RESTART_TOL, f"F={f}: gap {gap:.3g}"
+
+
+def test_ef_restarts_reach_the_exact_value_where_the_first_stops_short():
+    # at K = 3, F = 0.9 the first restart from seed 0 stops at a stationary
+    # point above the exact value, and a later restart of the default budget
+    # reaches it
+    exact = ef_isotropic(3, 0.9)
+    ef = ef_numeric_search(isotropic(3, 0.9), seed=0)
+    assert ef.best_restart > 0
+    assert exact - EXACT_TOL <= ef.value <= exact + 1e-12
 
 
 def _objective_grad_per_member(g, a, da, db):

@@ -705,6 +705,31 @@ def test_compile_rejects_fractions_outside_the_unit_interval(capsys, trace_file,
     assert "must lie in (0, 1)" in err
 
 
+@pytest.mark.parametrize("option", ["--p-fraction", "--rate-fraction"])
+def test_compile_rejects_a_zero_denominator(capsys, trace_file, option):
+    code, out, err = run_cli(capsys, "compile", trace_file, "--k-list", "10", option, "1/0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} '1/0' has a zero denominator\n"
+
+
+def test_compile_names_a_refused_branch_as_the_input_gives_it(capsys, tmp_path):
+    # as written (2F-1) log2 3 = 1.55 > 1, but flooring K = 3 to 2 leaves F = 0.33
+    path = write_trace(tmp_path, [{"p": 1, "K": 3, "F": 0.99}], n=1)
+    code, out, err = run_cli(capsys, "compile", path, "--k-list", "10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: step 0, branch 0: K=3, F=0.99, floored to K=2, F=0.33: "
+        "the compiler needs (2F-1)*log2 K > 1, got -0.34\n"
+    )
+    # power-of-two input is not floored
+    path = write_trace(tmp_path, [{"p": 0.5, "K": 1024, "F": 0.99}, {"p": 0.5, "K": 4, "F": 0.5}])
+    code, out, err = run_cli(capsys, "compile", path, "--k-list", "10")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: step 0, branch 1: K=4, F=0.5: the compiler needs (2F-1)*log2 K > 1, got 0\n"
+    )
+
+
 def classify_subspace_8_4(tmp_path):
     """The dense K = 8 subspace measurement with its natural witness: one
     branch at the largest Choi matrix `classify` accepts."""

@@ -73,15 +73,6 @@ def test_partial_transpose_involution_trace_hermiticity(da, db):
         assert np.max(np.abs(again - rho.matrix)) < 1e-12
 
 
-def test_partial_transpose_sides_compose_to_full_transpose():
-    rng = np.random.default_rng(3)
-    rho = random_density(BipartiteLabel(2, 3), rng)
-    both = partial_transpose(
-        partial_transpose(rho.matrix, rho.bipartite, side="B"), BipartiteLabel(2, 3), side="A"
-    )
-    assert np.allclose(both, rho.matrix.T, atol=1e-12)
-
-
 def test_partial_transpose_requires_bipartite():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4), 4)  # type: ignore[arg-type]

@@ -25,7 +25,6 @@ from entdist.operations import (
     make_local,
     natural_product_witness,
     ppt_choi,
-    tensor_operations,
     verify_separable_form,
 )
 from entdist.protocols import factor_tracing_op, reduce_dimension, subspace_measurement_op
@@ -159,7 +158,7 @@ def test_compose_rejects_label_mismatch():
 
 def test_tensor_operations_identity():
     a = identity_operation(2)
-    joint = tensor_operations(a, a)
+    joint = make_local(a, a)
     assert len(joint.subops) == 1
     assert joint.dim_in == 4
     rho = random_density(4, np.random.default_rng(1))
@@ -174,7 +173,7 @@ def test_tensor_operations_product_rule():
     rho_s = random_density(2, rng)
     rho_t = random_density(3, rng)
     joint = DensityOperator(np.kron(rho_s.matrix, rho_t.matrix), 6)
-    got = [p for p, _ in apply_operation(tensor_operations(s, t), joint)]
+    got = [p for p, _ in apply_operation(make_local(s, t), joint)]
     ps = [p for p, _ in apply_operation(s, rho_s)]
     pt = [p for p, _ in apply_operation(t, rho_t)]
     want = [a * b for a in ps for b in pt]
@@ -183,7 +182,7 @@ def test_tensor_operations_product_rule():
 
 def test_tensor_operations_single_branch():
     one = identity_operation(3)
-    assert len(tensor_operations(one, one).subops) == 1
+    assert len(make_local(one, one).subops) == 1
 
 
 def test_forget_basis_measurement_dephases():
@@ -588,9 +587,9 @@ def factored_cases() -> list[QuantumOperation]:
     return [
         local,
         make_local(meas_a, identity_operation(2)),
-        tensor_operations(meas_a, chan_b),
-        tensor_operations(local, meas_a),
-        forget(tensor_operations(meas_a, chan_b), [0, 1]),
+        make_local(meas_a, chan_b),
+        make_local(local, meas_a),
+        forget(make_local(meas_a, chan_b), [0, 1]),
         compose(local, {0: dense_follow}),
         compose(
             unmerged_subspace_measurement(5, 4),
@@ -644,8 +643,8 @@ def contraction_cases() -> list[QuantumOperation]:
         meas_a,
         random_channel(rng, 4, 3, branches=1, n=7),
         local,
-        tensor_operations(local, wide),
-        tensor_operations(meas_a, tensor_operations(chan_b, wide)),
+        make_local(local, wide),
+        make_local(meas_a, make_local(chan_b, wide)),
         compose(local, {0: random_channel(rng, 6, 2, branches=2, n=2)}),
         compose(
             unmerged_subspace_measurement(5, 4),
@@ -680,7 +679,7 @@ def test_trace_preservation_is_summed_once_per_operation(monkeypatch):
         return completeness_sum(self)
 
     monkeypatch.setattr(QuantumOperation, "completeness_sum", counted)
-    op = tensor_operations(basis_measurement(2), identity_operation(3))
+    op = make_local(basis_measurement(2), identity_operation(3))
     rho = random_density(6, np.random.default_rng(3))
     for _ in range(4):
         apply_operation(op, rho)

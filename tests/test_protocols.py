@@ -146,6 +146,13 @@ def test_monte_carlo_twirl_approaches_exact():
         assert np.max(np.abs(mc - exact_twirl(rho).matrix)) < 1e-2
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_monte_carlo_twirl_refuses_fewer_than_one_sample(samples):
+    rho = random_density(BipartiteLabel(2, 2), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        monte_carlo_twirl(rho, samples, np.random.default_rng(0))
+
+
 def dense_twirl_reference(rho, samples, rng):
     """The twirl as the mean of dense products w rho w^dagger, w = U (x) conj(U).
 

@@ -121,7 +121,7 @@ def test_bench_layer_rows(monkeypatch):
         "QuantumOperation", "SeparableWitness", "SubOperation", "apply_operation", "choi_matrix",
         "compose", "forget", "identity_operation", "is_completely_positive", "is_ppt_operation",
         "is_trace_preserving", "make_local", "natural_product_witness", "ppt_choi",
-        "tensor_operations", "verify_separable_form",
+        "verify_separable_form",
         "ReductionPlan", "exact_twirl", "factor_tracing_fidelity", "factor_tracing_op",
         "monte_carlo_twirl", "reduce_dimension", "reduce_dimension_fidelity",
         "subspace_measurement_fidelity", "subspace_measurement_op",
@@ -130,7 +130,6 @@ def test_bench_layer_rows(monkeypatch):
     assert sizes["defaulted_parameters"] == [
         "entdist.ef_numeric_estimate(budget=)", "entdist.ef_numeric_estimate(seed=)",
         "entdist.ef_numeric_search(budget=)", "entdist.ef_numeric_search(seed=)",
-        "entdist.partial_transpose(side=)",
     ]
     options = sizes["subcommand_options"]
     assert list(options) == ["bounds", "simulate", "classify", "rates", "compile", "verify"]
