@@ -15,11 +15,17 @@ that later calls skip):
   `operation-algebra` suite meets them: two branches on d_in = 3, cut from
   a random 6 x 3 isometry, built, checked by `is_trace_preserving` and
   applied once, the median over FRESH_OPS operations;
-- `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2, 4, 6, 8
-  (its Choi matrix is K^4/4 x K^4/4), and the three predicates `classify`
-  reports (cp, ppt, separable with the natural product witness) on the
-  dense one-factor form of the same operation, the form `decode_operation`
-  builds;
+- `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2..8,
+  whose factors split at the party boundary, next to the dense reference
+  (every branch through `operations._ppt_by_cholesky`; its Choi matrix has
+  K^2 floor(K/2)^2 rows), with both verdicts;
+- the predicates `classify` reports (cp, and ppt and separable with the
+  natural product witness, from `operations._class_verdicts`) on the dense
+  one-factor form of the same operation, the form `decode_operation`
+  builds, next to the dense route (`is_ppt_operation` and
+  `verify_separable_form` on that form), with both verdicts; and the same
+  pair on the four witnessed descriptors of perfbench's `classify-compile`
+  job list at seed 1, decoded once outside the timing;
 - `is_ppt_operation` on two branches, each one K^2 x K^2 Kraus matrix cut
   from a random isometry (the `classify` workload's random-K descriptors),
   at K = 3, 4, 6: they are not p.p.t., so both verdicts are timed;
@@ -53,7 +59,12 @@ It also records the EF searches of `lemma1-chain` in one in-process
 verify workload's 16 one-restart EF calls (K = 2 at the EF fidelities,
 oracle seeds 7-10, budget 400) as their total objective evaluations and
 worst gap to `ef_isotropic`, and per F the evaluations and each seed's
-stop reason; `entdist verify --seed 7` in REPEATS fresh processes; the
+stop reason; one-restart EF searches off the isotropic line, on
+EF_TWO_QUBIT_STATES seeded random two-qubit states of ranks 1-4, as their
+total evaluations and their least and worst gap to Wootters's exact value
+(`tests/helpers.wootters_formation`), and the one restart at K = 3,
+F = 0.9, seed 0, which stops short of `ef_isotropic` (gap, evaluations,
+stop); `entdist verify --seed 7` in REPEATS fresh processes; the
 wall time of the checkout's tier-1 test suite (one run); and
 the checkout's sizes: the line count of each file in `src/entdist` and
 `scripts`, the public names of `entdist`, the defaulted parameters of the
@@ -71,6 +82,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import inspect
 import io
 import json
@@ -85,7 +97,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYER_KS = (6, 8, 12, 16, 24, 32)
-PPT_KS = (2, 4, 6, 8)
+PPT_KS = (2, 3, 4, 5, 6, 7, 8)
 NON_PPT_KS = (3, 4, 6)
 REPEATS = 7
 FRESH_OPS = 200
@@ -97,6 +109,11 @@ EF_SEED = 7
 EF_WORKLOAD_SEEDS = (7, 8, 9, 10)
 EF_SEARCH_CASES = ((3, 0.95), (3, 0.99), (4, 0.8), (4, 0.95), (4, 0.99))
 EF_SEARCH_SEED = 1
+# one-restart searches off the isotropic line: random two-qubit states, ranks
+# 1-4 in turn, drawn as in tests/test_bounds.py from this generator seed
+EF_TWO_QUBIT_STATES = 40
+EF_TWO_QUBIT_SEED = 6
+EF_ONE_RESTART_CASE = (3, 0.9, 0)  # K, F, seed: the restart stops 3.4e-5 above
 DENSITY_KS = (4, 8, 12, 16)
 TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (7, 10**4), (8, 10**4),
                (16, 512))
@@ -169,6 +186,7 @@ def trace_rows(repeats: int) -> dict[str, dict]:
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
     import numpy as np
+    from entdist import operations
     from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
     from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries, random_density
     from entdist.operations import (
@@ -179,9 +197,32 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     from entdist.states import isotropic
     from entdist.verify import run_suites
 
-    def classify(op, witness):
-        return (all(is_completely_positive(sub) for sub in op.subops), is_ppt_operation(op),
-                verify_separable_form(op, witness))
+    # a checkout from before the structural p.p.t. routes decides every branch
+    # by the dense test, and `classify` calls the two public predicates
+    dense_branch = getattr(operations, "_ppt_by_cholesky", None)
+    class_verdicts = getattr(operations, "_class_verdicts", None) or (
+        lambda op, witness: (is_ppt_operation(op), verify_separable_form(op, witness)))
+
+    def dense_ppt(op):
+        if dense_branch is None:
+            return is_ppt_operation(op)
+        return all(dense_branch(sub, op.in_label, tr) for i, sub in enumerate(op.subops)
+                   if (tr := operations._checked_choi_trace(sub, i)))
+
+    def classify_pair(op, witness) -> dict:
+        """`classify`'s verdicts and time next to the dense route's."""
+        def classify():
+            cp = all(is_completely_positive(sub) for sub in op.subops)
+            return (cp, *class_verdicts(op, witness))
+
+        def dense():
+            cp = all(is_completely_positive(sub) for sub in op.subops)
+            return cp, is_ppt_operation(op), verify_separable_form(op, witness)
+
+        row = _timed(classify, repeats)
+        row.update(dense_median_s=_timed(dense, repeats)["median_s"],
+                   verdicts=classify(), dense_verdicts=dense())
+        return row
 
     rows = {}
     for k in LAYER_KS:
@@ -207,13 +248,17 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     rows["apply_operation fresh d_in=3"] = _timed(fresh, FRESH_OPS)
     for k in PPT_KS:
         op = subspace_measurement_op(k, k // 2)
-        rows[f"is_ppt_operation K={k}"] = _timed(lambda: is_ppt_operation(op), repeats)
+        row = _timed(lambda: is_ppt_operation(op), repeats)
+        row.update(dense_median_s=_timed(lambda: dense_ppt(op), repeats)["median_s"],
+                   ppt=is_ppt_operation(op), dense_ppt=dense_ppt(op))
+        rows[f"is_ppt_operation K={k}"] = row
         dense = QuantumOperation(
             tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops), op.in_label
         )
         # the dense branch has no party boundary; the factored one gives the same pairs
-        witness = natural_product_witness(op)
-        rows[f"classify K={k}"] = _timed(lambda: classify(dense, witness), repeats)
+        rows[f"classify K={k}"] = classify_pair(dense, natural_product_witness(op))
+    for name, (op, witness) in _witnessed_descriptors().items():
+        rows[f"classify {name}"] = classify_pair(op, witness)
     for k in NON_PPT_KS:
         d, label = k * k, BipartiteLabel(k, k)
         rng = np.random.default_rng(BENCH_SEED)
@@ -259,6 +304,58 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
                 lambda: haar_unitaries(d, count, np.random.default_rng(BENCH_SEED)), repeats
             )
     return rows | trace_rows(repeats)
+
+
+def _checkout_module(path: Path):
+    """The module in a file of the checkout, loaded without touching sys.path,
+    under a name no import statement uses (dataclasses look the module up)."""
+    name = f"_bench_{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _witnessed_descriptors() -> dict:
+    """The witnessed local descriptors of perfbench's `classify-compile` job
+    list at seed 1, decoded: name -> (operation, witness)."""
+    import entdist
+    from entdist.serialize import decode_operation
+
+    checkout = Path(entdist.__file__).resolve().parents[2]
+    workloads = _checkout_module(checkout / "perfbench" / "workloads.py")
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = workloads.build_jobs("classify-compile", BENCH_SEED, Path(tmp), [])
+    return {Path(job.argv[1]).stem: decode_operation(job.spec["descriptor"])
+            for job in jobs if job.kind == "classify" and job.spec["local"]}
+
+
+def ef_off_isotropic() -> dict:
+    """One-restart EF searches off the isotropic line, in this process."""
+    import entdist
+    import numpy as np
+    from entdist.bounds import ef_isotropic, ef_numeric_search
+    from entdist.linalg import BipartiteLabel, DensityOperator
+    from entdist.states import isotropic
+
+    helpers = _checkout_module(Path(entdist.__file__).resolve().parents[2] / "tests" / "helpers.py")
+    rng = np.random.default_rng(EF_TWO_QUBIT_SEED)
+    evaluations, gaps = 0, []
+    for i in range(EF_TWO_QUBIT_STATES):
+        rank = i % 4 + 1
+        x = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        m = x @ x.conj().T
+        rho = DensityOperator((m + m.conj().T) / (2 * m.trace().real), BipartiteLabel(2, 2))
+        ef = ef_numeric_search(rho, budget=EF_BUDGET, seed=int(rng.integers(2**16)))
+        evaluations += ef.evaluations
+        gaps.append(ef.value - helpers.wootters_formation(rho.matrix))
+    k, f, seed = EF_ONE_RESTART_CASE
+    one = ef_numeric_search(isotropic(k, f), budget=EF_BUDGET, seed=seed)
+    return {"two_qubit": {"states": EF_TWO_QUBIT_STATES, "evaluations": evaluations,
+                          "least_gap": min(gaps), "worst_gap": max(gaps)},
+            f"one_restart K={k} F={f} seed={seed}": {
+                "gap": one.value - ef_isotropic(k, f), "evaluations": one.evaluations,
+                "stop": one.stop}}
 
 
 def lemma1_searches() -> list[dict]:
@@ -393,7 +490,8 @@ def main() -> int:
             "import bench; print(json.dumps({'sizes': bench.sizes(), "
             "'layers': bench.layer_rows(bench.REPEATS), "
             "'lemma1_chain_seed7': bench.lemma1_searches(), "
-            "'ef_verify_workload': bench.ef_workload()}))")
+            "'ef_verify_workload': bench.ef_workload(), "
+            "'ef_off_isotropic': bench.ef_off_isotropic()}))")
     proc = subprocess.run([sys.executable, "-c", code], env=_env(checkout),
                           capture_output=True, text=True, check=True)
     fresh = json.loads(proc.stdout.splitlines()[-1])

@@ -38,8 +38,7 @@ from . import bounds as bnd
 from . import distillation as dst
 from . import verify as ver
 from .operations import (
-    _checked_choi_trace, is_completely_positive, is_ppt_operation, is_trace_preserving,
-    verify_separable_form,
+    _checked_choi_trace, _class_verdicts, is_completely_positive, is_trace_preserving,
 )
 from .serialize import (
     SchemaError,
@@ -178,13 +177,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 f"the Choi matrix limit MAX_CHOI_DIM = {MAX_CHOI_DIM}"
             )
         _checked_choi_trace(sub, i)  # before any product that can overflow, with warnings
+    ppt, separable = _class_verdicts(op, witness)
     report = {
         "tp": is_trace_preserving(op),
         "cp": all(is_completely_positive(sub) for sub in op.subops),
-        "ppt": is_ppt_operation(op),
-        "separable_verified": (
-            verify_separable_form(op, witness) if witness is not None else None
-        ),
+        "ppt": ppt,
+        "separable_verified": separable,
     }
     _emit(args, report)
     return 0

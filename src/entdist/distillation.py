@@ -306,10 +306,12 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
     lower = max(
         (miss_tail(p, m) for p, m in zip(probs, floors) if 0 < p < 1 and m > 0), default=0.0
     )
-    # per branch and for each of its two state tails and two count tails
-    share = 2.0**-60 * lower / (4 * max(len(probs), 1))
-    # the exponent is compared with a relative margin for its own rounding
-    lam = -math.log(share) * (1 + 1e-9) if share > 0 else math.inf
+    parts = 4 * max(len(probs), 1)  # per branch, its two state tails and two count tails
+    share = 2.0**-60 * lower / parts
+    # -log(share), from log L so that a subnormal L, whose share underflows to
+    # 0, still cuts; the exponent is compared with a relative margin for its
+    # own rounding
+    lam = (60 * math.log(2) + math.log(parts) - math.log(lower)) * (1 + 1e-9) if lower else math.inf
     mass = np.zeros(k + 1)  # mass[u]: the branches so far used u trials, met their floors
     mass[0], remaining, failure = 1.0, 1.0, 0.0
     for p, m in zip(probs, floors):

@@ -514,6 +514,58 @@ def test_classify_with_witness(capsys, tmp_path):
     assert json.loads(out)["separable_verified"] is True
 
 
+def witnessed_near_boundary(depth: float) -> dict:
+    """factor_tracing_op(4, 2) with its natural witness, plus one Kraus matrix
+    sqrt(delta) M whose Choi vector is maximally entangled across the party
+    cut, spread so that its largest entry is 3/4 of its Schmidt scale.  The
+    partially transposed Choi matrix then has least eigenvalue -delta =
+    -depth TAU_PPT tr C, while the entrywise witness gap is 3/4 delta."""
+    from entdist.operations import TAU_PPT, natural_product_witness
+    from entdist.protocols import factor_tracing_op
+
+    op = factor_tracing_op(4, 2)
+    (sub,) = op.subops
+    c, s = np.sqrt(3) / 2, 1 / 2
+    w = np.kron(np.eye(4), [[c, -s], [s, c]])  # rows (a_in, a_out), columns (b_in, b_out)
+    tr = float(np.vdot(sub.kraus, sub.kraus).real)
+    delta = depth * TAU_PPT * tr / (1 - 8 * depth * TAU_PPT)  # tr C grows by 8 delta
+    extra = np.sqrt(delta) * w.reshape(4, 2, 4, 2).transpose(1, 3, 0, 2).reshape(4, 16)
+    doc = encode_operation(op)
+    doc["subops"][0]["kraus"].append(encode_matrix(extra))
+    doc["witness"] = [
+        [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]
+        for pairs in natural_product_witness(op)
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("depth", [0.75, 1.25])
+def test_classify_prints_the_dense_ppt_verdict_near_the_boundary(capsys, tmp_path, depth):
+    """The witness verifies the separable form, entrywise within TAU_ACTION
+    tr C, but lies too far in Frobenius norm to certify p.p.t.: the dense
+    test decides, on either side of its tolerance.  Certifying p.p.t.
+    wherever the entrywise gap is within TAU_ACTION tr C would print true
+    at depth 1.25."""
+    from entdist import operations
+    from entdist.operations import TAU_ACTION, TAU_PPT, ppt_choi
+
+    doc = witnessed_near_boundary(depth)
+    op, witness = decode_operation(doc)
+    (sub,) = op.subops
+    tr = operations._checked_choi_trace(sub, 0)
+    ((entry, norm, _),) = operations._witness_gaps(op, witness)
+    assert TAU_PPT * tr / 2 < entry <= TAU_ACTION * tr < norm
+    least = np.linalg.eigvalsh(ppt_choi(sub, op.in_label))[0] / tr
+    assert least == pytest.approx(-depth * TAU_PPT, rel=1e-4)
+    dense = operations._ppt_by_cholesky(sub, op.in_label, tr)
+    assert dense is (depth < 1)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"tp": False, "cp": True, "ppt": dense, "separable_verified": True}
+
+
 def test_classify_verdicts_hold_at_large_kraus_scale(capsys, tmp_path):
     # one 4 x 4 Kraus matrix 1e4 (A (x) B): CP and p.p.t. by construction, not
     # trace preserving; its Choi matrix has norm around 1e8

@@ -498,7 +498,7 @@ def test_cut_failure_probability_matches_the_full_grid(k, probs, p_fraction):
     [
         (2000, [0.5, 0.5], [700, 700]),  # about 8.7e-42; the last branch has q = 1
         (512, [0.2, 0.3, 0.5], [90, 140, 230]),  # q = 1 on the last branch
-        (4096, [0.4, 0.4], [545, 545]),  # L is subnormal: no budget, nothing is cut
+        (4096, [0.4, 0.4], [545, 545]),  # L is subnormal, and so is the share 2^-60 L / 8
         (1, [0.5], [1]),
         (6, [0.3, 0.3, 0.3], [1, 1, 1]),
         (40, [0.5, 0.25], [30, 1]),  # floors above the means
@@ -509,6 +509,15 @@ def test_cut_failure_probability_edge_cases(k, probs, floors):
     want = full_grid_failure(k, probs, floors)
     assert want > 0
     assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_cut_budget_holds_where_the_lower_bound_is_subnormal():
+    # 2^-60 L / (4 J) underflows to 0 here; the count cut is taken from log L,
+    # so the terms below it are still left out, and the value stays the full
+    # grid's (the edge cases above)
+    assert distillation._failure_probability(4096, [0.4, 0.4], [545, 545]) == (
+        9.3914668894036e-310, "exact"
+    )
 
 
 def test_cut_failure_probability_without_floors_is_zero():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from entdist.linalg import (
     partial_transpose,
     random_density,
 )
+from entdist import operations
 from entdist.operations import (
     TAU_PPT,
     TAU_TP,
@@ -27,7 +30,12 @@ from entdist.operations import (
     ppt_choi,
     verify_separable_form,
 )
-from entdist.protocols import factor_tracing_op, reduce_dimension, subspace_measurement_op
+from entdist.protocols import (
+    _reduction_op,
+    factor_tracing_op,
+    reduce_dimension,
+    subspace_measurement_op,
+)
 from entdist.states import fidelity, isotropic, max_entangled_ket
 from entdist.verify import F_GRID, _random_operations, run_suites
 from helpers import unmerged_subspace_measurement
@@ -487,6 +495,118 @@ def test_ppt_verdict_on_either_side_of_the_tolerance(depth, verdict):
     least = np.linalg.eigvalsh(choi)[0] / np.trace(choi).real
     assert least == pytest.approx(-depth * TAU_PPT, rel=1e-6)
     assert is_ppt_operation(op) is verdict
+
+
+# ---------------------------------------------------------------------------
+# p.p.t. from structure (factors split at the party boundary, or a witness
+# close to the branch) against the dense test of every branch.
+# ---------------------------------------------------------------------------
+
+
+def dense_ppt(op: QuantumOperation) -> bool:
+    """The reference verdict: every branch of nonzero Choi trace through the
+    dense Cholesky test, called directly."""
+    traces = [operations._checked_choi_trace(sub, i) for i, sub in enumerate(op.subops)]
+    return all(
+        tr == 0.0 or operations._ppt_by_cholesky(sub, op.in_label, tr)
+        for sub, tr in zip(op.subops, traces)
+    )
+
+
+def one_factor(op: QuantumOperation) -> QuantumOperation:
+    """op with each branch fused into one dense factor, as `classify` decodes it."""
+    subs = tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops)
+    return QuantumOperation(subs, op.in_label)
+
+
+@functools.cache
+def aligned_cases() -> list[QuantumOperation]:
+    """Operations whose every branch splits at the party boundary, K = 2..8,
+    with Choi matrices of at most 64 x 16 = 1024 rows, so the dense
+    reference stays cheap."""
+    cases = []
+    for k in range(2, 9):
+        cases += [
+            subspace_measurement_op(k, k // 2),
+            factor_tracing_op(k, k // 2 if k % 2 == 0 else 1),
+            _reduction_op(k, (k + 1) // 3),
+            unmerged_subspace_measurement(k, max(1, k // 3)),
+            make_local(basis_measurement(2), QuantumOperation((SubOperation(
+                np.eye(k // 2 + 1, k)[None], k // 2 + 1),), k)),
+        ]
+    return cases
+
+
+def misaligned_cases() -> list[QuantumOperation]:
+    """Branches with no factor boundary between the parties: dense random
+    ones, two factors cut inside a party, and an aligned branch beside one
+    that is not p.p.t."""
+    rng = np.random.default_rng(7)
+    label = BipartiteLabel(2, 2)
+    cases = [random_two_branch_operation(rng, k) for k in (2, 3) for _ in range(2)]
+    for _ in range(2):
+        # factors of 1 x 2 and 4 x 2 matrices: no leading group has A's 2 x 2 shape
+        first = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))
+        second = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+        cases.append(QuantumOperation((SubOperation((first, second), label),), label))
+    creation = entangled_pair_creation()
+    cases.append(creation)
+    aligned = make_local(identity_operation(2), identity_operation(2)).subops[0]
+    cases.append(QuantumOperation((aligned, creation.subops[0]), label))
+    cases += [creation_identity_mixture(8 * depth * TAU_PPT) for depth in (0.5, 2.0)]
+    return cases
+
+
+def refuse_dense(monkeypatch):
+    def dense(*args):
+        raise AssertionError("the dense p.p.t. test ran on a structurally p.p.t. branch")
+
+    monkeypatch.setattr(operations, "_ppt_by_cholesky", dense)
+
+
+@pytest.mark.parametrize("case", range(len(aligned_cases())))
+def test_aligned_branches_are_ppt_with_no_factorization(case, monkeypatch):
+    op = aligned_cases()[case]
+    assert dense_ppt(op) is True
+    witness = natural_product_witness(op)
+    refuse_dense(monkeypatch)
+    assert is_ppt_operation(op) is True
+    # decoded from a descriptor, the branches are dense and the witness decides
+    assert operations._class_verdicts(one_factor(op), witness) == (True, True)
+
+
+def test_misaligned_branches_take_the_dense_verdict():
+    verdicts = set()
+    for op in misaligned_cases():
+        want = dense_ppt(op)
+        assert is_ppt_operation(op) is want
+        assert operations._class_verdicts(op, None) == (want, None)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_a_witness_that_fails_leaves_the_verdict_to_the_dense_test():
+    a, b = np.random.default_rng(3).standard_normal((2, 2, 2, 2))
+    pairs = [(x, y) for x in a for y in b]
+    qubit_pairs = [op for op in misaligned_cases() if op.in_label == BipartiteLabel(2, 2)]
+    assert {dense_ppt(op) for op in qubit_pairs} == {True, False}
+    for op in qubit_pairs:
+        witness = [pairs] * len(op.subops)
+        assert operations._class_verdicts(op, witness) == (dense_ppt(op), False)
+
+
+def test_witness_entries_after_the_first_that_fails_are_not_read():
+    # branch 0's witness fails, so branch 1's, of the wrong shape, is not
+    # read: both routes give the verdict false, and p.p.t. the dense way
+    op = make_local(basis_measurement(2), identity_operation(2))
+    good = natural_product_witness(op)[0]
+    bad = [(a, b + 0.05 * np.eye(2)) for a, b in good]
+    misshaped = [(np.eye(3), np.eye(3))]
+    assert verify_separable_form(op, [bad, misshaped]) is False
+    assert operations._class_verdicts(op, [bad, misshaped]) == (True, False)
+    for read in (verify_separable_form, operations._class_verdicts):
+        with pytest.raises(ValueError, match="witness product shape"):
+            read(op, [good, misshaped])
 
 
 def scaled(op: QuantumOperation, s: float) -> QuantumOperation:

@@ -71,7 +71,8 @@ def test_bench_layer_rows(monkeypatch):
         "is_trace_preserving K=6", "apply_operation K=6", "reduce_dimension K=6 Kprime=3",
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
         "apply_operation fresh d_in=3",
-        "is_ppt_operation K=2", "classify K=2", "is_ppt_operation isometry K=3",
+        "is_ppt_operation K=2", "classify K=2", "classify subspace-4-3", "classify subspace-6-3",
+        "classify factor-4-2", "classify factor-6-2", "is_ppt_operation isometry K=3",
         "protocol1-closed-form seed=7", "protocol2-closed-form seed=7", "twirl seed=7",
         "lemma2-bound seed=7", "operation-algebra seed=7",
         "simulate --K 16 --Kprime 7 --protocol reduce --F-grid 0:1:0.1",
@@ -86,6 +87,12 @@ def test_bench_layer_rows(monkeypatch):
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
     assert rows["is_ppt_operation isometry K=3"]["ppt"] is False
+    # p.p.t. from structure next to the dense reference, with equal verdicts
+    ppt = rows["is_ppt_operation K=2"]
+    assert ppt["dense_median_s"] > 0 and ppt["ppt"] is ppt["dense_ppt"] is True
+    for name in ("K=2", "subspace-4-3", "subspace-6-3", "factor-4-2", "factor-6-2"):
+        row = rows[f"classify {name}"]
+        assert row["dense_median_s"] > 0 and row["verdicts"] == row["dense_verdicts"] == (True,) * 3
     compiled = [rows[f"compile k={k} branches=2"] for k in (100, 10**4)]
     assert [row["failure_method"] for row in compiled] == ["exact", "chernoff"]
     assert 1 > compiled[0]["failure_probability"] > compiled[1]["failure_probability"] > 0
@@ -104,6 +111,16 @@ def test_bench_layer_rows(monkeypatch):
     assert ef["per_fidelity"] == {"1.0": {"evaluations": ef["evaluations"], "stops": ["gradient"] * 4}}
     assert isinstance(ef["evaluations"], int) and ef["evaluations"] >= 4
     assert isinstance(ef["worst_gap"], float) and abs(ef["worst_gap"]) <= 1e-9
+    # off the isotropic line: two seeded two-qubit states against Wootters's
+    # value, and the one restart at K = 3, F = 0.9 that stops short
+    monkeypatch.setattr(bench, "EF_TWO_QUBIT_STATES", 2)
+    off = bench.ef_off_isotropic()
+    two_qubit = off["two_qubit"]
+    assert two_qubit["states"] == 2 and isinstance(two_qubit["evaluations"], int)
+    assert -1e-14 <= two_qubit["least_gap"] <= two_qubit["worst_gap"] <= 1e-9
+    one = off["one_restart K=3 F=0.9 seed=0"]
+    assert (one["stop"], one["evaluations"]) == ("no-descent", 107)
+    assert one["gap"] == pytest.approx(3.36e-5, rel=1e-2)
 
     sizes = bench.sizes()
     assert list(sizes) == ["lines", "public_names", "defaulted_parameters", "subcommand_options"]
