@@ -15,10 +15,8 @@ that later calls skip):
   `operation-algebra` suite meets them: two branches on d_in = 3, cut from
   a random 6 x 3 isometry, built, checked by `is_trace_preserving` and
   applied once, the median over FRESH_OPS operations;
-- `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2..8,
-  whose factors split at the party boundary, next to the dense reference
-  (every branch through `operations._ppt_by_cholesky`; its Choi matrix has
-  K^2 floor(K/2)^2 rows), with both verdicts;
+- `is_ppt_operation` on `subspace_measurement_op(K, K/2)` at K = 2..8
+  (its Choi matrix has K^2 floor(K/2)^2 rows), with its verdict;
 - the predicates `classify` reports (cp, and ppt and separable with the
   natural product witness, from `operations._class_verdicts`) on the dense
   one-factor form of the same operation, the form `decode_operation`
@@ -186,34 +184,21 @@ def trace_rows(repeats: int) -> dict[str, dict]:
 def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     """The layer rows of the entdist on sys.path, in this process."""
     import numpy as np
-    from entdist import operations
     from entdist.bounds import ef_isotropic, ef_numeric_estimate, ef_numeric_search
     from entdist.linalg import BipartiteLabel, DensityOperator, haar_unitaries, random_density
     from entdist.operations import (
-        QuantumOperation, SubOperation, apply_operation, is_completely_positive,
+        QuantumOperation, SubOperation, _class_verdicts, apply_operation, is_completely_positive,
         is_ppt_operation, is_trace_preserving, natural_product_witness, verify_separable_form,
     )
     from entdist.protocols import monte_carlo_twirl, reduce_dimension, subspace_measurement_op
     from entdist.states import isotropic
     from entdist.verify import run_suites
 
-    # a checkout from before the structural p.p.t. routes decides every branch
-    # by the dense test, and `classify` calls the two public predicates
-    dense_branch = getattr(operations, "_ppt_by_cholesky", None)
-    class_verdicts = getattr(operations, "_class_verdicts", None) or (
-        lambda op, witness: (is_ppt_operation(op), verify_separable_form(op, witness)))
-
-    def dense_ppt(op):
-        if dense_branch is None:
-            return is_ppt_operation(op)
-        return all(dense_branch(sub, op.in_label, tr) for i, sub in enumerate(op.subops)
-                   if (tr := operations._checked_choi_trace(sub, i)))
-
     def classify_pair(op, witness) -> dict:
         """`classify`'s verdicts and time next to the dense route's."""
         def classify():
             cp = all(is_completely_positive(sub) for sub in op.subops)
-            return (cp, *class_verdicts(op, witness))
+            return (cp, *_class_verdicts(op, witness))
 
         def dense():
             cp = all(is_completely_positive(sub) for sub in op.subops)
@@ -249,8 +234,7 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
     for k in PPT_KS:
         op = subspace_measurement_op(k, k // 2)
         row = _timed(lambda: is_ppt_operation(op), repeats)
-        row.update(dense_median_s=_timed(lambda: dense_ppt(op), repeats)["median_s"],
-                   ppt=is_ppt_operation(op), dense_ppt=dense_ppt(op))
+        row.update(ppt=is_ppt_operation(op))
         rows[f"is_ppt_operation K={k}"] = row
         dense = QuantumOperation(
             tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops), op.in_label

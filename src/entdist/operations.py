@@ -4,10 +4,9 @@ An operation is a family of sub-operations, each a Kraus family mapping the
 common input space to that sub-operation's own output space, jointly trace
 preserving.  Applying the operation yields one classical branch per
 sub-operation.  Class membership is decided from explicit structure:
-completeness sums (trace preserving), separable witnesses, and for p.p.t.
-the party boundary of a branch's Kronecker factors, a witness close to the
-branch, or else one Cholesky factorization of its shifted Choi matrix.  A
-Kraus family is completely positive by construction.
+completeness sums (trace preserving), one Cholesky factorization of a
+shifted Choi matrix per branch (p.p.t.) and separable witnesses.  A Kraus
+family is completely positive by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -327,43 +326,30 @@ def is_ppt_operation(op: QuantumOperation) -> bool:
     conjugation by the partial transpose: its Choi matrix, partially
     transposed on B_in (x) B_out, has no eigenvalue below -TAU_PPT tr C.
 
-    A branch whose Kronecker factors split at the party boundary (see
-    `_party_cut`) is a product S_A (x) S_B, separable and so p.p.t.: that
-    matrix is a permutation of C_A (x) C_B^T, which is positive
-    semidefinite.  Such a branch is decided from the factor shapes, with no
-    Choi matrix, and the dense test would pass on it with its whole margin
-    TAU_PPT tr C against rounding of order n eps tr C, n = d_in d_out.
-    Every other branch takes that test, `_ppt_by_cholesky`, which stays the
-    tests' reference.  A branch of zero Kraus matrices (tr C = 0) is the
-    zero map, which is p.p.t.; one whose tr C overflows, or underflows to 0,
-    raises ValueError, since a factorization of NaNs reports no failure and
-    a zero trace leaves no tolerance."""
+    A branch is decided by one Cholesky factorization of that matrix over
+    tr C, shifted by TAU_PPT I: it exists iff the least eigenvalue lies above
+    -TAU_PPT tr C, up to rounding of order n eps for a matrix of size n, and
+    LAPACK stops at the first negative pivot of a branch that fails.  A
+    branch of zero Kraus matrices (tr C = 0) is the zero map, which is
+    p.p.t.; one whose tr C overflows, or underflows to 0, raises ValueError,
+    since a factorization of NaNs reports no failure and a zero trace
+    leaves no tolerance.  This is the reference test: `classify` decides a
+    branch whose separable witness lies close to it without it (see
+    `_class_verdicts`), and every other branch by it."""
     lab_in = _require_bipartite(op.in_label, "ppt predicate")
     for i, sub in enumerate(op.subops):
         tr = _checked_choi_trace(sub, i)
         if tr == 0.0:
             continue
-        lab_out = _require_bipartite(sub.out_label, "ppt conjugation")
-        if _party_cut(sub, lab_in, lab_out) is None and not _ppt_by_cholesky(sub, lab_in, tr):
+        shifted = ppt_choi(sub, lab_in)
+        # real divisions: a complex one by a subnormal tr C overflows
+        np.divide(shifted.real, tr, out=shifted.real)
+        np.divide(shifted.imag, tr, out=shifted.imag)
+        shifted.flat[:: len(shifted) + 1] += TAU_PPT
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
             return False
-    return True
-
-
-def _ppt_by_cholesky(sub: SubOperation, lab_in: BipartiteLabel, tr: float) -> bool:
-    """The dense p.p.t. test of one branch with Choi trace tr > 0: one Cholesky
-    factorization of `ppt_choi` over tr C, shifted by TAU_PPT I.  It exists
-    iff the least eigenvalue lies above -TAU_PPT tr C, up to rounding of
-    order n eps for a matrix of size n, and LAPACK stops at the first
-    negative pivot of a branch that fails."""
-    shifted = ppt_choi(sub, lab_in)
-    # real divisions: a complex one by a subnormal tr C overflows
-    np.divide(shifted.real, tr, out=shifted.real)
-    np.divide(shifted.imag, tr, out=shifted.imag)
-    shifted.flat[:: len(shifted) + 1] += TAU_PPT
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
     return True
 
 
@@ -375,13 +361,24 @@ def _ppt_by_cholesky(sub: SubOperation, lab_in: BipartiteLabel, tr: float) -> bo
 SeparableWitness = Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]
 
 
-def _witness_gaps(
-    op: QuantumOperation, witness: SeparableWitness
-) -> Iterator[tuple[float, float, float]]:
-    """Per sub-operation in turn, (largest entry, Frobenius norm) of D = C - C_w
-    and tr C, where C is the branch's Choi matrix and C_w that of the product
-    Kraus family {A_j (x) B_j} its witness induces.  ValueError for a witness
-    of the wrong length or shape, and where `_checked_choi_trace` raises."""
+def verify_separable_form(
+    op: QuantumOperation, witness: SeparableWitness, *, _ppt_shown: list[bool] | None = None
+) -> bool:
+    """Check that each sub-operation's action equals the product-Kraus action
+    induced by its witness: their Choi matrices differ by at most
+    TAU_ACTION tr C in every entry.  The witness's Choi matrix is read from
+    the products A_j (x) B_j directly.  A branch whose tr C overflows, or
+    underflows to 0 while the branch is not the zero map, raises
+    ValueError.  The branches are checked in order up to the first that
+    fails; a NaN gap, from witness products that overflow, is not above
+    the tolerance and passes.
+
+    A pass does not decide p.p.t. by itself: an entrywise error of
+    TAU_ACTION tr C can move the least eigenvalue of the partially
+    transposed Choi matrix by up to d_in d_out times as much.  Where
+    `_ppt_shown` is a list, it receives for each branch read whether the
+    same Choi difference also proves it p.p.t., by the bound stated in
+    `_class_verdicts`."""
     if len(witness) != len(op.subops):
         raise ValueError(
             f"witness has {len(witness)} entries for {len(op.subops)} sub-operations"
@@ -399,24 +396,16 @@ def _witness_gaps(
             )
         tr = _checked_choi_trace(sub, i)
         gap = choi_matrix(sub) - _choi(prods.astype(complex, copy=False))
-        yield float(np.max(np.abs(gap))), float(np.linalg.norm(gap)), tr
-
-
-def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bool:
-    """Check that each sub-operation's action equals the product-Kraus action
-    induced by its witness: their Choi matrices differ by at most
-    TAU_ACTION tr C in every entry.  The witness's Choi matrix is read from
-    the products A_j (x) B_j directly.  A branch whose tr C overflows, or
-    underflows to 0 while the branch is not the zero map, raises
-    ValueError.  The branches are checked in order up to the first that
-    fails; a NaN gap, from witness products that overflow, is not above
-    the tolerance and passes.
-
-    A pass does not decide p.p.t. by itself: an entrywise error of
-    TAU_ACTION tr C can move the least eigenvalue of the partially
-    transposed Choi matrix by up to d_in d_out times as much, so `classify`
-    takes p.p.t. from a witness only under the bound of `_class_verdicts`."""
-    return all(not entry > TAU_ACTION * tr for entry, _, tr in _witness_gaps(op, witness))
+        if _ppt_shown is not None:
+            lab_in, lab_out = op.in_label, sub.out_label
+            across = (
+                isinstance(lab_in, BipartiteLabel) and isinstance(lab_out, BipartiteLabel)
+                and (oa, ia, ob, ib) == (lab_out.dim_a, lab_in.dim_a, lab_out.dim_b, lab_in.dim_b)
+            )
+            _ppt_shown.append(across and bool(np.linalg.norm(gap) <= TAU_PPT * tr / 2))
+        if np.max(np.abs(gap)) > TAU_ACTION * tr:
+            return False
+    return True
 
 
 def _class_verdicts(
@@ -425,26 +414,24 @@ def _class_verdicts(
     """(`is_ppt_operation`, `verify_separable_form` or None without a witness)
     of op, from one Choi difference D = C - C_w per witnessed branch.
 
-    A witnessed branch with ||D||_F <= TAU_PPT tr C / 2 is p.p.t.: C_w is
-    the Choi matrix of a product family, so its partial transpose is
-    positive semidefinite; the partial transpose permutes entries, so
-    ||D^PT||_2 <= ||D||_F; and by Weyl's inequality the least eigenvalue of
-    C^PT lies above -TAU_PPT tr C / 2.  The dense test would pass too: the
-    rounding of D, of the products and of the factorization is of order
-    n eps tr C for n = d_in d_out, about 1e-13 tr C at n = 1024, against a
-    margin of TAU_PPT tr C / 2 = 5e-10 tr C.  As in `verify_separable_form`,
-    no witness entry after the first that fails is read.  The other branches,
-    and every branch without a witness, go to `is_ppt_operation`, so each
-    verdict is the dense test's."""
+    A witnessed branch whose witness pairs A_j act on A's input and output
+    spaces and B_j on B's, with ||D||_F <= TAU_PPT tr C / 2, is p.p.t.:
+    C_w is the Choi matrix of a family of products across the A/B cut, so
+    its partial transpose on B is positive semidefinite; the partial
+    transpose permutes entries, so ||D^PT||_2 <= ||D||_F; and by Weyl's
+    inequality the least eigenvalue of C^PT lies above -TAU_PPT tr C / 2.
+    The dense test would pass too: the rounding of D, of the products and of
+    the factorization is of order n eps tr C for n = d_in d_out, about
+    1e-13 tr C at n = 1024, against a margin of TAU_PPT tr C / 2 =
+    5e-10 tr C.  A witness cut anywhere else (a trivial A, the parties
+    swapped) proves nothing about this partial transpose.  The other
+    branches, among them those after the first whose witness fails, go to
+    `is_ppt_operation`, so each verdict is the dense test's."""
     if witness is None:
         return is_ppt_operation(op), None
-    certified, separable = [], True
-    for entry, norm, tr in _witness_gaps(op, witness):
-        certified.append(norm <= TAU_PPT * tr / 2)
-        if entry > TAU_ACTION * tr:
-            separable = False
-            break
-    rest = tuple(sub for sub, ok in itertools.zip_longest(op.subops, certified) if not ok)
+    shown: list[bool] = []
+    separable = verify_separable_form(op, witness, _ppt_shown=shown)
+    rest = tuple(sub for sub, ok in itertools.zip_longest(op.subops, shown) if not ok)
     return not rest or is_ppt_operation(QuantumOperation(rest, op.in_label)), separable
 
 
@@ -462,29 +449,21 @@ def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperati
     return QuantumOperation(subs, BipartiteLabel(op_a.dim_in, op_b.dim_in))
 
 
-def _party_cut(sub: SubOperation, lab_in: BipartiteLabel, lab_out: BipartiteLabel) -> int | None:
-    """The first count of the branch's leading Kronecker factors whose output
-    and input dimensions multiply to A's, or None where no factor boundary
-    splits A from B.  Factors before the cut then act on A alone, the rest
-    on B alone, so the branch is the product of the two groups' families."""
-    heads = [sub.factors[:c] for c in range(len(sub.factors) + 1)]
-    dims = [(math.prod(f.shape[1] for f in h), math.prod(f.shape[2] for f in h)) for h in heads]
-    want = (lab_out.dim_a, lab_in.dim_a)
-    return dims.index(want) if want in dims else None
-
-
 def natural_product_witness(op: QuantumOperation) -> SeparableWitness:
     """Witness for operations whose branches keep each Kronecker factor inside
     one party (`make_local`, the reduction protocols): each branch's factors
-    split at `_party_cut`, and the witness pairs the A group's Kraus matrices
-    with the B group's, A major."""
+    split where their running output and input dimensions reach A's, and the
+    witness pairs the A group's Kraus matrices with the B group's, A major."""
     lab_in = _require_bipartite(op.in_label, "product witness")
     one = np.ones((1, 1, 1), dtype=complex)
     witness = []
     for i, sub in enumerate(op.subops):
-        cut = _party_cut(sub, lab_in, _require_bipartite(sub.out_label, "product witness"))
-        if cut is None:
+        lab_out = _require_bipartite(sub.out_label, "product witness")
+        heads = [sub.factors[:c] for c in range(len(sub.factors) + 1)]
+        dims = [(math.prod(f.shape[1] for f in h), math.prod(f.shape[2] for f in h)) for h in heads]
+        if (lab_out.dim_a, lab_in.dim_a) not in dims:
             raise ValueError(f"sub-operation {i}: no factor boundary splits A from B")
+        cut = dims.index((lab_out.dim_a, lab_in.dim_a))
         a, b = (functools.reduce(np.kron, g, one) for g in (sub.factors[:cut], sub.factors[cut:]))
         witness.append([(ka, kb) for ka in a for kb in b])
     return witness

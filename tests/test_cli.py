@@ -546,24 +546,48 @@ def test_classify_prints_the_dense_ppt_verdict_near_the_boundary(capsys, tmp_pat
     test decides, on either side of its tolerance.  Certifying p.p.t.
     wherever the entrywise gap is within TAU_ACTION tr C would print true
     at depth 1.25."""
-    from entdist import operations
-    from entdist.operations import TAU_ACTION, TAU_PPT, ppt_choi
+    from entdist.operations import (
+        TAU_ACTION, TAU_PPT, choi_matrix, is_ppt_operation, ppt_choi,
+    )
 
     doc = witnessed_near_boundary(depth)
     op, witness = decode_operation(doc)
     (sub,) = op.subops
-    tr = operations._checked_choi_trace(sub, 0)
-    ((entry, norm, _),) = operations._witness_gaps(op, witness)
-    assert TAU_PPT * tr / 2 < entry <= TAU_ACTION * tr < norm
+    tr = float(np.trace(choi_matrix(sub)).real)
+    prods = np.stack([np.kron(a, b) for a, b in witness[0]])
+    gap = choi_matrix(sub) - choi_matrix(SubOperation(prods, sub.out_label))
+    assert TAU_PPT * tr / 2 < np.max(np.abs(gap)) <= TAU_ACTION * tr < np.linalg.norm(gap)
     least = np.linalg.eigvalsh(ppt_choi(sub, op.in_label))[0] / tr
     assert least == pytest.approx(-depth * TAU_PPT, rel=1e-4)
-    dense = operations._ppt_by_cholesky(sub, op.in_label, tr)
+    dense = is_ppt_operation(op)
     assert dense is (depth < 1)
     path = tmp_path / "op.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
     assert json.loads(out) == {"tp": False, "cp": True, "ppt": dense, "separable_verified": True}
+
+
+@pytest.mark.parametrize("which", ["creation", "cnot"])
+def test_classify_takes_no_ppt_from_a_witness_with_a_trivial_party(capsys, tmp_path, which):
+    """Each witness pair is ([[1]], K_j), so the products equal the branch's
+    Kraus matrices, but the pairs cut no space of A from B: p.p.t. must come
+    from the dense test, which fails for both operations."""
+    label = BipartiteLabel(2, 2)
+    if which == "creation":
+        ket = np.eye(4)[[0, 3]].sum(axis=0) / np.sqrt(2)
+        kraus = np.stack([np.outer(ket, e) for e in np.eye(4)])
+    else:
+        kraus = np.eye(4)[None, [0, 1, 3, 2]]
+    doc = encode_operation(QuantumOperation((SubOperation(kraus, label),), label))
+    doc["witness"] = [[[encode_matrix(np.ones((1, 1))), encode_matrix(k)] for k in kraus]]
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "classify", str(path))
+    assert code == 0
+    assert {k: v for k, v in json.loads(out).items() if k != "separable_verified"} == {
+        "tp": True, "cp": True, "ppt": False
+    }
 
 
 def test_classify_verdicts_hold_at_large_kraus_scale(capsys, tmp_path):

@@ -498,32 +498,16 @@ def test_ppt_verdict_on_either_side_of_the_tolerance(depth, verdict):
 
 
 # ---------------------------------------------------------------------------
-# p.p.t. from structure (factors split at the party boundary, or a witness
-# close to the branch) against the dense test of every branch.
+# p.p.t. from a separable witness close to the branch, as `classify` reads
+# it, against the dense test `is_ppt_operation`.
 # ---------------------------------------------------------------------------
 
 
-def dense_ppt(op: QuantumOperation) -> bool:
-    """The reference verdict: every branch of nonzero Choi trace through the
-    dense Cholesky test, called directly."""
-    traces = [operations._checked_choi_trace(sub, i) for i, sub in enumerate(op.subops)]
-    return all(
-        tr == 0.0 or operations._ppt_by_cholesky(sub, op.in_label, tr)
-        for sub, tr in zip(op.subops, traces)
-    )
-
-
-def one_factor(op: QuantumOperation) -> QuantumOperation:
-    """op with each branch fused into one dense factor, as `classify` decodes it."""
-    subs = tuple(SubOperation(sub.kraus, sub.out_label) for sub in op.subops)
-    return QuantumOperation(subs, op.in_label)
-
-
 @functools.cache
-def aligned_cases() -> list[QuantumOperation]:
+def local_cases() -> list[QuantumOperation]:
     """Operations whose every branch splits at the party boundary, K = 2..8,
-    with Choi matrices of at most 64 x 16 = 1024 rows, so the dense
-    reference stays cheap."""
+    with Choi matrices of at most 64 x 16 = 1024 rows, so the dense test
+    stays cheap."""
     cases = []
     for k in range(2, 9):
         cases += [
@@ -537,10 +521,10 @@ def aligned_cases() -> list[QuantumOperation]:
     return cases
 
 
-def misaligned_cases() -> list[QuantumOperation]:
-    """Branches with no factor boundary between the parties: dense random
-    ones, two factors cut inside a party, and an aligned branch beside one
-    that is not p.p.t."""
+def entangled_cases() -> list[QuantumOperation]:
+    """Operations with a branch that has no product form across the parties:
+    dense random ones, two factors cut inside a party, and a local branch
+    beside one that is not p.p.t.  The dense test reads both verdicts."""
     rng = np.random.default_rng(7)
     label = BipartiteLabel(2, 2)
     cases = [random_two_branch_operation(rng, k) for k in (2, 3) for _ in range(2)]
@@ -551,35 +535,34 @@ def misaligned_cases() -> list[QuantumOperation]:
         cases.append(QuantumOperation((SubOperation((first, second), label),), label))
     creation = entangled_pair_creation()
     cases.append(creation)
-    aligned = make_local(identity_operation(2), identity_operation(2)).subops[0]
-    cases.append(QuantumOperation((aligned, creation.subops[0]), label))
+    local = make_local(identity_operation(2), identity_operation(2)).subops[0]
+    cases.append(QuantumOperation((local, creation.subops[0]), label))
     cases += [creation_identity_mixture(8 * depth * TAU_PPT) for depth in (0.5, 2.0)]
     return cases
 
 
 def refuse_dense(monkeypatch):
     def dense(*args):
-        raise AssertionError("the dense p.p.t. test ran on a structurally p.p.t. branch")
+        raise AssertionError("the dense p.p.t. test ran on a branch its witness decides")
 
-    monkeypatch.setattr(operations, "_ppt_by_cholesky", dense)
+    monkeypatch.setattr(operations, "is_ppt_operation", dense)
 
 
-@pytest.mark.parametrize("case", range(len(aligned_cases())))
-def test_aligned_branches_are_ppt_with_no_factorization(case, monkeypatch):
-    op = aligned_cases()[case]
-    assert dense_ppt(op) is True
+@pytest.mark.parametrize("case", range(len(local_cases())))
+def test_witnessed_local_branches_are_ppt_with_no_factorization(case, monkeypatch):
+    op = local_cases()[case]
+    assert is_ppt_operation(op) is True
     witness = natural_product_witness(op)
     refuse_dense(monkeypatch)
-    assert is_ppt_operation(op) is True
+    assert operations._class_verdicts(op, witness) == (True, True)
     # decoded from a descriptor, the branches are dense and the witness decides
-    assert operations._class_verdicts(one_factor(op), witness) == (True, True)
+    assert operations._class_verdicts(fused(op), witness) == (True, True)
 
 
-def test_misaligned_branches_take_the_dense_verdict():
+def test_unwitnessed_branches_take_the_dense_verdict():
     verdicts = set()
-    for op in misaligned_cases():
-        want = dense_ppt(op)
-        assert is_ppt_operation(op) is want
+    for op in entangled_cases():
+        want = is_ppt_operation(op)
         assert operations._class_verdicts(op, None) == (want, None)
         verdicts.add(want)
     assert verdicts == {True, False}
@@ -588,11 +571,41 @@ def test_misaligned_branches_take_the_dense_verdict():
 def test_a_witness_that_fails_leaves_the_verdict_to_the_dense_test():
     a, b = np.random.default_rng(3).standard_normal((2, 2, 2, 2))
     pairs = [(x, y) for x in a for y in b]
-    qubit_pairs = [op for op in misaligned_cases() if op.in_label == BipartiteLabel(2, 2)]
-    assert {dense_ppt(op) for op in qubit_pairs} == {True, False}
+    qubit_pairs = [op for op in entangled_cases() if op.in_label == BipartiteLabel(2, 2)]
+    assert {is_ppt_operation(op) for op in qubit_pairs} == {True, False}
     for op in qubit_pairs:
         witness = [pairs] * len(op.subops)
-        assert operations._class_verdicts(op, witness) == (dense_ppt(op), False)
+        assert operations._class_verdicts(op, witness) == (is_ppt_operation(op), False)
+
+
+def cut_elsewhere_cases() -> list[tuple]:
+    """(operation, witness) pairs whose products equal the branch exactly
+    but are cut between other spaces than the label's A and B, so they
+    prove nothing about p.p.t.: pair creation and a CNOT, each with a
+    trivial A, and on 2 x 3 a shift by two, a product across 3 x 2."""
+    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)
+    shift = np.kron(np.eye(3)[[2, 0, 1]], np.eye(2)).astype(complex)
+    cases = []
+    for kraus, label, witness in (
+        (entangled_pair_creation().subops[0].kraus, BipartiteLabel(2, 2), None),
+        (cnot[None], BipartiteLabel(2, 2), None),
+        (shift[None], BipartiteLabel(2, 3), [[(np.eye(3)[[2, 0, 1]], np.eye(2))]]),
+    ):
+        op = QuantumOperation((SubOperation(kraus, label),), label)
+        cases.append((op, witness or [[(np.ones((1, 1)), k) for k in kraus]]))
+    return cases
+
+
+def test_a_witness_cut_between_other_spaces_proves_no_ppt():
+    for op, witness in cut_elsewhere_cases():
+        # the products reproduce the branch, so only the cut keeps them out
+        products = np.stack([np.kron(a, b) for a, b in witness[0]])
+        assert np.array_equal(products, op.subops[0].kraus)
+        shown = []
+        verify_separable_form(op, witness, _ppt_shown=shown)
+        assert shown == [False]
+        assert is_ppt_operation(op) is False
+        assert operations._class_verdicts(op, witness)[0] is False
 
 
 def test_witness_entries_after_the_first_that_fails_are_not_read():

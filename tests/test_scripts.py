@@ -87,9 +87,8 @@ def test_bench_layer_rows(monkeypatch):
     ]
     assert all(row["first_s"] > 0 and row["median_s"] > 0 for row in rows.values())
     assert rows["is_ppt_operation isometry K=3"]["ppt"] is False
-    # p.p.t. from structure next to the dense reference, with equal verdicts
-    ppt = rows["is_ppt_operation K=2"]
-    assert ppt["dense_median_s"] > 0 and ppt["ppt"] is ppt["dense_ppt"] is True
+    # classify's witness route next to the dense predicates, with equal verdicts
+    assert rows["is_ppt_operation K=2"]["ppt"] is True
     for name in ("K=2", "subspace-4-3", "subspace-6-3", "factor-4-2", "factor-6-2"):
         row = rows[f"classify {name}"]
         assert row["dense_median_s"] > 0 and row["verdicts"] == row["dense_verdicts"] == (True,) * 3
@@ -147,6 +146,7 @@ def test_bench_layer_rows(monkeypatch):
     assert sizes["defaulted_parameters"] == [
         "entdist.ef_numeric_estimate(budget=)", "entdist.ef_numeric_estimate(seed=)",
         "entdist.ef_numeric_search(budget=)", "entdist.ef_numeric_search(seed=)",
+        "entdist.verify_separable_form(_ppt_shown=)",
     ]
     options = sizes["subcommand_options"]
     assert list(options) == ["bounds", "simulate", "classify", "rates", "compile", "verify"]
