@@ -23,7 +23,9 @@ that later calls skip):
   builds, next to the dense route (`is_ppt_operation` and
   `verify_separable_form` on that form), with both verdicts; and the same
   pair on the four witnessed descriptors of perfbench's `classify-compile`
-  job list at seed 1, decoded once outside the timing;
+  job list at seed 1, decoded once outside the timing; on its K = 6
+  subspace descriptor (SPLIT_DESCRIPTOR), `decode_operation` and
+  `_class_verdicts` alone, so a change shows which of the two layers moved;
 - `is_ppt_operation` on two branches, each one K^2 x K^2 Kraus matrix cut
   from a random isometry (the `classify` workload's random-K descriptors),
   at K = 3, 4, 6: they are not p.p.t., so both verdicts are timed;
@@ -100,6 +102,7 @@ NON_PPT_KS = (3, 4, 6)
 REPEATS = 7
 FRESH_OPS = 200
 BENCH_SEED = 1
+SPLIT_DESCRIPTOR = "subspace-6-3"  # the perfbench classify job that decodes and decides longest
 # the EF calls of the benchmark's verify workload (perfbench/workloads.py)
 EF_FIDELITIES = (0.5, 0.7, 0.9, 1.0)
 EF_BUDGET = 400
@@ -191,6 +194,7 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         is_ppt_operation, is_trace_preserving, natural_product_witness, verify_separable_form,
     )
     from entdist.protocols import monte_carlo_twirl, reduce_dimension, subspace_measurement_op
+    from entdist.serialize import decode_operation
     from entdist.states import isotropic
     from entdist.verify import run_suites
 
@@ -241,8 +245,12 @@ def layer_rows(repeats: int) -> dict[str, dict[str, float]]:
         )
         # the dense branch has no party boundary; the factored one gives the same pairs
         rows[f"classify K={k}"] = classify_pair(dense, natural_product_witness(op))
-    for name, (op, witness) in _witnessed_descriptors().items():
+    for name, doc in _witnessed_descriptors().items():
+        op, witness = decode_operation(doc)
         rows[f"classify {name}"] = classify_pair(op, witness)
+        if name == SPLIT_DESCRIPTOR:
+            rows[f"decode_operation {name}"] = _timed(lambda: decode_operation(doc), repeats)
+            rows[f"_class_verdicts {name}"] = _timed(lambda: _class_verdicts(op, witness), repeats)
     for k in NON_PPT_KS:
         d, label = k * k, BipartiteLabel(k, k)
         rng = np.random.default_rng(BENCH_SEED)
@@ -302,15 +310,14 @@ def _checkout_module(path: Path):
 
 def _witnessed_descriptors() -> dict:
     """The witnessed local descriptors of perfbench's `classify-compile` job
-    list at seed 1, decoded: name -> (operation, witness)."""
+    list at seed 1, as parsed JSON: name -> descriptor."""
     import entdist
-    from entdist.serialize import decode_operation
 
     checkout = Path(entdist.__file__).resolve().parents[2]
     workloads = _checkout_module(checkout / "perfbench" / "workloads.py")
     with tempfile.TemporaryDirectory() as tmp:
         jobs = workloads.build_jobs("classify-compile", BENCH_SEED, Path(tmp), [])
-    return {Path(job.argv[1]).stem: decode_operation(job.spec["descriptor"])
+    return {Path(job.argv[1]).stem: job.spec["descriptor"]
             for job in jobs if job.kind == "classify" and job.spec["local"]}
 
 

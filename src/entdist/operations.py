@@ -364,45 +364,58 @@ SeparableWitness = Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]
 def verify_separable_form(
     op: QuantumOperation, witness: SeparableWitness, *, _ppt_shown: list[bool] | None = None
 ) -> bool:
-    """Check that each sub-operation's action equals the product-Kraus action
-    induced by its witness: their Choi matrices differ by at most
-    TAU_ACTION tr C in every entry.  The witness's Choi matrix is read from
-    the products A_j (x) B_j directly.  A branch whose tr C overflows, or
-    underflows to 0 while the branch is not the zero map, raises
-    ValueError.  The branches are checked in order up to the first that
-    fails; a NaN gap, from witness products that overflow, is not above
-    the tolerance and passes.
+    """Check that each branch equals the product-Kraus family of its witness
+    cut at the parties: every pair has A's output x input shape on A_j and
+    B's on B_j, and the Choi matrices C of the branch and C_w of the products
+    P_j = A_j (x) B_j differ by at most TAU_ACTION tr C in every entry.  The
+    branches are read in order up to the first that fails.  ValueError where
+    tr C overflows, or underflows to 0 for a nonzero branch, and where
+    ||P||_F^2 = sum_j ||A_j||_F^2 ||B_j||_F^2 overflows, before any product.
 
-    A pass does not decide p.p.t. by itself: an entrywise error of
-    TAU_ACTION tr C can move the least eigenvalue of the partially
-    transposed Choi matrix by up to d_in d_out times as much.  Where
-    `_ppt_shown` is a list, it receives for each branch read whether the
-    same Choi difference also proves it p.p.t., by the bound stated in
-    `_class_verdicts`."""
+    When P has the shape of the Kraus stack K, C - C_w = V^T conj(V - W) +
+    (V - W)^T conj(W) for the stacked Choi vectors V of K and W of P, and
+    ||V||_F^2 = tr C, so ||C - C_w||_F <= ||K - P||_F (sqrt(tr C) + ||P||_F).
+    A bound of at most TAU_PPT tr C / 2 (< TAU_ACTION tr C) passes without
+    forming D = C - C_w.  A pass does not decide p.p.t.: an entrywise error
+    of TAU_ACTION tr C can move the least eigenvalue of the partially
+    transposed C by d_in d_out times as much.  Where `_ppt_shown` is a list,
+    it receives for each branch read whether the bound or ||D||_F is at most
+    TAU_PPT tr C / 2, which proves it p.p.t. (see `_class_verdicts`)."""
     if len(witness) != len(op.subops):
         raise ValueError(
             f"witness has {len(witness)} entries for {len(op.subops)} sub-operations"
         )
+    shown = [] if _ppt_shown is None else _ppt_shown
     for i, (sub, pairs) in enumerate(zip(op.subops, witness)):
         if not pairs:
             raise ValueError("witness entry must contain at least one (A, B) pair")
         a, b = (np.stack(side) for side in zip(*pairs))
         (n, oa, ia), (_, ob, ib) = a.shape, b.shape
-        prods = np.einsum("nij,nkl->nikjl", a, b).reshape(n, oa * ob, ia * ib)
-        if prods.shape[1:] != (sub.dim_out, sub.dim_in):
+        if (oa * ob, ia * ib) != (sub.dim_out, sub.dim_in):
             raise ValueError(
-                f"witness product shape {prods.shape[1:]} does not match Kraus shape "
+                f"witness product shape {(oa * ob, ia * ib)} does not match Kraus shape "
                 f"{(sub.dim_out, sub.dim_in)}"
             )
         tr = _checked_choi_trace(sub, i)
-        gap = choi_matrix(sub) - _choi(prods.astype(complex, copy=False))
-        if _ppt_shown is not None:
-            lab_in, lab_out = op.in_label, sub.out_label
-            across = (
-                isinstance(lab_in, BipartiteLabel) and isinstance(lab_out, BipartiteLabel)
-                and (oa, ia, ob, ib) == (lab_out.dim_a, lab_in.dim_a, lab_out.dim_b, lab_in.dim_b)
-            )
-            _ppt_shown.append(across and bool(np.linalg.norm(gap) <= TAU_PPT * tr / 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            wtr = float(np.square(np.abs(a)).sum((1, 2)) @ np.square(np.abs(b)).sum((1, 2)))
+        if not math.isfinite(wtr):
+            raise ValueError(f"sub-operation {i}: the witness products overflow")
+        lab_in, lab_out = op.in_label, sub.out_label
+        if not isinstance(lab_in, BipartiteLabel) or not isinstance(lab_out, BipartiteLabel) or (
+            (oa, ia, ob, ib) != (lab_out.dim_a, lab_in.dim_a, lab_out.dim_b, lab_in.dim_b)
+        ):
+            shown.append(False)
+            return False
+        kraus, tol = sub.kraus, TAU_PPT * tr / 2
+        prods = np.einsum("nij,nkl->nikjl", a, b).reshape(n, oa * ob, ia * ib)
+        if prods.shape == kraus.shape and (
+            np.linalg.norm(kraus - prods) * (math.sqrt(tr) + math.sqrt(wtr)) <= tol
+        ):
+            shown.append(True)
+            continue
+        gap = _choi(kraus) - _choi(prods.astype(complex, copy=False))
+        shown.append(bool(np.linalg.norm(gap) <= tol))
         if np.max(np.abs(gap)) > TAU_ACTION * tr:
             return False
     return True
@@ -412,10 +425,10 @@ def _class_verdicts(
     op: QuantumOperation, witness: SeparableWitness | None
 ) -> tuple[bool, bool | None]:
     """(`is_ppt_operation`, `verify_separable_form` or None without a witness)
-    of op, from one Choi difference D = C - C_w per witnessed branch.
+    of op, with p.p.t. read from the witness where it lies close.
 
-    A witnessed branch whose witness pairs A_j act on A's input and output
-    spaces and B_j on B's, with ||D||_F <= TAU_PPT tr C / 2, is p.p.t.:
+    A witnessed branch whose pairs cut at the parties, with a Kraus-domain
+    bound or ||D||_F for D = C - C_w of at most TAU_PPT tr C / 2, is p.p.t.:
     C_w is the Choi matrix of a family of products across the A/B cut, so
     its partial transpose on B is positive semidefinite; the partial
     transpose permutes entries, so ||D^PT||_2 <= ||D||_F; and by Weyl's
@@ -423,10 +436,9 @@ def _class_verdicts(
     The dense test would pass too: the rounding of D, of the products and of
     the factorization is of order n eps tr C for n = d_in d_out, about
     1e-13 tr C at n = 1024, against a margin of TAU_PPT tr C / 2 =
-    5e-10 tr C.  A witness cut anywhere else (a trivial A, the parties
-    swapped) proves nothing about this partial transpose.  The other
-    branches, among them those after the first whose witness fails, go to
-    `is_ppt_operation`, so each verdict is the dense test's."""
+    5e-10 tr C.  The other branches, among them those after the first whose
+    witness fails or is cut elsewhere, go to `is_ppt_operation`'s dense
+    Cholesky, so each verdict is the dense test's."""
     if witness is None:
         return is_ppt_operation(op), None
     shown: list[bool] = []

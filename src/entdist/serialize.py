@@ -57,31 +57,37 @@ def dump_report(obj: Any, precision: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Entry types that the fast path of decode_matrix converts in one numpy call.
+# Entry types that the fast path of _as_complex converts in one numpy call.
 _PLAIN_NUMBERS = {int, float, Fraction}
 
 
-def decode_matrix(data: Any, where: str) -> np.ndarray:
-    """Complex matrix from rows of [re, im] pairs; SchemaError names a bad entry.
+def _as_complex(data: Any, axes: int) -> np.ndarray | None:
+    """Complex array of `axes` axes from nested lists of [re, im] pairs, in
+    one type walk and one numpy call; None unless the lists are regular and
+    non-empty and the pairs hold finite plain numbers."""
+    level, shape = [data], []
+    for _ in range(axes + 1):  # the list levels down to the [re, im] pairs
+        lengths = set(map(len, level)) if set(map(type, level)) == {list} else ()
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if shape[-1] != 2 or not set(map(type, level)) <= _PLAIN_NUMBERS:
+        return None
+    try:
+        flat = np.array(level, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        return None
+    return flat.view(complex).reshape(shape[:-1]) if np.isfinite(flat).all() else None
 
-    A regular list of lists of [re, im] lists of plain numbers, all finite,
-    converts in one numpy call; any other input is refused by
-    _raise_bad_entry, which names the first entry that breaks the rule.
-    """
-    if (
-        type(data) is list
-        and all(type(row) is list for row in data)
-        and set(map(type, chain.from_iterable(data))) == {list}
-        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
-    ):
-        try:
-            pairs = np.asarray(data, dtype=float)
-        except (ValueError, OverflowError):  # ragged, or beyond the double range
-            pass
-        else:
-            if pairs.ndim == 3 and pairs.shape[2] == 2 and np.isfinite(pairs).all():
-                return pairs.view(complex)[..., 0]
-    _raise_bad_entry(data, where)
+
+def decode_matrix(data: Any, where: str) -> np.ndarray:
+    """Complex matrix from rows of [re, im] pairs, by `_as_complex`; any other
+    input is refused by _raise_bad_entry, which names its first bad entry."""
+    matrix = _as_complex(data, 2)
+    if matrix is None:
+        _raise_bad_entry(data, where)
+    return matrix
 
 
 def _raise_bad_entry(data: Any, where: str) -> NoReturn:
@@ -125,7 +131,9 @@ def _decode_label(data: Any, where: str) -> BipartiteLabel:
 
 
 def decode_operation(doc: Any) -> tuple[QuantumOperation, list | None]:
-    """Parse an operation descriptor; returns (operation, witness or None)."""
+    """Parse an operation descriptor; returns (operation, witness or None).
+    Each `kraus` list and each witness side decodes as one (n, out, in) stack
+    by `_as_complex`, else matrix by matrix, naming the first bad entry."""
     if not isinstance(doc, dict):
         raise SchemaError("document: expected an object")
     in_label = _decode_label(doc.get("input"), "input")
@@ -140,9 +148,11 @@ def decode_operation(doc: Any) -> tuple[QuantumOperation, list | None]:
         kraus_doc = sd.get("kraus")
         if not isinstance(kraus_doc, list) or not kraus_doc:
             raise SchemaError(f"subops[{i}].kraus: expected a non-empty list of matrices")
-        kraus = tuple(
-            decode_matrix(kd, f"subops[{i}].kraus[{j}]") for j, kd in enumerate(kraus_doc)
-        )
+        kraus = _as_complex(kraus_doc, 3)
+        if kraus is None:  # names the first bad entry; unequal shapes go to SubOperation
+            kraus = tuple(
+                decode_matrix(kd, f"subops[{i}].kraus[{j}]") for j, kd in enumerate(kraus_doc)
+            )
         try:
             subs.append(SubOperation(kraus, out_label))
         except ValueError as exc:
@@ -161,16 +171,18 @@ def decode_operation(doc: Any) -> tuple[QuantumOperation, list | None]:
         for i, pairs in enumerate(wdoc):
             if not isinstance(pairs, list) or not pairs:
                 raise SchemaError(f"witness[{i}]: expected a non-empty list of [A, B] pairs")
-            decoded = []
+            if all(type(pair) is list and len(pair) == 2 for pair in pairs):
+                a, b = (_as_complex([pair[s] for pair in pairs], 3) for s in (0, 1))
+                if a is not None and b is not None:
+                    witness.append(list(zip(a, b)))
+                    continue
+            decoded = []  # names the first bad pair or entry
             for j, pair in enumerate(pairs):
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise SchemaError(f"witness[{i}][{j}]: expected an [A, B] pair")
-                decoded.append(
-                    (
-                        decode_matrix(pair[0], f"witness[{i}][{j}][0]"),
-                        decode_matrix(pair[1], f"witness[{i}][{j}][1]"),
-                    )
-                )
+                decoded.append(tuple(
+                    decode_matrix(m, f"witness[{i}][{j}][{side}]") for side, m in enumerate(pair)
+                ))
             witness.append(decoded)
     return op, witness
 

@@ -1,11 +1,14 @@
 """Objects the tests share: an operation built from the package's
-constructors, the maximally entangled projector built entry by entry, and
-Wootters's two-qubit entanglement of formation in 50-digit arithmetic."""
+constructors, the maximally entangled projector built entry by entry,
+Wootters's two-qubit entanglement of formation in 50-digit arithmetic, and
+the separable-form check by dense Choi differences."""
 
 import mpmath
 import numpy as np
 
-from entdist.operations import QuantumOperation, SubOperation, make_local
+from entdist.operations import (
+    TAU_ACTION, TAU_PPT, QuantumOperation, SubOperation, choi_matrix, make_local,
+)
 from entdist.protocols import _party_kraus
 
 
@@ -51,3 +54,27 @@ def wootters_formation(rho: np.ndarray) -> float:
         c = max(mpmath.mpf(0), l1 - l2 - l3 - l4)
         x = (1 + mpmath.sqrt(1 - c * c)) / 2
         return float(-sum(p * mpmath.log(p, 2) for p in (x, 1 - x) if p > 0))
+
+
+def dense_separable_reference(op: QuantumOperation, witness) -> tuple[bool, list[bool]]:
+    """(`verify_separable_form(op, witness)`, the `_ppt_shown` list it fills)
+    from one dense Choi difference D = C - C_w per branch, with no bound in
+    the Kraus domain: a branch is read only if every pair has A's output x
+    input shape on A_j and B's on B_j; it proves p.p.t. where ||D||_F <=
+    TAU_PPT tr C / 2 and passes where every |D_ij| <= TAU_ACTION tr C.
+    Reading stops after the first branch that fails."""
+    shown: list[bool] = []
+    lab_in = op.in_label
+    for sub, pairs in zip(op.subops, witness):
+        lab_out = sub.out_label
+        if any(a.shape != (lab_out.dim_a, lab_in.dim_a) or b.shape != (lab_out.dim_b, lab_in.dim_b)
+               for a, b in pairs):
+            return False, shown + [False]
+        choi = choi_matrix(sub)
+        tr = np.trace(choi).real
+        products = np.stack([np.kron(a, b) for a, b in pairs])
+        gap = choi - choi_matrix(SubOperation(products, lab_out))
+        shown.append(bool(np.linalg.norm(gap) <= TAU_PPT * tr / 2))
+        if np.abs(gap).max() > TAU_ACTION * tr:
+            return False, shown
+    return True, shown

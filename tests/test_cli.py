@@ -17,7 +17,10 @@ from entdist.cli import (
     main,
     parse_f_grid,
 )
-from entdist.operations import QuantumOperation, SubOperation, identity_operation
+from entdist.operations import (
+    QuantumOperation, SubOperation, identity_operation, natural_product_witness,
+)
+from entdist.protocols import subspace_measurement_op
 from entdist.linalg import BipartiteLabel
 from entdist.serialize import (
     SchemaError,
@@ -47,6 +50,17 @@ def encode_operation(op: QuantumOperation) -> dict:
         for sub in op.subops
     ]
     return {"input": [op.in_label.dim_a, op.in_label.dim_b], "subops": subs}
+
+
+def encode_witnessed(op: QuantumOperation, scale: float = 1.0) -> dict:
+    """`encode_operation(op)` with op's natural product witness, both sides
+    of each pair multiplied by scale."""
+    doc = encode_operation(op)
+    doc["witness"] = [
+        [[encode_matrix(scale * a), encode_matrix(scale * b)] for a, b in pairs]
+        for pairs in natural_product_witness(op)
+    ]
+    return doc
 
 
 TRACE_DOC = {
@@ -166,6 +180,43 @@ def test_operation_decode_diagnostics():
         decode_operation({"subops": []})
     with pytest.raises(SchemaError, match=r"subops\[0\].kraus"):
         decode_operation({"input": [2, 2], "subops": [{"output": [2, 2], "kraus": []}]})
+
+
+def test_operation_decode_reads_each_kraus_list_and_witness_side_as_one_array():
+    op = subspace_measurement_op(3, 2)  # one branch of 9 Kraus matrices, 4 x 9
+    doc = encode_witnessed(op)
+    back, witness = decode_operation(doc)
+    kraus = doc["subops"][0]["kraus"]
+    want = np.stack([decode_matrix(k, "k") for k in kraus])
+    assert back.subops[0].kraus.tobytes() == want.tobytes()
+    (pairs,) = witness
+    for side in (0, 1):
+        views = [pair[side] for pair in pairs]
+        assert len({id(v.base) for v in views}) == 1 and views[0].base is not None
+        for v, (a_b) in zip(views, doc["witness"][0]):
+            assert v.tobytes() == decode_matrix(a_b[side], "w").tobytes()
+
+
+def test_operation_decode_names_the_first_bad_entry_of_a_stack():
+    """A Kraus list or witness side that does not decode as one array is
+    walked matrix by matrix, for the first bad entry; matrices of unequal
+    shapes reach SubOperation, which cannot stack them."""
+    op = subspace_measurement_op(3, 2)
+    boolean, nan, unequal = (encode_witnessed(op) for _ in range(3))
+    boolean["subops"][0]["kraus"][2][1][0][1] = True
+    nan["witness"][0][1][1][0][1][0] = float("nan")
+    kraus = unequal["subops"][0]["kraus"]
+    kraus[1] = [row[:3] for row in kraus[1]]
+    with pytest.raises(ValueError) as stacking:
+        np.array(tuple(decode_matrix(k, "k") for k in kraus), dtype=complex)
+    for doc, message in (
+        (boolean, "subops[0].kraus[2][1][0]: entry is a boolean, not a number"),
+        (nan, "witness[0][1][1][0][1]: entry is not a finite number"),
+        (unequal, f"subops[0]: {stacking.value}"),
+    ):
+        with pytest.raises(SchemaError) as info:
+            decode_operation(doc)
+        assert str(info.value) == message
 
 
 def test_trace_roundtrip_and_exactness(tmp_path):
@@ -499,16 +550,8 @@ def test_classify_identity(capsys, identity_op_file):
 
 
 def test_classify_with_witness(capsys, tmp_path):
-    from entdist.operations import natural_product_witness
-
-    op = unmerged_subspace_measurement(2, 1)
-    doc = encode_operation(op)
-    doc["witness"] = [
-        [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]
-        for pairs in natural_product_witness(op)
-    ]
     path = tmp_path / "op.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(encode_witnessed(unmerged_subspace_measurement(2, 1))))
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
     assert json.loads(out)["separable_verified"] is True
@@ -520,7 +563,7 @@ def witnessed_near_boundary(depth: float) -> dict:
     cut, spread so that its largest entry is 3/4 of its Schmidt scale.  The
     partially transposed Choi matrix then has least eigenvalue -delta =
     -depth TAU_PPT tr C, while the entrywise witness gap is 3/4 delta."""
-    from entdist.operations import TAU_PPT, natural_product_witness
+    from entdist.operations import TAU_PPT
     from entdist.protocols import factor_tracing_op
 
     op = factor_tracing_op(4, 2)
@@ -530,12 +573,8 @@ def witnessed_near_boundary(depth: float) -> dict:
     tr = float(np.vdot(sub.kraus, sub.kraus).real)
     delta = depth * TAU_PPT * tr / (1 - 8 * depth * TAU_PPT)  # tr C grows by 8 delta
     extra = np.sqrt(delta) * w.reshape(4, 2, 4, 2).transpose(1, 3, 0, 2).reshape(4, 16)
-    doc = encode_operation(op)
+    doc = encode_witnessed(op)
     doc["subops"][0]["kraus"].append(encode_matrix(extra))
-    doc["witness"] = [
-        [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]
-        for pairs in natural_product_witness(op)
-    ]
     return doc
 
 
@@ -572,7 +611,8 @@ def test_classify_prints_the_dense_ppt_verdict_near_the_boundary(capsys, tmp_pat
 def test_classify_takes_no_ppt_from_a_witness_with_a_trivial_party(capsys, tmp_path, which):
     """Each witness pair is ([[1]], K_j), so the products equal the branch's
     Kraus matrices, but the pairs cut no space of A from B: p.p.t. must come
-    from the dense test, which fails for both operations."""
+    from the dense test, which fails for both operations, and the separable
+    form is not verified."""
     label = BipartiteLabel(2, 2)
     if which == "creation":
         ket = np.eye(4)[[0, 3]].sum(axis=0) / np.sqrt(2)
@@ -585,9 +625,8 @@ def test_classify_takes_no_ppt_from_a_witness_with_a_trivial_party(capsys, tmp_p
     path.write_text(json.dumps(doc))
     code, out, _ = run_cli(capsys, "classify", str(path))
     assert code == 0
-    assert {k: v for k, v in json.loads(out).items() if k != "separable_verified"} == {
-        "tp": True, "cp": True, "ppt": False
-    }
+    # the pairs reproduce the branch, but a witness cut elsewhere verifies nothing
+    assert json.loads(out) == {"tp": True, "cp": True, "ppt": False, "separable_verified": False}
 
 
 def test_classify_verdicts_hold_at_large_kraus_scale(capsys, tmp_path):
@@ -631,6 +670,20 @@ def test_classify_prints_only_the_error_line_where_the_choi_trace_is_not_finite_
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out, err) == (2, "", f"error: sub-operation 0: the Choi trace {what}\n")
+    assert caught == []
+
+
+def test_classify_prints_only_the_error_line_where_the_witness_products_overflow(
+    capsys, tmp_path
+):
+    # finite entries of 1e200 on both sides: products of 1e400, whose Choi
+    # matrix would hold inf and NaN entries
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(encode_witnessed(subspace_measurement_op(2, 2), 1e200)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", "error: sub-operation 0: the witness products overflow\n")
     assert caught == []
 
 

@@ -38,7 +38,7 @@ from entdist.protocols import (
 )
 from entdist.states import fidelity, isotropic, max_entangled_ket
 from entdist.verify import F_GRID, _random_operations, run_suites
-from helpers import unmerged_subspace_measurement
+from helpers import dense_separable_reference, unmerged_subspace_measurement
 
 
 def matrix_unit_choi(f, d_in: int, d_out: int) -> np.ndarray:
@@ -602,10 +602,103 @@ def test_a_witness_cut_between_other_spaces_proves_no_ppt():
         products = np.stack([np.kron(a, b) for a, b in witness[0]])
         assert np.array_equal(products, op.subops[0].kraus)
         shown = []
-        verify_separable_form(op, witness, _ppt_shown=shown)
+        assert verify_separable_form(op, witness, _ppt_shown=shown) is False
         assert shown == [False]
         assert is_ppt_operation(op) is False
         assert operations._class_verdicts(op, witness)[0] is False
+
+
+def bound_cases() -> list[QuantumOperation]:
+    """Local operations with their natural witnesses: `make_local` of a
+    measurement and a rotation, an unmerged subspace measurement, and the
+    merged subspace and factor-tracing operations."""
+    u = np.linalg.qr(np.arange(9).reshape(3, 3) + 1j * np.eye(3))[0]
+    rotate = QuantumOperation((SubOperation((u,), 3),), 3)
+    return [
+        make_local(basis_measurement(2), rotate),
+        unmerged_subspace_measurement(3, 2),
+        subspace_measurement_op(4, 2),
+        factor_tracing_op(4, 2),
+    ]
+
+
+def dense_branches(op: QuantumOperation, kraus) -> QuantumOperation:
+    """op with each branch's Kraus family replaced by kraus(its dense stack)."""
+    subs = tuple(SubOperation(kraus(sub.kraus), sub.out_label) for sub in op.subops)
+    return QuantumOperation(subs, op.in_label)
+
+
+def counting_chois(monkeypatch) -> list:
+    """Patch `operations._choi` to record each call: the dense Choi route."""
+    calls, choi = [], operations._choi
+    monkeypatch.setattr(operations, "_choi", lambda k: calls.append(k) or choi(k))
+    return calls
+
+
+def test_the_kraus_domain_bound_agrees_with_the_dense_choi_difference(monkeypatch):
+    """Each branch K moved by eps ||K||_F in a random direction, against its
+    natural witness: the bound ||K - P||_F (sqrt(tr C) + ||P||_F) is about
+    2 eps tr C, so it decides every branch up to eps = 1e-10 and leaves the
+    rest to the Choi difference, whose verdicts it must reproduce."""
+    rng = np.random.default_rng(17)
+    chois = counting_chois(monkeypatch)
+    verdicts = {}
+    for eps in (0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8):
+
+        def moved(k):
+            r = rng.standard_normal(k.shape) + 1j * rng.standard_normal(k.shape)
+            return k + eps * np.linalg.norm(k) / np.linalg.norm(r) * r
+
+        for base in bound_cases():
+            witness = natural_product_witness(base)
+            op = dense_branches(base, moved)
+            separable, shown = dense_separable_reference(op, witness)
+            read: list[bool] = []
+            chois.clear()
+            assert verify_separable_form(op, witness, _ppt_shown=read) is separable
+            assert bool(chois) is (eps > 1e-10)
+            assert read == shown
+            assert operations._class_verdicts(op, witness) == (is_ppt_operation(op), separable)
+            verdicts.setdefault(eps, set()).add((separable, all(shown)))
+    # (separable, every branch p.p.t. by the witness): the grid reaches both
+    # sides of TAU_PPT tr C / 2 in norm and of TAU_ACTION tr C entrywise
+    near = {(True, True)}
+    assert verdicts == {0.0: near, 1e-15: near, 1e-12: near, 1e-10: near,
+                        1e-9: {(True, True), (True, False)}, 1e-8: {(True, False), (False, False)}}
+
+
+def test_a_remixed_kraus_family_takes_the_dense_choi_difference(monkeypatch):
+    # K'_j = sum_k U_jk K_k for a unitary U has the Choi matrix of K but not
+    # its entries, so the bound fails and the Choi difference decides
+    rng = np.random.default_rng(19)
+
+    def remixed(k):
+        g = rng.standard_normal((len(k), len(k))) + 1j * rng.standard_normal((len(k), len(k)))
+        return np.einsum("jk,kab->jab", np.linalg.qr(g)[0], k)
+
+    chois = counting_chois(monkeypatch)
+    for base in bound_cases():
+        witness = natural_product_witness(base)
+        op = dense_branches(base, remixed)
+        assert not np.allclose(op.subops[0].kraus, base.subops[0].kraus)
+        chois.clear()
+        read: list[bool] = []
+        assert verify_separable_form(op, witness, _ppt_shown=read) is True
+        assert len(chois) == 2 * len(op.subops)
+        assert dense_separable_reference(op, witness) == (True, read) and all(read)
+        assert operations._class_verdicts(op, witness) == (True, True)
+
+
+@pytest.mark.parametrize("sides", [(1e200, 1.0), (1e200, 1e200)])
+def test_a_witness_whose_products_overflow_is_an_error(sides):
+    # the products' Choi matrix would hold inf and NaN entries, a NaN gap
+    # that no tolerance test refuses
+    op = subspace_measurement_op(2, 2)
+    sa, sb = sides
+    witness = [[(sa * a, sb * b) for a, b in natural_product_witness(op)[0]]]
+    for read in (verify_separable_form, operations._class_verdicts):
+        with pytest.raises(ValueError, match="^sub-operation 0: the witness products overflow$"):
+            read(op, witness)
 
 
 def test_witness_entries_after_the_first_that_fails_are_not_read():

@@ -72,6 +72,7 @@ def test_bench_layer_rows(monkeypatch):
         "is_trace_preserving K=8", "apply_operation K=8", "reduce_dimension K=8 Kprime=7",
         "apply_operation fresh d_in=3",
         "is_ppt_operation K=2", "classify K=2", "classify subspace-4-3", "classify subspace-6-3",
+        "decode_operation subspace-6-3", "_class_verdicts subspace-6-3",
         "classify factor-4-2", "classify factor-6-2", "is_ppt_operation isometry K=3",
         "protocol1-closed-form seed=7", "protocol2-closed-form seed=7", "twirl seed=7",
         "lemma2-bound seed=7", "operation-algebra seed=7",
