@@ -71,8 +71,9 @@ the checkout's sizes: the line count of each file in `src/entdist` and
 public functions and the options of each subcommand.  The record names the
 machine and the repeat count, and is merged under --label into --out, so
 one file holds the records of several checkouts measured on one machine.
-CI runs the gates only (tier-1, `verify --seed 7`, the benchmark's oracle
-smoke runs) and prints no numbers: they are kept here.
+CI runs the gates only (tier-1, `verify --seed 7`, and perfbench's
+report.py smoke run with its output and layer checks) and keeps no numbers:
+they are kept here.
 
 Usage: python scripts/bench.py --out BENCH_<pr>.json --label parent|change [--checkout DIR]
 """

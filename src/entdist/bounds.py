@@ -166,7 +166,7 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # and the 16 one-restart calls at K = 2, F = 0.5, 0.7, 0.9, 1.0 from those
 # seeds make 578 objective evaluations.
 # One objective evaluation treats all M members at once: one batched product
-# forms their reduced matrices, members of trace below 1e-15 are masked out,
+# forms their reduced matrices, members of trace below _LIVE_TRACE_FLOOR are masked out,
 # one stacked eigh diagonalizes the rest, and one batched product builds the
 # gradient columns.  The value is summed in member order, so it is the same
 # float as a member-by-member loop gives.  The line search evaluates its
@@ -175,6 +175,8 @@ def hashing_rate(k: int, f: float) -> HashingRate:
 # ---------------------------------------------------------------------------
 
 _EIG_FLOOR = 1e-300
+_LIVE_TRACE_FLOOR = 1e-15
+_RANK_FLOOR = 1e-12
 # Restart rule: the search stops once EF_RESTART_PATIENCE restarts in a row
 # have each lowered the best value by no more than EF_RESTART_TOL.  Over
 # seeds 0..9 and F = 0.5, 0.7, 0.9, 1.0 it stopped after 4-5 of the 20
@@ -228,7 +230,7 @@ def _ensemble_value(g: np.ndarray, a: np.ndarray, da: int, db: int) -> tuple[flo
     mats = cols.T.reshape(-1, da, db)
     red = mats @ mats.conj().swapaxes(-1, -2)
     p = red.trace(axis1=-2, axis2=-1).real
-    live = p >= 1e-15
+    live = p >= _LIVE_TRACE_FLOOR
     if live.all():
         live = None
     else:
@@ -362,7 +364,7 @@ def ef_numeric_search(
     if d > 16:
         raise ValueError(f"total dimension {d} exceeds the supported limit 16")
     lam, vecs = np.linalg.eigh(rho.matrix)
-    keep = lam > 1e-12
+    keep = lam > _RANK_FLOOR
     lam, vecs = lam[keep], vecs[:, keep]
     rank = int(lam.size)
     a = vecs * np.sqrt(lam)

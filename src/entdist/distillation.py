@@ -32,6 +32,7 @@ TREND_WINDOW = 4
 # infidelity must be nonincreasing and shrink by at least this factor.
 TAIL_SHRINK = 0.75
 TINY_INFIDELITY = 1e-9
+PROB_SUM_TOL = 1e-9
 
 
 def _log2_dim(k: int) -> Number:
@@ -74,7 +75,7 @@ class TraceStep:
         if not self.branches:
             raise ValueError("step requires at least one branch")
         total = sum(b.p for b in self.branches)
-        if abs(float(total) - 1.0) > 1e-9:
+        if abs(float(total) - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"branch probabilities sum to {total}, not 1")
         object.__setattr__(self, "branches", tuple(self.branches))
 

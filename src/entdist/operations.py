@@ -12,7 +12,6 @@ family is completely positive by construction.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -321,36 +320,33 @@ def ppt_choi(sub: SubOperation, in_label: Label) -> np.ndarray:
     return choi_matrix(sub).reshape(dims + dims).transpose(0, 5, 2, 7, 4, 1, 6, 3).reshape(d, d)
 
 
+def _ppt_branch(sub: SubOperation, lab_in: BipartiteLabel, tr: float) -> bool:
+    """The dense p.p.t. test of a branch of Choi trace tr: one Cholesky
+    factorization of `ppt_choi` over tr C, shifted by TAU_PPT I.  It exists
+    iff the least eigenvalue lies above -TAU_PPT tr C, up to rounding of
+    order n eps at size n, and LAPACK stops at the first negative pivot."""
+    if tr == 0.0:  # the zero map
+        return True
+    shifted = ppt_choi(sub, lab_in)
+    # real divisions: a complex one by a subnormal tr C overflows
+    np.divide(shifted.real, tr, out=shifted.real)
+    np.divide(shifted.imag, tr, out=shifted.imag)
+    shifted.flat[:: len(shifted) + 1] += TAU_PPT
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def is_ppt_operation(op: QuantumOperation) -> bool:
     """True iff every sub-operation stays completely positive under
     conjugation by the partial transpose: its Choi matrix, partially
     transposed on B_in (x) B_out, has no eigenvalue below -TAU_PPT tr C.
-
-    A branch is decided by one Cholesky factorization of that matrix over
-    tr C, shifted by TAU_PPT I: it exists iff the least eigenvalue lies above
-    -TAU_PPT tr C, up to rounding of order n eps for a matrix of size n, and
-    LAPACK stops at the first negative pivot of a branch that fails.  A
-    branch of zero Kraus matrices (tr C = 0) is the zero map, which is
-    p.p.t.; one whose tr C overflows, or underflows to 0, raises ValueError,
-    since a factorization of NaNs reports no failure and a zero trace
-    leaves no tolerance.  This is the reference test: `classify` decides a
-    branch whose separable witness lies close to it without it (see
-    `_class_verdicts`), and every other branch by it."""
-    lab_in = _require_bipartite(op.in_label, "ppt predicate")
-    for i, sub in enumerate(op.subops):
-        tr = _checked_choi_trace(sub, i)
-        if tr == 0.0:
-            continue
-        shifted = ppt_choi(sub, lab_in)
-        # real divisions: a complex one by a subnormal tr C overflows
-        np.divide(shifted.real, tr, out=shifted.real)
-        np.divide(shifted.imag, tr, out=shifted.imag)
-        shifted.flat[:: len(shifted) + 1] += TAU_PPT
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+    `_ppt_branch` tests the branches in order up to the first that fails;
+    ValueError where tr C overflows, or underflows to 0 for a nonzero branch."""
+    lab = _require_bipartite(op.in_label, "ppt predicate")
+    return all(_ppt_branch(s, lab, _checked_choi_trace(s, i)) for i, s in enumerate(op.subops))
 
 
 # ---------------------------------------------------------------------------
@@ -361,90 +357,81 @@ def is_ppt_operation(op: QuantumOperation) -> bool:
 SeparableWitness = Sequence[Sequence[tuple[np.ndarray, np.ndarray]]]
 
 
-def verify_separable_form(
-    op: QuantumOperation, witness: SeparableWitness, *, _ppt_shown: list[bool] | None = None
-) -> bool:
-    """Check that each branch equals the product-Kraus family of its witness
-    cut at the parties: every pair has A's output x input shape on A_j and
-    B's on B_j, and the Choi matrices C of the branch and C_w of the products
-    P_j = A_j (x) B_j differ by at most TAU_ACTION tr C in every entry.  The
-    branches are read in order up to the first that fails.  ValueError where
-    tr C overflows, or underflows to 0 for a nonzero branch, and where
-    ||P||_F^2 = sum_j ||A_j||_F^2 ||B_j||_F^2 overflows, before any product.
+def _read_witness(op: QuantumOperation, i: int, pairs, tr: float) -> tuple[bool, bool]:
+    """(branch i, of Choi trace tr, matches its witness pairs, they prove it p.p.t.).
 
-    When P has the shape of the Kraus stack K, C - C_w = V^T conj(V - W) +
-    (V - W)^T conj(W) for the stacked Choi vectors V of K and W of P, and
-    ||V||_F^2 = tr C, so ||C - C_w||_F <= ||K - P||_F (sqrt(tr C) + ||P||_F).
-    A bound of at most TAU_PPT tr C / 2 (< TAU_ACTION tr C) passes without
-    forming D = C - C_w.  A pass does not decide p.p.t.: an entrywise error
-    of TAU_ACTION tr C can move the least eigenvalue of the partially
-    transposed C by d_in d_out times as much.  Where `_ppt_shown` is a list,
-    it receives for each branch read whether the bound or ||D||_F is at most
-    TAU_PPT tr C / 2, which proves it p.p.t. (see `_class_verdicts`)."""
+    It matches when every pair has A's output x input shape on A_j and B's
+    on B_j and the Choi matrices C of the branch and C_w of the products
+    P_j = A_j (x) B_j differ by at most TAU_ACTION tr C in every entry;
+    ValueError where ||P||_F^2 overflows.  The pairs prove p.p.t. where
+    ||C - C_w||_F <= TAU_PPT tr C / 2: C_w^PT >= 0 for products across the
+    A/B cut, the partial transpose permutes entries, and by Weyl's inequality
+    C^PT has no eigenvalue below -TAU_PPT tr C / 2, far above the dense
+    test's rounding of order n eps tr C at n = d_in d_out.  If P has the
+    shape of the Kraus stack K, ||K - P||_F (sqrt(tr C) + ||P||_F) bounds
+    that norm first (C - C_w = V^T conj(V - W) + (V - W)^T conj(W) for their
+    Choi vectors, ||V||_F^2 = tr C).  A mere match proves nothing: an entrywise
+    error of TAU_ACTION tr C moves eigenvalues up to d_in d_out times as far."""
+    sub = op.subops[i]
+    if not pairs:
+        raise ValueError("witness entry must contain at least one (A, B) pair")
+    a, b = (np.stack(side) for side in zip(*pairs))
+    (n, oa, ia), (_, ob, ib) = a.shape, b.shape
+    if (oa * ob, ia * ib) != (sub.dim_out, sub.dim_in):
+        raise ValueError(f"witness product shape {(oa * ob, ia * ib)} does not match Kraus "
+                         f"shape {(sub.dim_out, sub.dim_in)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        wtr = float(np.square(np.abs(a)).sum((1, 2)) @ np.square(np.abs(b)).sum((1, 2)))
+    if not math.isfinite(wtr):
+        raise ValueError(f"sub-operation {i}: the witness products overflow")
+    if (op.in_label, sub.out_label) != (BipartiteLabel(ia, ib), BipartiteLabel(oa, ob)):
+        return False, False  # cut between other spaces than the label's A and B
+    kraus, tol = sub.kraus, TAU_PPT * tr / 2
+    prods = np.einsum("nij,nkl->nikjl", a, b).reshape(n, oa * ob, ia * ib)
+    if prods.shape == kraus.shape and (
+        np.linalg.norm(kraus - prods) * (math.sqrt(tr) + math.sqrt(wtr)) <= tol
+    ):
+        return True, True
+    gap = _choi(kraus) - _choi(prods.astype(complex, copy=False))
+    return bool(np.max(np.abs(gap)) <= TAU_ACTION * tr), bool(np.linalg.norm(gap) <= tol)
+
+
+def verify_separable_form(op: QuantumOperation, witness: SeparableWitness) -> bool:
+    """True iff each branch matches the product-Kraus family of its witness
+    cut at the parties (`_read_witness`), read in order up to the first that
+    fails.  ValueError unless the witness has one entry per branch, and where
+    tr C overflows or underflows to 0, or the witness products overflow."""
     if len(witness) != len(op.subops):
-        raise ValueError(
-            f"witness has {len(witness)} entries for {len(op.subops)} sub-operations"
-        )
-    shown = [] if _ppt_shown is None else _ppt_shown
-    for i, (sub, pairs) in enumerate(zip(op.subops, witness)):
-        if not pairs:
-            raise ValueError("witness entry must contain at least one (A, B) pair")
-        a, b = (np.stack(side) for side in zip(*pairs))
-        (n, oa, ia), (_, ob, ib) = a.shape, b.shape
-        if (oa * ob, ia * ib) != (sub.dim_out, sub.dim_in):
-            raise ValueError(
-                f"witness product shape {(oa * ob, ia * ib)} does not match Kraus shape "
-                f"{(sub.dim_out, sub.dim_in)}"
-            )
-        tr = _checked_choi_trace(sub, i)
-        with np.errstate(over="ignore", invalid="ignore"):
-            wtr = float(np.square(np.abs(a)).sum((1, 2)) @ np.square(np.abs(b)).sum((1, 2)))
-        if not math.isfinite(wtr):
-            raise ValueError(f"sub-operation {i}: the witness products overflow")
-        lab_in, lab_out = op.in_label, sub.out_label
-        if not isinstance(lab_in, BipartiteLabel) or not isinstance(lab_out, BipartiteLabel) or (
-            (oa, ia, ob, ib) != (lab_out.dim_a, lab_in.dim_a, lab_out.dim_b, lab_in.dim_b)
-        ):
-            shown.append(False)
-            return False
-        kraus, tol = sub.kraus, TAU_PPT * tr / 2
-        prods = np.einsum("nij,nkl->nikjl", a, b).reshape(n, oa * ob, ia * ib)
-        if prods.shape == kraus.shape and (
-            np.linalg.norm(kraus - prods) * (math.sqrt(tr) + math.sqrt(wtr)) <= tol
-        ):
-            shown.append(True)
-            continue
-        gap = _choi(kraus) - _choi(prods.astype(complex, copy=False))
-        shown.append(bool(np.linalg.norm(gap) <= tol))
-        if np.max(np.abs(gap)) > TAU_ACTION * tr:
-            return False
-    return True
+        raise ValueError(f"witness has {len(witness)} entries for {len(op.subops)} sub-operations")
+    return all(
+        _read_witness(op, i, pairs, _checked_choi_trace(op.subops[i], i))[0]
+        for i, pairs in enumerate(witness)
+    )
 
 
 def _class_verdicts(
     op: QuantumOperation, witness: SeparableWitness | None
 ) -> tuple[bool, bool | None]:
-    """(`is_ppt_operation`, `verify_separable_form` or None without a witness)
-    of op, with p.p.t. read from the witness where it lies close.
-
-    A witnessed branch whose pairs cut at the parties, with a Kraus-domain
-    bound or ||D||_F for D = C - C_w of at most TAU_PPT tr C / 2, is p.p.t.:
-    C_w is the Choi matrix of a family of products across the A/B cut, so
-    its partial transpose on B is positive semidefinite; the partial
-    transpose permutes entries, so ||D^PT||_2 <= ||D||_F; and by Weyl's
-    inequality the least eigenvalue of C^PT lies above -TAU_PPT tr C / 2.
-    The dense test would pass too: the rounding of D, of the products and of
-    the factorization is of order n eps tr C for n = d_in d_out, about
-    1e-13 tr C at n = 1024, against a margin of TAU_PPT tr C / 2 =
-    5e-10 tr C.  The other branches, among them those after the first whose
-    witness fails or is cut elsewhere, go to `is_ppt_operation`'s dense
-    Cholesky, so each verdict is the dense test's."""
+    """(`is_ppt_operation`, `verify_separable_form` or None without a
+    witness) of op, in one pass over the branches that checks each tr C
+    once.  The witness is read up to the first branch it does not match; a
+    branch its pairs prove p.p.t. skips `_ppt_branch`, which every other
+    branch takes until one fails.  The pass ends once both verdicts are false."""
     if witness is None:
         return is_ppt_operation(op), None
-    shown: list[bool] = []
-    separable = verify_separable_form(op, witness, _ppt_shown=shown)
-    rest = tuple(sub for sub, ok in itertools.zip_longest(op.subops, shown) if not ok)
-    return not rest or is_ppt_operation(QuantumOperation(rest, op.in_label)), separable
+    if len(witness) != len(op.subops):
+        raise ValueError(f"witness has {len(witness)} entries for {len(op.subops)} sub-operations")
+    lab = _require_bipartite(op.in_label, "ppt predicate")
+    ppt = separable = True
+    for i, pairs in enumerate(witness):
+        if not (ppt or separable):
+            break
+        tr, shown = _checked_choi_trace(op.subops[i], i), False
+        if separable:
+            separable, shown = _read_witness(op, i, pairs, tr)
+        if ppt and not shown:
+            ppt = _ppt_branch(op.subops[i], lab, tr)
+    return ppt, separable
 
 
 def make_local(op_a: QuantumOperation, op_b: QuantumOperation) -> QuantumOperation:

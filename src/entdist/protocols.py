@@ -35,6 +35,8 @@ TWIRL_REAL_BELOW = 8
 # (K, K') pair again builds it once.  Each kept operation holds its cached
 # superoperators, up to 31 MiB at K = 32, so only a few are kept.
 OP_CACHE_SIZE = 8
+# Largest distance from 1 of the probability of the reduction's one branch.
+REDUCTION_PROB_TOL = 1e-9
 
 
 def _party_kraus(k: int, kp: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +283,8 @@ def reduce_dimension(rho: DensityOperator, kp: int) -> DensityOperator:
     if label.dim_a != label.dim_b:
         raise ValueError("reduction requires equal factor dimensions")
     ((p, state),) = apply_operation(_reduction_op(label.dim_a, kp), rho)
-    assert state is not None and abs(p - 1.0) < 1e-9
+    if state is None or not abs(p - 1.0) < REDUCTION_PROB_TOL:
+        raise ValueError(f"the reduction's one branch has probability {p}, not 1")
     return state
 
 

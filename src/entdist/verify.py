@@ -66,6 +66,14 @@ EF_GAP_TOL = 1e-6
 # as 1/sqrt(samples).
 MC_TOL = 1e-2
 MC_TOL_SAMPLES = 10_000
+# Rounding slack on floats of order one: closed forms at exact points, monotone ratios.
+ROUNDING_TOL = 1e-15
+# Distance of theorem2's single-branch rate estimates from their limit 3.
+RATE_TOL = 1e-6
+# Distance of the compiled rate at k = 10^4 from its margins' rate: the floors cost O(1/k).
+COMPILE_TOL = 1e-3
+# Ceiling on an exact two-branch failure tail; a 1 - P(success) form floors near 7e-13.
+TAIL_MAX = 1e-40
 # Failing checks the text report names per suite.
 MAX_FAILURES_SHOWN = 5
 
@@ -155,9 +163,8 @@ def _closed_form_grid(
 def _suite_protocol1(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("protocol1-closed-form")
     _closed_form_grid(res, rng, "1", [(k, kp) for k in range(2, 7) for kp in range(1, k + 1)])
-    res.check(
-        abs(pro.subspace_measurement_fidelity(4, 2, 1.0) - 0.625) <= 1e-15, "spot K=4 Kprime=2 F=1"
-    )
+    spot = pro.subspace_measurement_fidelity(4, 2, 1.0)
+    res.check(abs(spot - 0.625) <= ROUNDING_TOL, "spot K=4 Kprime=2 F=1")
     return res
 
 
@@ -402,14 +409,12 @@ def _suite_theorem2(rng: np.random.Generator) -> SuiteResult:
     out = dst.power_of_two_transform(trace)
     res.check(dst.dims_are_powers_of_two(out.trace), "powers-of-two")
     ratios = out.dim_ratios
-    res.check(
-        all(a >= b - 1e-15 for a, b in zip(ratios[3:], ratios[4:])), "ratios-monotone-beyond-4"
-    )
+    monotone = all(a >= b - ROUNDING_TOL for a, b in zip(ratios[3:], ratios[4:]))
+    res.check(monotone, "ratios-monotone-beyond-4")
     res.check(ratios[-1] < ratios[3], "ratios-decrease")
-    orig_rate = dst.single_branch_rate(trace)
-    new_rate = dst.single_branch_rate(out.trace)
-    res.check(orig_rate is not None and abs(orig_rate - 3) <= 1e-6, f"orig-rate {orig_rate}")
-    res.check(new_rate is not None and abs(new_rate - 3) <= 1e-6, f"transformed-rate {new_rate}")
+    for which, t in (("orig", trace), ("transformed", out.trace)):
+        rate = dst.single_branch_rate(t)
+        res.check(rate is not None and abs(rate - 3) <= RATE_TOL, f"{which}-rate {rate}")
     worked = dst.power_of_two_transform(
         dst.ProtocolTrace((dst.TraceStep(10, (dst.BranchOutcome(1, 2**30, Fraction(99, 100)),)),))
     )
@@ -443,14 +448,13 @@ def _suite_theorem3(rng: np.random.Generator) -> SuiteResult:
     res.check(fails[3] <= math.exp(-2e4 * (0.5 - 4500 / 10**4) ** 2), f"chernoff {fails[3]:.3g}")
     # margins do not depend on k; c is the k = 10^4 compile
     target = float(rate_prime * p_prime) / 10
-    res.check(abs(c.achieved_rate - target) <= 1e-3, f"achieved-rate {c.achieved_rate}")
+    res.check(abs(c.achieved_rate - target) <= COMPILE_TOL, f"achieved-rate {c.achieved_rate}")
     res.check(float(out.rate_bound) <= target + 0.5 / 10 + SIM_TOL, "bound-below-sup")
-    # two constrained p = 1/2 branches: a 1 - P(success) form would floor this near 7e-13
     pair = dst.ProtocolTrace((dst.TraceStep(10, branches[:1] * 2),))
     pair_cfg = dst.CompilerConfig(2000, Fraction(7, 10), Fraction(99, 100))
     tail = dst.tensor_power_compile(pair, pair_cfg).steps[0]
     res.check(tail.failure_method == "exact", "exact-method two branches k=2000")
-    res.check(tail.failure_probability < 1e-40, f"two-branch-tail {tail.failure_probability:.3g}")
+    res.check(tail.failure_probability < TAIL_MAX, f"two-branch-tail {tail.failure_probability:.3g}")
     return res
 
 

@@ -57,12 +57,14 @@ def wootters_formation(rho: np.ndarray) -> float:
 
 
 def dense_separable_reference(op: QuantumOperation, witness) -> tuple[bool, list[bool]]:
-    """(`verify_separable_form(op, witness)`, the `_ppt_shown` list it fills)
-    from one dense Choi difference D = C - C_w per branch, with no bound in
-    the Kraus domain: a branch is read only if every pair has A's output x
-    input shape on A_j and B's on B_j; it proves p.p.t. where ||D||_F <=
-    TAU_PPT tr C / 2 and passes where every |D_ij| <= TAU_ACTION tr C.
-    Reading stops after the first branch that fails."""
+    """(`verify_separable_form(op, witness)`, per branch read whether its
+    witness proves it p.p.t.) from one dense Choi difference D = C - C_w per
+    branch, with no bound in the Kraus domain: a branch is read only if
+    every pair has A's output x input shape on A_j and B's on B_j; it proves
+    p.p.t. where ||D||_F <= TAU_PPT tr C / 2 and passes where every |D_ij|
+    <= TAU_ACTION tr C.  Reading stops after the first branch that fails.
+    The branches not proved p.p.t., read or not, are those `classify` sends
+    to the dense test (`operations._ppt_branch`)."""
     shown: list[bool] = []
     lab_in = op.in_label
     for sub, pairs in zip(op.subops, witness):

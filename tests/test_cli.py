@@ -607,6 +607,22 @@ def test_classify_prints_the_dense_ppt_verdict_near_the_boundary(capsys, tmp_pat
     assert json.loads(out) == {"tp": False, "cp": True, "ppt": dense, "separable_verified": True}
 
 
+def test_the_witness_is_read_past_the_first_branch_that_is_not_ppt():
+    """Branch 0 matches its witness but is not p.p.t.; the one pass of
+    `_class_verdicts` still reads the witness of branch 1, which fails or
+    has the wrong shape."""
+    from entdist.operations import _class_verdicts, is_ppt_operation, verify_separable_form
+
+    op, (pairs,) = decode_operation(witnessed_near_boundary(1.25))
+    op = QuantumOperation(op.subops * 2, op.in_label)
+    bad = [(1.5 * a, b) for a, b in pairs]
+    assert _class_verdicts(op, [pairs, pairs]) == (False, True)
+    assert _class_verdicts(op, [pairs, bad]) == (False, False)
+    assert (is_ppt_operation(op), verify_separable_form(op, [pairs, bad])) == (False, False)
+    with pytest.raises(ValueError, match="witness product shape"):
+        _class_verdicts(op, [pairs, [(np.eye(3), np.eye(3))]])
+
+
 @pytest.mark.parametrize("which", ["creation", "cnot"])
 def test_classify_takes_no_ppt_from_a_witness_with_a_trivial_party(capsys, tmp_path, which):
     """Each witness pair is ([[1]], K_j), so the products equal the branch's

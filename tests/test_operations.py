@@ -545,7 +545,32 @@ def refuse_dense(monkeypatch):
     def dense(*args):
         raise AssertionError("the dense p.p.t. test ran on a branch its witness decides")
 
-    monkeypatch.setattr(operations, "is_ppt_operation", dense)
+    monkeypatch.setattr(operations, "_ppt_branch", dense)
+
+
+def recording_dense(monkeypatch) -> list:
+    """Patch `operations._ppt_branch`, the dense p.p.t. test of one branch,
+    to record each branch it tests."""
+    calls, dense = [], operations._ppt_branch
+    monkeypatch.setattr(
+        operations, "_ppt_branch", lambda sub, *a: calls.append(sub) or dense(sub, *a)
+    )
+    return calls
+
+
+def dense_branches_due(op: QuantumOperation, shown: list[bool]) -> list[SubOperation]:
+    """The branches `_class_verdicts` must send to the dense test, given
+    which branches the witness proves p.p.t. (`shown`, from
+    `dense_separable_reference`; branches past it are unread): every other
+    branch, in order up to the first that is not p.p.t."""
+    due = []
+    for i, sub in enumerate(op.subops):
+        if i < len(shown) and shown[i]:
+            continue
+        due.append(sub)
+        if not is_ppt_operation(QuantumOperation((sub,), op.in_label)):
+            break
+    return due
 
 
 @pytest.mark.parametrize("case", range(len(local_cases())))
@@ -596,16 +621,18 @@ def cut_elsewhere_cases() -> list[tuple]:
     return cases
 
 
-def test_a_witness_cut_between_other_spaces_proves_no_ppt():
+def test_a_witness_cut_between_other_spaces_proves_no_ppt(monkeypatch):
+    dense = recording_dense(monkeypatch)
     for op, witness in cut_elsewhere_cases():
         # the products reproduce the branch, so only the cut keeps them out
         products = np.stack([np.kron(a, b) for a, b in witness[0]])
         assert np.array_equal(products, op.subops[0].kraus)
-        shown = []
-        assert verify_separable_form(op, witness, _ppt_shown=shown) is False
-        assert shown == [False]
+        assert verify_separable_form(op, witness) is False
         assert is_ppt_operation(op) is False
-        assert operations._class_verdicts(op, witness)[0] is False
+        assert dense_separable_reference(op, witness) == (False, [False])
+        dense.clear()
+        assert operations._class_verdicts(op, witness) == (False, False)
+        assert dense == list(op.subops)
 
 
 def bound_cases() -> list[QuantumOperation]:
@@ -641,7 +668,7 @@ def test_the_kraus_domain_bound_agrees_with_the_dense_choi_difference(monkeypatc
     2 eps tr C, so it decides every branch up to eps = 1e-10 and leaves the
     rest to the Choi difference, whose verdicts it must reproduce."""
     rng = np.random.default_rng(17)
-    chois = counting_chois(monkeypatch)
+    chois, dense = counting_chois(monkeypatch), recording_dense(monkeypatch)
     verdicts = {}
     for eps in (0.0, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8):
 
@@ -653,12 +680,13 @@ def test_the_kraus_domain_bound_agrees_with_the_dense_choi_difference(monkeypatc
             witness = natural_product_witness(base)
             op = dense_branches(base, moved)
             separable, shown = dense_separable_reference(op, witness)
-            read: list[bool] = []
             chois.clear()
-            assert verify_separable_form(op, witness, _ppt_shown=read) is separable
+            assert verify_separable_form(op, witness) is separable
             assert bool(chois) is (eps > 1e-10)
-            assert read == shown
-            assert operations._class_verdicts(op, witness) == (is_ppt_operation(op), separable)
+            want, due = (is_ppt_operation(op), separable), dense_branches_due(op, shown)
+            dense.clear()
+            assert operations._class_verdicts(op, witness) == want
+            assert dense == due
             verdicts.setdefault(eps, set()).add((separable, all(shown)))
     # (separable, every branch p.p.t. by the witness): the grid reaches both
     # sides of TAU_PPT tr C / 2 in norm and of TAU_ACTION tr C entrywise
@@ -676,17 +704,17 @@ def test_a_remixed_kraus_family_takes_the_dense_choi_difference(monkeypatch):
         g = rng.standard_normal((len(k), len(k))) + 1j * rng.standard_normal((len(k), len(k)))
         return np.einsum("jk,kab->jab", np.linalg.qr(g)[0], k)
 
-    chois = counting_chois(monkeypatch)
+    chois, dense = counting_chois(monkeypatch), recording_dense(monkeypatch)
     for base in bound_cases():
         witness = natural_product_witness(base)
         op = dense_branches(base, remixed)
         assert not np.allclose(op.subops[0].kraus, base.subops[0].kraus)
         chois.clear()
-        read: list[bool] = []
-        assert verify_separable_form(op, witness, _ppt_shown=read) is True
+        assert verify_separable_form(op, witness) is True
         assert len(chois) == 2 * len(op.subops)
-        assert dense_separable_reference(op, witness) == (True, read) and all(read)
+        assert dense_separable_reference(op, witness) == (True, [True] * len(op.subops))
         assert operations._class_verdicts(op, witness) == (True, True)
+        assert dense == []
 
 
 @pytest.mark.parametrize("sides", [(1e200, 1.0), (1e200, 1e200)])
@@ -713,6 +741,35 @@ def test_witness_entries_after_the_first_that_fails_are_not_read():
     for read in (verify_separable_form, operations._class_verdicts):
         with pytest.raises(ValueError, match="witness product shape"):
             read(op, [good, misshaped])
+
+
+def test_the_dense_test_reads_past_the_first_branch_whose_witness_fails(monkeypatch):
+    # branch 0 is p.p.t. but its witness misses; branch 1 is not p.p.t., and
+    # its witness, of the wrong shape, is never read
+    label = BipartiteLabel(2, 2)
+    local = make_local(identity_operation(2), identity_operation(2)).subops[0]
+    creation = entangled_pair_creation().subops[0]
+    op = QuantumOperation((local, creation), label)
+    witness = [[(np.eye(2), 1.5 * np.eye(2))], [(np.eye(3), np.eye(3))]]
+    dense = recording_dense(monkeypatch)
+    assert operations._class_verdicts(op, witness) == (False, False)
+    assert dense == [local, creation]
+    assert (is_ppt_operation(op), verify_separable_form(op, witness)) == (False, False)
+
+
+def witnessed_cases() -> list[tuple]:
+    """(operation, witness) from every witnessed case list of this file, the
+    bound cases also with dense branches, as decoded from a descriptor."""
+    cases = [(op, natural_product_witness(op)) for op in local_cases() + bound_cases()]
+    cases += [(fused(op), natural_product_witness(op)) for op in bound_cases()]
+    cases += cut_elsewhere_cases()
+    return cases + [(op, w) for op, w, _ in scale_cases() if w is not None]
+
+
+def test_one_pass_gives_both_predicates_verdicts():
+    for i, (op, witness) in enumerate(witnessed_cases()):
+        want = (is_ppt_operation(op), verify_separable_form(op, witness))
+        assert operations._class_verdicts(op, witness) == want, i
 
 
 def scaled(op: QuantumOperation, s: float) -> QuantumOperation:

@@ -147,7 +147,6 @@ def test_bench_layer_rows(monkeypatch):
     assert sizes["defaulted_parameters"] == [
         "entdist.ef_numeric_estimate(budget=)", "entdist.ef_numeric_estimate(seed=)",
         "entdist.ef_numeric_search(budget=)", "entdist.ef_numeric_search(seed=)",
-        "entdist.verify_separable_form(_ppt_shown=)",
     ]
     options = sizes["subcommand_options"]
     assert list(options) == ["bounds", "simulate", "classify", "rates", "compile", "verify"]
