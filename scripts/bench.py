@@ -48,10 +48,11 @@ that later calls skip):
   seed (K = 7 is the last K of its real form, K = 8 the first of its complex
   one), and `haar_unitaries` at d = 2, 3, 4, 6, 8, 16 for stacks of 512 (one
   twirl chunk) and of 1 (the single draws of `verify`'s invariance checks);
-- `entdist compile` at k = 100, 1000, 4096, 10^4 on one step with 2, 4 and
-  8 constrained branches (K = 1024, F = 0.99, probability 0.8 shared
-  evenly, a dimension-1 rest), with the failure probability it prints and
-  how it was computed, and `entdist rates` on 20 such steps with 4
+- `entdist compile` at k = 100, 1000, 4096, 10^4 on one step with 1, 2, 4
+  and 8 constrained branches (K = 1024, F = 0.99, probability 0.8 shared
+  evenly, a dimension-1 rest; with one branch, all of the exact sum is the
+  last branch's), with the failure probability it prints and how it was
+  computed, and `entdist rates` on 20 such steps with 4
   branches.  Both run in-process through `entdist.cli.main`.
 
 It also records the EF searches of `lemma1-chain` in one in-process
@@ -122,7 +123,7 @@ TWIRL_CASES = ((2, 10**4), (3, 10**4), (4, 10**4), (6, 10**4), (7, 10**4), (8, 1
 HAAR_DIMS = (2, 3, 4, 6, 8, 16)
 HAAR_COUNTS = (512, 1)
 COMPILE_KS = (100, 1000, 4096, 10**4)
-COMPILE_BRANCHES = (2, 4, 8)
+COMPILE_BRANCHES = (1, 2, 4, 8)
 RATES_STEPS = 20
 VERIFY_SUITES = ("protocol1-closed-form", "protocol2-closed-form", "twirl", "lemma2-bound",
                  "operation-algebra")

@@ -265,12 +265,21 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
     used so far) at either end whose cumulative mass stays within a quarter
     are dropped.  The counts of a block of states are kept on a window
     [c0, c1]; below c0 and above c1, Chernoff's exp(-n KL(c/n || q)) bounds
-    each tail by a quarter per unit mass, for every n in the block.
+    each tail by a quarter per unit mass, for every n in the block.  The
+    last branch forms only the counts c < m_J that miss its floor, since the
+    mass kept after it is never read: its window ends at m_J - 1, and a block
+    whose window starts at or above m_J forms no term.
 
     Above the limit, the union of the Chernoff bounds exp(-k KL(m_j/k || p_j))
     on P(N_j < m_j), 1 where m_j/k >= p_j < 1; as KL >= 2 gap^2 (Pinsker),
     never looser than Hoeffding's exp(-2k gap^2).
+
+    Either method reads "underflow" instead when its value is 0.0 although
+    some branch has 0 < p_j < 1 and m_j > 0, so that P(N_j < m_j) >=
+    (1 - p_j)^k > 0: the probability is positive, below the least double.
     """
+    # the branches with P(N_j < m_j) >= (1 - p_j)^k > 0
+    positive = [(p, m) for p, m in zip(probs, floors) if 0 < p < 1 and m > 0]
     if k > EXACT_TAIL_LIMIT:
         bound = 0.0
         for p, m in zip(probs, floors):
@@ -278,7 +287,7 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
             if p < 1:  # at p = 1 the branch takes every trial: P(N_j < m_j) = 0
                 kl = (a * math.log(a / p) if a else 0.0) + (1 - a) * math.log1p((p - a) / (1 - p))
                 bound += math.exp(-k * kl)
-        return min(1.0, bound), "chernoff"
+        return min(1.0, bound), "chernoff" if bound or not positive else "underflow"
     lf = _log_factorials(k)
     lf_wrap = np.concatenate([lf, np.full(k, np.inf)])  # +inf at -1..-k: no term has c > n
     rows = (1 << 18) // (k + 1)  # states per block: 2 MiB of float64
@@ -304,9 +313,7 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
         terms = np.exp(log_pmf(0, min(m, k + 1) - 1, k, 1, math.log(p), math.log1p(-p)))
         return math.fsum(terms[::-1].ravel().tolist())  # largest first: fewer partials
 
-    lower = max(
-        (miss_tail(p, m) for p, m in zip(probs, floors) if 0 < p < 1 and m > 0), default=0.0
-    )
+    lower = max((miss_tail(p, m) for p, m in positive), default=0.0)
     parts = 4 * max(len(probs), 1)  # per branch, its two state tails and two count tails
     share = 2.0**-60 * lower / parts
     # -log(share), from log L so that a subnormal L, whose share underflows to
@@ -315,7 +322,9 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
     lam = (60 * math.log(2) + math.log(parts) - math.log(lower)) * (1 + 1e-9) if lower else math.inf
     mass = np.zeros(k + 1)  # mass[u]: the branches so far used u trials, met their floors
     mass[0], remaining, failure = 1.0, 1.0, 0.0
-    for p, m in zip(probs, floors):
+    for j, (p, m) in enumerate(zip(probs, floors)):
+        # the mass kept after the last branch is never read: its window ends at m - 1
+        top = m - 1 if j == len(probs) - 1 else k
         q = p / remaining if remaining > p else 1.0
         remaining -= p
         live = np.flatnonzero(mass)
@@ -346,11 +355,14 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
             n_lo, n_hi = k - b + 1, k - a
             # the exponent falls on c <= n q and grows with n below the mean, grows on
             # c >= n q and falls with n above it: bisect for the first count kept at
-            # n_lo and the first count cut at n_hi
-            below = range(math.ceil(n_lo * q))
+            # n_lo and the first count cut at n_hi, neither beyond top
+            below = range(min(math.ceil(n_lo * q), top + 1))
             c0 = bisect_left(below, True, key=lambda c: exponent(c, n_lo) < lam)
-            above = range(math.floor(n_hi * q) + 1, n_hi + 1)
+            above = range(math.floor(n_hi * q) + 1, min(n_hi, top) + 1)
             c1 = above.start + bisect_left(above, True, key=lambda c: exponent(c, n_hi) >= lam) - 1
+            c1 = min(c1, top)
+            if c1 < c0:  # no count of the window is formed
+                continue
             # rows are counts c = c0..c1, columns states u = a..b-1
             x = log_pmf(c0, c1, k - a, b - a, lq, l1q)
             np.exp(x, out=x)
@@ -364,9 +376,10 @@ def _failure_probability(k: int, probs: list[float], floors: list[int]) -> tuple
                 t0 = a + c0 + s
                 end = min(k + 1, t0 + sums.size)  # beyond k only terms with c > n, all 0
                 kept[t0:end] += sums[: end - t0]
-        failure += math.fsum(np.concatenate(lost)[::-1].tolist())  # largest first, as above
+        if lost:
+            failure += math.fsum(np.concatenate(lost)[::-1].tolist())  # largest first, as above
         mass = kept
-    return min(1.0, float(failure)), "exact"
+    return min(1.0, float(failure)), "exact" if failure or not positive else "underflow"
 
 
 def _floor_pow2_log2(exponent: Number) -> tuple[int | None, float]:
@@ -441,7 +454,7 @@ def tensor_power_compile(trace: ProtocolTrace, cfg: CompilerConfig) -> CompileRe
                 continue
             p_prime, rate_prime = m
             constrained_p.append(float(b.p))
-            constrained_floors.append(math.floor(float(p_prime) * cfg.k))
+            constrained_floors.append(math.floor(p_prime * cfg.k))  # exact for fractions
             factor, log2_factor = _floor_pow2_log2(rate_prime * p_prime * cfg.k)
             log2_dim_total += log2_factor
             dim_total = dim_total * factor if (dim_total is not None and factor is not None) else None

@@ -1,5 +1,8 @@
+import io
 import json
+import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 
 from entdist import bounds as bnd
+from entdist import distillation as dst
 from entdist.cli import (
     MAX_BOUNDS_ROWS,
     MAX_CHOI_DIM,
@@ -27,6 +31,7 @@ from entdist.serialize import (
     decode_matrix,
     decode_operation,
     decode_trace,
+    dump_report,
     encode_trace,
     format_number,
     load_json,
@@ -797,6 +802,80 @@ def test_compile_csv_names_how_each_failure_probability_was_obtained(capsys, tra
     header, *rows = out.splitlines()
     assert header == "k,achieved_rate,failure_probability,failure_method,rate_bound"
     assert [row.split(",")[3] for row in rows] == ["exact", "chernoff"]
+
+
+def test_compile_floors_each_count_exactly(capsys, trace_file):
+    # p' k = (58/100)(1/2) 100 = 29, which floor(float(p') k) read as 28
+    code, out, err = run_cli(capsys, "compile", trace_file, "--k-list", "100",
+                             "--p-fraction", "0.58", "--precision", "17")
+    assert code == 0, err
+    (doc,) = json.loads(out)
+    want = Fraction(sum(math.comb(100, c) for c in range(29)), 2**100)  # P(Bin(100, 1/2) < 29)
+    assert doc["failure_method"] == "exact"
+    assert doc["failure_probability"] == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+def test_compile_labels_a_failure_probability_that_underflows(capsys, tmp_path):
+    # m = floor((1/2)(4/5) 4096) = 1638: P(Bin(4096, 4/5) < 1638) is about 5.35e-683
+    path = write_trace(tmp_path, [{"p": 0.8, "K": 1024, "F": 0.99}, {"p": 0.2, "K": 1, "F": 1}])
+    argv = ["compile", path, "--k-list", "4096", "--p-fraction", "0.5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    (doc,) = json.loads(out)
+    assert (doc["failure_probability"], doc["failure_method"]) == (0.0, "underflow")
+    code, out, err = run_cli(capsys, *argv, "--emit", "csv")
+    assert code == 0, err
+    assert out.splitlines()[1].split(",")[2:4] == ["0.0", "underflow"]
+
+
+COMPILE_HEADER = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
+
+
+def test_compile_streams_the_bytes_of_the_whole_report(capsys, tmp_path, trace_file):
+    argv = ["compile", trace_file, "--k-list", "10", "1000", "8192", "--precision", "17"]
+    code, json_out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    docs = json.loads(json_out)
+    assert [d["k"] for d in docs] == [10, 1000, 8192]
+    # one dump of the whole list, and the CSV lines joined, as written before
+    assert json_out == dump_report(docs, 17)
+    code, csv_out, err = run_cli(capsys, *argv, "--emit", "csv")
+    assert code == 0, err
+    lines = [",".join(COMPILE_HEADER)] + [
+        ",".join(format_number(d[h], 17) if h != "failure_method" else d[h]
+                 for h in COMPILE_HEADER)
+        for d in docs
+    ]
+    assert csv_out == "\n".join(lines) + "\n"
+    for emit, want in (("json", json_out), ("csv", csv_out)):
+        path = tmp_path / f"report.{emit}"
+        code, out, err = run_cli(capsys, *argv, "--emit", emit, "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text(encoding="utf-8") == want
+
+
+def test_compile_writes_each_row_before_compiling_the_next(monkeypatch, trace_file):
+    stdout, compile_calls = io.StringIO(), []
+    real = dst.tensor_power_compile
+
+    def spy(trace, cfg):
+        compile_calls.append(stdout.getvalue().count('"k":'))  # rows written so far
+        return real(trace, cfg)
+
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(dst, "tensor_power_compile", spy)
+    assert main(["compile", trace_file, "--k-list", "10", "20", "30"]) == 0
+    assert compile_calls == [0, 1, 2]
+    assert [d["k"] for d in json.loads(stdout.getvalue())] == [10, 20, 30]
+
+
+def test_compile_checks_every_k_before_writing(capsys, tmp_path, trace_file):
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "compile", trace_file, "--k-list", "10", "0",
+                             "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: tensor-power count must be positive, got 0\n"
+    assert not path.exists()
 
 
 def write_trace(tmp_path, branches, n=10):

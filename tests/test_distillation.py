@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -339,6 +339,25 @@ def test_compile_failure_probability_k10_exact_value():
     assert out.failure_probability == pytest.approx(176 / 1024, abs=1e-12)
 
 
+@given(
+    p=st.integers(1, 99).map(lambda n: Fraction(n, 100)),
+    p_fraction=st.integers(1, 99).map(lambda n: Fraction(n, 100)),
+    k=st.sampled_from([100, 200, 400, 1000, 10**4]),
+)
+@example(p=Fraction(1, 2), p_fraction=Fraction(58, 100), k=100)
+@settings(max_examples=200, deadline=None)
+def test_compile_count_floors_are_the_exact_floors(p, p_fraction, k):
+    # floor(float(p') k) is one too low where p' k is an integer the float
+    # product rounds below, such as p = 1/2, p_fraction = 58/100, k = 100
+    trace = ProtocolTrace((TraceStep(1, (
+        BranchOutcome(p, 1024, Fraction(99, 100)), BranchOutcome(1 - p, 1, 1)
+    )),))
+    with mock.patch.object(distillation, "_failure_probability", return_value=(0.0, "exact")) as fp:
+        tensor_power_compile(trace, CompilerConfig(k, p_fraction, Fraction(1, 2)))
+    (_, probs, floors), _ = fp.call_args
+    assert (probs, floors) == ([float(p)], [math.floor(p_fraction * p * k)])
+
+
 def test_compile_half_margins_failure_is_negligible():
     cfg = CompilerConfig(1000, Fraction(1, 2), Fraction(1, 2))
     out = tensor_power_compile(fixture_trace(), cfg)
@@ -423,6 +442,9 @@ def exact_failure(k, probs, floors):
         (60, ["1/5", "4/5"], [0, 40]),
         (250, ["2/5", "3/10", "1/5"], [90, 67, 45]),
         (150, ["3/10", "1/4", "1/5", "3/20"], [40, 33, 27, 20]),
+        (300, ["1/2", "1/4"], [120, 0]),  # the last floor is 0: no count misses it
+        (400, ["1/2", "1/4"], [150, 2]),  # the last floor lies below every count window
+        (200, ["1/5", "3/10", "1/2"], [30, 50, 90]),  # q = 1 on the last branch
     ],
 )
 def test_failure_probability_matches_exact_rational_sum(k, probs, floors):
@@ -473,8 +495,11 @@ def full_grid_failure(k, probs, floors):
 
 
 def binomial_lower_tail(k, p, m):
-    """P(N < m), N ~ binomial(k, p), in floats."""
-    return math.fsum(math.comb(k, c) * p**c * (1 - p) ** (k - c) for c in range(min(m, k + 1)))
+    """P(N < m), N ~ binomial(k, p), summed in integers and rounded once:
+    with p = a / d, a sum of comb(k, c) a^c (d - a)^(k - c) over d^k (a float
+    sum rounds (1 - p)^(k - c) wherever it is subnormal)."""
+    a, d = p.as_integer_ratio()
+    return sum(math.comb(k, c) * a**c * (d - a) ** (k - c) for c in range(min(m, k + 1))) / d**k
 
 
 BENCHMARK_PROBS = ([0.8], [0.6, 0.3], [0.4, 0.3, 0.2], [0.3, 0.25, 0.2, 0.15])
@@ -502,6 +527,9 @@ def test_cut_failure_probability_matches_the_full_grid(k, probs, p_fraction):
         (1, [0.5], [1]),
         (6, [0.3, 0.3, 0.3], [1, 1, 1]),
         (40, [0.5, 0.25], [30, 1]),  # floors above the means
+        (2048, [0.6, 0.3], [1106, 0]),  # the last floor is 0: no count misses it
+        (2000, [0.5, 0.3], [700, 1]),  # the last floor lies below every count window
+        (1000, [0.3, 0.2, 0.5], [250, 160, 430]),  # q = 1 after a middle branch's full window
     ],
 )
 def test_cut_failure_probability_edge_cases(k, probs, floors):
@@ -520,10 +548,48 @@ def test_cut_budget_holds_where_the_lower_bound_is_subnormal():
     )
 
 
+# repr of _failure_probability(k, probs, floor((9/10) p k)) for the exact compile
+# jobs of the benchmark (k = 512, 2048, 4096 and its four branch sets); any
+# change to one of these values must be listed in CHANGES.md
+PINNED_BENCHMARK_FAILURES = {
+    512: ["4.077339246288469e-06", "0.061332683097913336", "0.1970643741552886",
+          "0.3834190554693965"],
+    2048: ["1.2827727728364166e-18", "0.0011023558152986634", "0.01053983274931903",
+           "0.037443910963513856"],
+    4096: ["5.294915154975831e-35", "9.373630560031474e-06", "0.0005485145790095512",
+           "0.003281816421158813"],
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_BENCHMARK_FAILURES))
+def test_benchmark_failure_probabilities_are_pinned(k):
+    for probs, want in zip(BENCHMARK_PROBS, PINNED_BENCHMARK_FAILURES[k]):
+        exact = [Fraction(p).limit_denominator(100) for p in probs]
+        floors = [math.floor(Fraction(9, 10) * p * k) for p in exact]
+        got, method = distillation._failure_probability(k, probs, floors)
+        assert (repr(got), method) == (want, "exact")
+
+
 def test_cut_failure_probability_without_floors_is_zero():
     for k in (1, 100, 1000):
         got = distillation._failure_probability(k, [0.3, 0.25, 0.2, 0.15], [0] * 4)
         assert got == (0.0, "exact")
+    # a true zero: the Chernoff union has terms (1 - p)^k that underflow
+    assert distillation._failure_probability(10**5, [0.8], [0]) == (0.0, "chernoff")
+
+
+def test_a_failure_probability_below_the_least_double_reads_underflow():
+    mpmath = pytest.importorskip("mpmath")
+    k, m = 4096, 1638
+    with mpmath.workdps(50):
+        p = mpmath.mpf(4) / 5
+        want = mpmath.fsum(math.comb(k, c) * p**c * (1 - p) ** (k - c) for c in range(m))
+    assert 0 < want < mpmath.mpf(2) ** -1075  # about 5.35e-683
+    assert distillation._failure_probability(k, [0.8], [m]) == (0.0, "underflow")
+    # a branch without a floor does not hide the one that underflows
+    assert distillation._failure_probability(k, [0.1, 0.8], [0, m]) == (0.0, "underflow")
+    # above the limit every Chernoff term exp(-k KL) underflows the same way
+    assert distillation._failure_probability(10**5, [0.8], [40000]) == (0.0, "underflow")
 
 
 def test_failure_probability_does_not_depend_on_which_k_came_first():
