@@ -29,7 +29,7 @@ import dataclasses
 import functools
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -74,46 +74,29 @@ PRECISIONS = range(1, 18)
 
 
 def _emit(
-    args: argparse.Namespace, doc: object, records: Iterable[dict] = (), header: Sequence[str] = ()
+    args: argparse.Namespace, doc: object, records: Sequence[dict] = (), header: Sequence[str] = ()
 ) -> None:
     """Write a report to --out, else to stdout: with --emit csv the `header`
-    columns of records, one row each; a text doc as it is; a dict or list doc
-    as JSON; any other doc, an iterator of records, as a JSON list written one
-    record at a time, in the bytes the same list would take.  classify and
-    verify reports hold no float, so they take no --precision."""
-    precision = getattr(args, "precision", 12)
+    columns of records, one row each; a text doc as it is; otherwise doc as
+    JSON.  classify and verify reports hold no float, so they take no
+    --precision."""
     if getattr(args, "emit", "json") == "csv":
-        chunks = _csv_lines(records, header, precision)
+        lines = [",".join(header)]
+        for r in records:
+            lines.append(",".join(
+                x if isinstance(x, str) else "" if x is None else format_number(x, args.precision)
+                for x in (r[h] for h in header)
+            ))
+        text = "\n".join(lines) + "\n"
     elif isinstance(doc, str):
-        chunks = [doc]
-    elif isinstance(doc, (dict, list)):
-        chunks = [dump_report(doc, precision)]
+        text = doc
     else:
-        chunks = _json_list(doc, precision)
+        text = dump_report(doc, getattr(args, "precision", 12))
     if args.out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-
-
-def _csv_lines(records: Iterable[dict], header: Sequence[str], precision: int) -> Iterator[str]:
-    """The header line, then the `header` columns of each record."""
-    yield ",".join(header) + "\n"
-    for r in records:
-        yield ",".join(
-            x if isinstance(x, str) else "" if x is None else format_number(x, precision)
-            for x in (r[h] for h in header)
-        ) + "\n"
-
-
-def _json_list(records: Iterable[dict], precision: int) -> Iterator[str]:
-    """dump_report of a non-empty list of records, one record per chunk."""
-    sep = "[\n"
-    for r in records:
-        yield sep + "  " + dump_report(r, precision)[:-1].replace("\n", "\n  ")
-        sep = ",\n"
-    yield "\n]\n"
+            fh.write(text)
 
 
 def nonnegative_int(text: str) -> int:
@@ -246,16 +229,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 was = "" if trace is given else f"K={b.K}, F={float(b.F):g}, floored to "
                 raise ValueError(f"step {i}, branch {j}: {was}{exc}") from None
-    # every k is checked before the first byte; the rows are written as they
-    # are compiled, and no config is kept, so memory stays flat however long
-    # --k-list is
+    out_docs = []
     for k in args.k_list:
-        dst.CompilerConfig(k, p_frac, r_frac)
-
-    def compiled() -> Iterator[dict]:
-        for k in args.k_list:
-            result = dst.tensor_power_compile(trace, dst.CompilerConfig(k, p_frac, r_frac))
-            yield {
+        result = dst.tensor_power_compile(trace, dst.CompilerConfig(k, p_frac, r_frac))
+        out_docs.append(
+            {
                 "k": k,
                 "achieved_rate": result.achieved_rate,
                 "failure_probability": result.failure_probability,
@@ -269,10 +247,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
                 ),
                 "log2_output_dims": [s.log2_output_dim for s in result.steps],
             }
-
+        )
     header = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
-    rows = compiled()
-    _emit(args, rows, rows, header)
+    _emit(args, out_docs, out_docs, header)
     return 0
 
 

@@ -1,8 +1,6 @@
-import io
 import json
 import math
 import re
-import sys
 import warnings
 from fractions import Fraction
 
@@ -10,7 +8,6 @@ import numpy as np
 import pytest
 
 from entdist import bounds as bnd
-from entdist import distillation as dst
 from entdist.cli import (
     MAX_BOUNDS_ROWS,
     MAX_CHOI_DIM,
@@ -31,7 +28,6 @@ from entdist.serialize import (
     decode_matrix,
     decode_operation,
     decode_trace,
-    dump_report,
     encode_trace,
     format_number,
     load_json,
@@ -828,48 +824,7 @@ def test_compile_labels_a_failure_probability_that_underflows(capsys, tmp_path):
     assert out.splitlines()[1].split(",")[2:4] == ["0.0", "underflow"]
 
 
-COMPILE_HEADER = ["k", "achieved_rate", "failure_probability", "failure_method", "rate_bound"]
-
-
-def test_compile_streams_the_bytes_of_the_whole_report(capsys, tmp_path, trace_file):
-    argv = ["compile", trace_file, "--k-list", "10", "1000", "8192", "--precision", "17"]
-    code, json_out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    docs = json.loads(json_out)
-    assert [d["k"] for d in docs] == [10, 1000, 8192]
-    # one dump of the whole list, and the CSV lines joined, as written before
-    assert json_out == dump_report(docs, 17)
-    code, csv_out, err = run_cli(capsys, *argv, "--emit", "csv")
-    assert code == 0, err
-    lines = [",".join(COMPILE_HEADER)] + [
-        ",".join(format_number(d[h], 17) if h != "failure_method" else d[h]
-                 for h in COMPILE_HEADER)
-        for d in docs
-    ]
-    assert csv_out == "\n".join(lines) + "\n"
-    for emit, want in (("json", json_out), ("csv", csv_out)):
-        path = tmp_path / f"report.{emit}"
-        code, out, err = run_cli(capsys, *argv, "--emit", emit, "--out", str(path))
-        assert (code, out, err) == (0, "", "")
-        assert path.read_text(encoding="utf-8") == want
-
-
-def test_compile_writes_each_row_before_compiling_the_next(monkeypatch, trace_file):
-    stdout, compile_calls = io.StringIO(), []
-    real = dst.tensor_power_compile
-
-    def spy(trace, cfg):
-        compile_calls.append(stdout.getvalue().count('"k":'))  # rows written so far
-        return real(trace, cfg)
-
-    monkeypatch.setattr(sys, "stdout", stdout)
-    monkeypatch.setattr(dst, "tensor_power_compile", spy)
-    assert main(["compile", trace_file, "--k-list", "10", "20", "30"]) == 0
-    assert compile_calls == [0, 1, 2]
-    assert [d["k"] for d in json.loads(stdout.getvalue())] == [10, 20, 30]
-
-
-def test_compile_checks_every_k_before_writing(capsys, tmp_path, trace_file):
+def test_compile_writes_nothing_when_a_later_k_is_invalid(capsys, tmp_path, trace_file):
     path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "compile", trace_file, "--k-list", "10", "0",
                              "--out", str(path))
